@@ -133,14 +133,12 @@ def fit_prgbt(
     m: int,
     sigma,
     rule: StoppingRule = StoppingRule(),
-    rng: RngSpec = RngSpec(0),
     shrinkage: float = 1.0,
 ) -> BoostedEnsemble:
     """Fit m boosting stages; stage trees are PR trees fit to the residuals
     of the shrinkage-weighted accumulated model. Squared-error residual
     fitting is exact gradient boosting, so no gradient reweighting is
-    applied."""
-    del rng
+    applied. Fitting is deterministic, so no random stream is taken."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (0.0 < shrinkage <= 1.0):

@@ -77,7 +77,8 @@ def make_cv_plan(d: Dataset, n_folds: int = 10, n_bins: int = 10) -> CVPlan:
 def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
     """Grid-search the shared noise multiplier c over {0, 1/4, ..., 2}
     with sigma_j = c * (training std of feature j); returns the argmin-RMSE
-    sigma vector, ties broken toward smaller c."""
+    sigma vector, ties broken toward smaller c. Raises ValueError when no
+    grid point gives a finite validation RMSE."""
     if valid.n == 0:
         raise ValueError("validation set is empty")
     sigma_hat = train.features.std(axis=0, ddof=1) if train.n > 1 else np.zeros(train.p)
@@ -89,6 +90,10 @@ def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
         log.debug("sigma grid c=%.2f valid rmse=%.6g", c, rmse)
         if rmse < best_rmse:
             best_sigma, best_rmse = sigma, rmse
+    if best_sigma is None:
+        raise ValueError(
+            f"no sigma grid multiplier in {list(GRID_MULTIPLIERS)} gave a finite validation RMSE"
+        )
     return best_sigma
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RngSpec
+from .data import Dataset
 from .kernel import (
     MembershipMatrix,
     interval_mass,
@@ -81,22 +81,32 @@ def fit_weights(P, y: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(V, rcond=PINV_RCOND) @ y
 
 
+def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray):
+    """Children SSE of every hard cut of ys, given sorted by the values vs
+    (the CART prefix-sum formula; Breiman et al. 1984).
+
+    Cut i lies between the distinct values vs[after[i]] and vs[after[i] + 1],
+    so after[i] + 1 rows go left. Returns (after, sse_left, sse_right,
+    sse_total), where sse_total is the SSE of all of ys around its mean.
+    """
+    n = ys.shape[0]
+    after = np.flatnonzero(vs[:-1] != vs[1:])
+    c1 = np.cumsum(ys)
+    c2 = np.cumsum(ys * ys)
+    tot1, tot2 = c1[-1], c2[-1]
+    m = after + 1.0
+    sse_l = c2[after] - c1[after] ** 2 / m
+    sse_r = (tot2 - c2[after]) - (tot1 - c1[after]) ** 2 / (n - m)
+    return after, sse_l, sse_r, tot2 - tot1**2 / n
+
+
 def _best_hard_reduction(v: np.ndarray, y: np.ndarray) -> float | None:
     """Largest SSE reduction of a single hard split of y along values v;
     None when v has fewer than two distinct values."""
     order = np.argsort(v, kind="stable")
-    vs, ys = v[order], y[order]
-    cut_after = np.flatnonzero(vs[:-1] != vs[1:])
-    if cut_after.size == 0:
+    after, sse_l, sse_r, sse_tot = _hard_cut_sse(v[order], y[order])
+    if after.size == 0:
         return None
-    n = ys.shape[0]
-    c1 = np.cumsum(ys)
-    c2 = np.cumsum(ys * ys)
-    tot1, tot2 = c1[-1], c2[-1]
-    m = cut_after + 1.0
-    sse_l = c2[cut_after] - c1[cut_after] ** 2 / m
-    sse_r = (tot2 - c2[cut_after]) - (tot1 - c1[cut_after]) ** 2 / (n - m)
-    sse_tot = tot2 - tot1**2 / n
     return float(np.max(sse_tot - sse_l - sse_r))
 
 
@@ -169,9 +179,53 @@ def _split_sse_batch(ry, Q, L, R):
     return base - quad
 
 
+def _find_best_hard_split(X, V, y, rows_mask, vars, min_count):
+    """find_best_split when every sigma is 0. The columns of V are then
+    disjoint 0/1 indicators, so a candidate's refit SSE is the other leaves'
+    SSE around their means plus the children's SSE from prefix sums over
+    the split leaf's rows (rows_mask), one sort per coordinate."""
+    xk, yk = X[rows_mask], y[rows_mask]
+    if yk.size < 2 * min_count:
+        return None
+    counts = V.sum(axis=0)
+    means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
+    r = (y - V @ means)[~rows_mask]
+    base = float(r @ r)
+    # the children's SSE is shift-invariant; centring keeps the prefix sums small
+    yk = yk - yk.mean()
+    best = None
+    for j in sorted(vars):
+        order = np.argsort(xk[:, j], kind="stable")
+        vs = xk[order, j]
+        after, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[order])
+        n_left = after + 1
+        ok = (n_left >= min_count) & (yk.size - n_left >= min_count)
+        if not ok.any():
+            continue
+        after = after[ok]
+        sse = base + (sse_l[ok] + sse_r[ok])
+        # argmin keeps the first (smallest) cut among exact ties, and the
+        # strict < keeps the smallest j: the same order as _pick_best
+        i = int(np.argmin(sse))
+        if best is None or sse[i] < best[2]:
+            s = (vs[after[i]] + vs[after[i] + 1]) / 2.0
+            best = (j, float(s), float(sse[i]))
+    return best
+
+
 def find_best_split(d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rule: StoppingRule):
     """Best (coordinate, cut) for leaf k by refit SSE over all admissible
-    candidates, or None. Ties break toward the smaller (j, s)."""
+    candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
+
+    Cuts are the midpoints between consecutive distinct values of leaf k's
+    hard-assigned rows that leave at least rule.min_count(n) rows on each
+    side. Two paths compute the same refit SSE:
+
+    - every sigma is 0: the leaves are disjoint indicators, and the SSE
+      comes from one sort and prefix sums per coordinate (O(n_k log n_k));
+    - otherwise (soft or mixed sigma): dense child columns for every cut,
+      projected off a QR basis of the other leaves (O(n x #cuts)).
+    """
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
     V = P.values
@@ -179,6 +233,8 @@ def find_best_split(d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rul
     region = P.regions[k]
     min_count = rule.min_count(n)
     rows_mask = region.contains(d.features)
+    if not sigma.any():
+        return _find_best_hard_split(d.features, V, y, rows_mask, vars, min_count)
     B = np.delete(V, k, axis=1)
     if K > 1:
         Q, _ = np.linalg.qr(B)
@@ -337,7 +393,6 @@ def fit_prtree(
     d: Dataset,
     sigma,
     rule: StoppingRule = StoppingRule(),
-    rng: RngSpec | None = None,
     features=None,
     n_candidate_vars: int = 3,
     target=None,
@@ -347,14 +402,16 @@ def fit_prtree(
     candidate), until no split reduces the training SSE.
 
     `features`, when given, restricts splits to that coordinate subset
-    (used by forests). `target` overrides d.target (used by boosting).
-    `rng` is accepted for interface symmetry; growth is deterministic.
+    (used by forests). `target`, when given, replaces d.target for both the
+    fit and the candidate-variable ranking (used by boosting). Growth is
+    deterministic.
     """
-    del rng
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (d.p,) or np.any(sigma < 0):
         raise ValueError("sigma must be a non-negative vector of length p")
-    y = d.target if target is None else np.asarray(target, dtype=float)
+    if target is not None:
+        d = Dataset(d.features, target, d.feature_names)
+    y = d.target
     n = d.n
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")

@@ -82,6 +82,13 @@ def test_tune_sigma_all_tie_returns_smallest(small_data):
     assert np.all(sigma == 0.0)
 
 
+def test_tune_sigma_no_finite_rmse_raises(small_data):
+    train = small_data.subset(np.arange(60))
+    valid = small_data.subset(np.arange(60, 80))
+    with pytest.raises(ValueError, match=r"0\.0, 0\.25, .*2\.0\]"):
+        tune_sigma(train, valid, lambda tr, s: _Constant(np.nan))
+
+
 def test_empty_validation_subset_rejected(small_data):
     # an empty validation set cannot even be constructed as a Dataset
     with pytest.raises(ValueError):

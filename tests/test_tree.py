@@ -90,23 +90,62 @@ def test_candidate_variables_constant_feature_dropped():
     assert candidate_variables(d, np.arange(10), 3) == [1]
 
 
-@pytest.mark.parametrize("sigma_scale", [0.0, 0.3])
-def test_find_best_split_matches_brute_force(sigma_scale):
-    rng = np.random.default_rng(11)
-    rule = StoppingRule()
+def _three_leaves(d):
+    """Root split at the median of x0, then its upper side at the median of
+    x1 among the rows it holds."""
+    left, right = Region.root(d.p).split(0, float(np.median(d.features[:, 0])))
+    x1 = d.features[right.contains(d.features), 1]
+    return [left, *right.split(1, float(np.median(x1)))]
+
+
+def _split_search_cases(rng):
+    """(dataset, leaf regions, leaf index) triples: random continuous problems,
+    then the hard branch's edge cases."""
     for _ in range(10):
         n = int(rng.integers(15, 50))
         p = int(rng.integers(1, 4))
         d = random_dataset(rng, n, p)
-        sigma = sigma_scale * d.features.std(axis=0, ddof=1)
         root = Region.root(p)
         if n > 20 and p > 1:
             regions = list(root.split(0, float(np.median(d.features[:, 0]))))
         else:
             regions = [root]
+        yield d, regions, int(rng.integers(len(regions)))
+    # repeated x values (rounded to 1 decimal) over three leaves
+    for _ in range(3):
+        d = random_dataset(rng, 90, 3)
+        d = Dataset(np.round(d.features, 1), d.target, d.feature_names)
+        regions = _three_leaves(d)
+        for k in range(len(regions)):
+            yield d, regions, k
+    # min_count(40) = 4: the leaf x0 > 0.5 holds 9 rows whose x1 ties in runs,
+    # so the only admissible cut leaves exactly 4 rows on the left; the leaf
+    # x0 > 1.5 holds 7 rows and has none
+    x0 = np.concatenate([np.zeros(31), np.ones(2), np.full(7, 2.0)])
+    x1 = np.concatenate([rng.normal(size=31), [0, 0, 0, 0, 1, 1, 1, 1, 2]])
+    y = rng.normal(size=40) + 3.0 * x1
+    d = Dataset(np.column_stack([x0, x1]), y, ("a", "b"))
+    a, b = Region.root(2).split(0, 0.5)
+    yield d, [a, b], 1
+    a, b = Region.root(2).split(0, 1.5)
+    yield d, [a, b], 1
+    # two identical columns give exactly tied SSEs, which go to the smaller j
+    X = rng.normal(size=(60, 3))
+    X[:, 1] = X[:, 0]
+    d = Dataset(X, 4.0 * np.sign(X[:, 0]) + rng.normal(size=60), ("a", "b", "c"))
+    regions = list(Region.root(3).split(2, 0.0))
+    for k in range(2):
+        yield d, regions, k
+
+
+@pytest.mark.parametrize("sigma_scale", [0.0, 0.3])
+def test_find_best_split_matches_brute_force(sigma_scale):
+    rng = np.random.default_rng(11)
+    rule = StoppingRule()
+    for d, regions, k in _split_search_cases(rng):
+        sigma = sigma_scale * d.features.std(axis=0, ddof=1)
         P = build_membership(d, regions, sigma)
-        k = int(rng.integers(len(regions)))
-        vars = list(range(p))
+        vars = list(range(d.p))
         got = find_best_split(d, P, d.target, k, vars, sigma, rule)
         want = brute_force_split(d, P, d.target, k, vars, sigma, rule)
         if want is None:
@@ -114,6 +153,16 @@ def test_find_best_split_matches_brute_force(sigma_scale):
         else:
             assert got is not None
             assert (got[0], got[1]) == (want[1], want[2])
+            assert got[2] == pytest.approx(want[0], rel=1e-9)
+
+
+def test_find_best_split_exact_tie_goes_to_smaller_cut():
+    # cutting off either end row leaves SSE 20 exactly; every other cut is worse
+    X = np.arange(6.0)[:, None]
+    d = Dataset(X, np.array([0.0, 5, 5, 5, 5, 10]), ("a",))
+    rule = StoppingRule(min_leaf_fraction=0.1)
+    P = build_membership(d, [Region.root(1)], np.zeros(1))
+    assert find_best_split(d, P, d.target, 0, [0], np.zeros(1), rule) == (0, 0.5, 20.0)
 
 
 def test_find_best_split_none_when_no_admissible_cut():
@@ -130,6 +179,31 @@ def test_hard_tree_equals_cart_oracle():
         t = fit_prtree(d, np.zeros(d.p))
         ref, _ = hard_tree_oracle(d.features, d.target)
         assert np.array_equal(t.predict(d.features), ref)
+
+
+def test_hard_tree_equals_cart_oracle_with_ties():
+    rng = np.random.default_rng(600)
+    d = random_dataset(rng, 600, 3)
+    d = Dataset(np.round(d.features, 1), d.target, d.feature_names)
+    t = fit_prtree(d, np.zeros(3), StoppingRule(min_leaf_fraction=0.05))
+    ref, leaves = hard_tree_oracle(d.features, d.target, min_frac=0.05)
+    assert t.leaf_count == len(leaves) > 5
+    assert np.array_equal(t.predict(d.features), ref)
+
+
+def test_target_override_matches_dataset_target():
+    # y is driven by x0 and the residual by x4: the candidate variables must
+    # be ranked by the target being fitted, not by d.target
+    rng = np.random.default_rng(300)
+    X = rng.uniform(size=(300, 6))
+    names = tuple(f"x{j}" for j in range(6))
+    y = 10.0 * X[:, 0] + 0.1 * rng.normal(size=300)
+    r = np.sin(6.0 * X[:, 4]) + 0.1 * rng.normal(size=300)
+    got = fit_prtree(Dataset(X, y, names), np.zeros(6), target=r)
+    want = fit_prtree(Dataset(X, r, names), np.zeros(6))
+    assert got.to_json() == want.to_json()
+    with pytest.raises(ValueError):
+        fit_prtree(Dataset(X, y, names), np.zeros(6), target=np.full(300, np.nan))
 
 
 def test_constant_target_stays_single_leaf():
