@@ -195,13 +195,11 @@ def _cmd_predict(cfg) -> int:
     model = _load_model(cfg["model_file"])
     # the target column is optional at prediction time; drop it if present
     try:
-        d = load_csv(cfg["data"], cfg["target"])
-        X = d.features
+        X = load_csv(cfg["data"], cfg["target"]).features
     except CsvFormatError as exc:
         if "target column not found" not in str(exc):
             raise
-        rows = list(csv.reader(open(cfg["data"], newline="", encoding="utf-8")))
-        X = np.array([[float(v) for v in r] for r in rows[1:]], dtype=float)
+        X = load_csv(cfg["data"], None)
     preds = model.predict(X)
     out = cfg["out"] or "predictions.csv"
     with open(out, "w", newline="") as fh:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +73,29 @@ class RngSpec:
         return RngSpec(self.seed, stream_id)
 
 
+def check_features(X, p: int) -> np.ndarray:
+    """X as a 2-d float array of p columns for prediction; raises ValueError
+    on a wrong column count or any non-finite value, which the soft and hard
+    memberships would otherwise turn into a silent nan or 0."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != p:
+        raise ValueError(f"expected {p} features, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise ValueError("features contain non-finite values")
+    return X
+
+
 class CsvFormatError(ValueError):
     """Raised when a CSV file violates the expected numeric layout."""
 
 
-def load_csv(path, target_column: str) -> Dataset:
-    """Read a headed, comma-separated numeric file into a Dataset.
+def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
+    """Read a headed, comma-separated numeric file into a Dataset, or, with
+    target_column None, into a feature matrix of every column.
 
-    Row order is preserved. Malformed cells are reported with their
-    1-based row number and column name.
+    Row order is preserved. Malformed cells (blank, non-numeric or
+    non-finite) and ragged rows are reported with their 1-based row number
+    and column name.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -93,11 +108,9 @@ def load_csv(path, target_column: str) -> Dataset:
         except StopIteration:
             raise CsvFormatError(f"empty file: {path}") from None
         header = [h.strip() for h in header]
-        if target_column not in header:
+        if target_column is not None and target_column not in header:
             raise CsvFormatError(f"target column not found: {target_column!r}")
-        tgt = header.index(target_column)
-        feature_names = [h for i, h in enumerate(header) if i != tgt]
-        rows, targets = [], []
+        rows = []
         for rownum, record in enumerate(reader, start=2):
             if len(record) != len(header):
                 raise CsvFormatError(
@@ -109,16 +122,23 @@ def load_csv(path, target_column: str) -> Dataset:
                 if cell == "":
                     raise CsvFormatError(f"row {rownum}, column {col!r}: blank cell")
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise CsvFormatError(
                         f"row {rownum}, column {col!r}: non-numeric value {cell!r}"
                     ) from None
-            targets.append(values.pop(tgt))
+                if not math.isfinite(value):
+                    raise CsvFormatError(f"row {rownum}, column {col!r}: non-finite value {cell!r}")
+                values.append(value)
             rows.append(values)
     if not rows:
         raise CsvFormatError(f"no data rows in {path}")
-    return Dataset(np.array(rows, dtype=float), np.array(targets, dtype=float), feature_names)
+    table = np.array(rows, dtype=float)
+    if target_column is None:
+        return table
+    tgt = header.index(target_column)
+    feature_names = [h for i, h in enumerate(header) if i != tgt]
+    return Dataset(np.delete(table, tgt, axis=1), table[:, tgt], feature_names)
 
 
 @dataclass

@@ -124,10 +124,6 @@ def fit_prrf(
     return Forest(trees=trees, bootstrap=bootstrap, feature_subsets=subsets)
 
 
-def predict_forest(f: Forest, x) -> float:
-    return float(f.predict(np.asarray(x, dtype=float)[None, :])[0])
-
-
 def fit_prgbt(
     d: Dataset,
     m: int,
@@ -151,7 +147,3 @@ def fit_prgbt(
         resid = resid - shrinkage * t.predict(d.features)
         log.debug("stage %d training rmse %.6g", ell + 1, np.sqrt(np.mean(resid**2)))
     return BoostedEnsemble(trees=trees, shrinkage=shrinkage)
-
-
-def predict_boosted(b: BoostedEnsemble, x) -> float:
-    return float(b.predict(np.asarray(x, dtype=float)[None, :])[0])

@@ -38,10 +38,13 @@ def interval_mass(x: np.ndarray, a: float, b: float, sigma: float) -> np.ndarray
 
 def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.ndarray:
     """Soft membership of every row of X in `region`: the product over
-    coordinates of per-coordinate interval masses."""
+    coordinates of per-coordinate interval masses.
+
+    A coordinate bounded on neither side has mass exactly 1 at every finite
+    x, so only the bounded coordinates are multiplied in."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     out = np.ones(X.shape[0])
-    for j in range(region.p):
+    for j in region.bounded():
         out *= interval_mass(X[:, j], region.lower[j], region.upper[j], sigma[j])
     return out
 
@@ -51,6 +54,8 @@ def psi(x: np.ndarray, r: Region, sigma: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (r.p,):
         raise ValueError("point dimension does not match the region")
+    if not np.isfinite(x).all():
+        raise ValueError("point contains non-finite values")
     return float(membership_column(x[None, :], r, np.asarray(sigma, dtype=float))[0])
 
 

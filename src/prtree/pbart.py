@@ -4,7 +4,6 @@ weights and the noise scale."""
 
 from __future__ import annotations
 
-import copy
 import json
 import logging
 import math
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import invgamma
 
-from .data import Dataset, RngSpec
+from .data import Dataset, RngSpec, check_features
 from .kernel import MembershipMatrix, membership_column
 from .regions import Region
 from .tree import LeafNode, SplitNode, StoppingRule
@@ -78,47 +77,70 @@ class PBartHyper:
 class SampledTree:
     """One tree of the additive model, with cached region/leaf metadata.
 
-    `refresh` recomputes leaf regions and hard-assignment counts from the
-    topology and reports whether the tree is structurally valid (every
+    `refresh` recomputes leaf regions and the hard rows of every node from
+    the topology and reports whether the tree is structurally valid (every
     split value strictly inside its region, every leaf at least
-    `min_count` hard rows)."""
+    `min_count` hard rows). Rows are carried down from the root, rows with
+    x_j <= s going left, which is exactly `Region.contains` on each child."""
 
     def __init__(self, root=None):
         self.root = root if root is not None else LeafNode(None)
         self.leaves: list[LeafNode] = []
         self.leaf_depths: list[int] = []
-        self.leaf_counts: list[int] = []
-        self.internals: list[tuple[SplitNode, int, Region]] = []
+        self.leaf_rows: list[np.ndarray] = []
+        self.internals: list[tuple[SplitNode, int, np.ndarray]] = []
         self.pairs: list[tuple[SplitNode, SplitNode]] = []
         self.node_cuts: dict[int, int] = {}
 
+    @property
+    def leaf_counts(self) -> list[int]:
+        return [rows.size for rows in self.leaf_rows]
+
     def copy(self) -> "SampledTree":
-        return SampledTree(copy.deepcopy(self.root))
+        """A clone with new nodes (sharing the immutable regions and row
+        arrays) whose cached lists list the clones in the same order, so an
+        index into this tree's lists locates the same node in the clone."""
+        clone: dict[int, LeafNode | SplitNode] = {}
+
+        def dup(node):
+            if isinstance(node, LeafNode):
+                new = LeafNode(node.region, node.gamma)
+            else:
+                new = SplitNode(node.j, node.s, dup(node.left), dup(node.right))
+            clone[id(node)] = new
+            return new
+
+        star = SampledTree(dup(self.root))
+        star.leaves = [clone[id(leaf)] for leaf in self.leaves]
+        star.leaf_depths, star.leaf_rows = list(self.leaf_depths), list(self.leaf_rows)
+        star.internals = [(clone[id(node)], depth, rows) for node, depth, rows in self.internals]
+        star.pairs = [(clone[id(a)], clone[id(b)]) for a, b in self.pairs]
+        star.node_cuts = {id(clone[key]): n for key, n in self.node_cuts.items()}
+        return star
 
     def refresh(self, d: Dataset, min_count: int) -> bool:
-        self.leaves, self.leaf_depths, self.leaf_counts = [], [], []
+        self.leaves, self.leaf_depths, self.leaf_rows = [], [], []
         self.internals, self.pairs, self.node_cuts = [], [], {}
-        ok = self._walk(self.root, Region.root(d.p), 0, d, min_count)
-        return ok
+        return self._walk(self.root, Region.root(d.p), np.arange(d.n), 0, d, min_count)
 
-    def _walk(self, node, region: Region, depth: int, d: Dataset, min_count: int) -> bool:
+    def _walk(self, node, region: Region, rows, depth: int, d: Dataset, min_count: int) -> bool:
         if isinstance(node, LeafNode):
             node.region = region
-            count = int(region.contains(d.features).sum())
             self.leaves.append(node)
             self.leaf_depths.append(depth)
-            self.leaf_counts.append(count)
-            return count >= min_count
+            self.leaf_rows.append(rows)
+            return rows.size >= min_count
         if not (region.lower[node.j] < node.s < region.upper[node.j]):
             return False
-        self.internals.append((node, depth, region))
-        self.node_cuts[id(node)] = _region_cuts(d, region, node.j).size
+        self.internals.append((node, depth, rows))
+        self.node_cuts[id(node)] = _region_cuts(d, rows, node.j).size
         for child in (node.left, node.right):
             if isinstance(child, SplitNode):
                 self.pairs.append((node, child))
         left_r, right_r = region.split(node.j, node.s)
-        return self._walk(node.left, left_r, depth + 1, d, min_count) and self._walk(
-            node.right, right_r, depth + 1, d, min_count
+        go_left = d.features[rows, node.j] <= node.s
+        return self._walk(node.left, left_r, rows[go_left], depth + 1, d, min_count) and (
+            self._walk(node.right, right_r, rows[~go_left], depth + 1, d, min_count)
         )
 
     @property
@@ -135,29 +157,25 @@ class SampledTree:
     def membership(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         return np.column_stack([membership_column(X, lf.region, sigma) for lf in self.leaves])
 
-    def prunable(self) -> list[SplitNode]:
+    def prunable(self) -> list[int]:
+        """Indices into `internals` of the nodes whose children are both leaves."""
         return [
-            node
-            for node, _, _ in self.internals
+            i
+            for i, (node, _, _) in enumerate(self.internals)
             if isinstance(node.left, LeafNode) and isinstance(node.right, LeafNode)
         ]
 
 
-def _region_cuts(d: Dataset, region: Region, j: int) -> np.ndarray:
-    mask = region.contains(d.features)
-    values = np.unique(d.features[mask, j])
+def _region_cuts(d: Dataset, rows: np.ndarray, j: int) -> np.ndarray:
+    """Midpoints between consecutive distinct values of feature j over rows."""
+    values = np.unique(d.features[rows, j])
     return (values[:-1] + values[1:]) / 2.0
 
 
-def _admissible_vars(d: Dataset, region: Region) -> list[tuple[int, np.ndarray]]:
-    mask = region.contains(d.features)
-    X = d.features[mask]
-    out = []
-    for j in range(d.p):
-        values = np.unique(X[:, j])
-        if values.size >= 2:
-            out.append((j, (values[:-1] + values[1:]) / 2.0))
-    return out
+def _admissible_vars(d: Dataset, rows: np.ndarray) -> list[int]:
+    """Coordinates with at least two distinct values over rows."""
+    X = np.sort(d.features[rows], axis=0)
+    return np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
 
 
 def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
@@ -240,17 +258,17 @@ def propose_tree(
 
     if kind == GROW:
         i = int(rng.integers(len(t.leaves)))
-        leaf, depth = t.leaves[i], t.leaf_depths[i]
+        rows, depth = t.leaf_rows[i], t.leaf_depths[i]
         if rule.max_depth is not None and depth >= rule.max_depth:
             return invalid
-        adm = _admissible_vars(d, leaf.region)
+        adm = _admissible_vars(d, rows)
         if not adm:
             return invalid
-        j, cuts = adm[int(rng.integers(len(adm)))]
+        j = adm[int(rng.integers(len(adm)))]
+        cuts = _region_cuts(d, rows, j)
         s = float(cuts[int(rng.integers(cuts.size))])
         star = t.copy()
-        target = star.leaves[i] if star.refresh(d, 0) else None
-        assert target is not None
+        target = star.leaves[i]
         split = SplitNode(j, s, LeafNode(None, target.gamma), LeafNode(None, target.gamma))
         _replace(star, target, split)
         if not star.refresh(d, min_count):
@@ -266,20 +284,16 @@ def propose_tree(
         prunable = t.prunable()
         if not prunable:
             return invalid
-        pick = int(rng.integers(len(prunable)))
+        pick = prunable[int(rng.integers(len(prunable)))]
+        node, _, rows = t.internals[pick]
         star = t.copy()
-        star.refresh(d, 0)
-        node = star.prunable()[pick]
-        j_old, region = node.j, _node_region(star, node)
-        _replace(star, node, LeafNode(None, 0.0))
+        _replace(star, star.internals[pick][0], LeafNode(None, 0.0))
         if not star.refresh(d, min_count):
             return invalid
-        adm = _admissible_vars(d, region)
-        n_cuts_old = _region_cuts(d, region, j_old).size
         log_fwd = _log(move_probs[1]) - math.log(len(prunable))
         log_rev = (
             _log(move_probs[0]) - math.log(len(star.leaves))
-            - math.log(len(adm)) - math.log(n_cuts_old)
+            - math.log(len(_admissible_vars(d, rows))) - math.log(t.node_cuts[id(node)])
         )
         return star, log_rev - log_fwd, kind
 
@@ -287,28 +301,25 @@ def propose_tree(
         if not t.internals:
             return invalid
         pick = int(rng.integers(len(t.internals)))
-        _, _, region = t.internals[pick]
-        adm = _admissible_vars(d, region)
+        node, _, rows = t.internals[pick]
+        adm = _admissible_vars(d, rows)
         if not adm:
             return invalid
-        j_new, cuts_new = adm[int(rng.integers(len(adm)))]
+        j_new = adm[int(rng.integers(len(adm)))]
+        cuts_new = _region_cuts(d, rows, j_new)
         s_new = float(cuts_new[int(rng.integers(cuts_new.size))])
         star = t.copy()
-        star.refresh(d, 0)
-        node = star.internals[pick][0]
-        j_old = node.j
-        node.j, node.s = j_new, s_new
+        target = star.internals[pick][0]
+        target.j, target.s = j_new, s_new
         if not star.refresh(d, min_count):
             return invalid
-        n_cuts_old = _region_cuts(d, region, j_old).size
-        return star, math.log(cuts_new.size) - math.log(n_cuts_old), kind
+        return star, math.log(cuts_new.size) - math.log(t.node_cuts[id(node)]), kind
 
     # SWAP: exchange the split rules of a parent/child internal pair
     if not t.pairs:
         return invalid
     pick = int(rng.integers(len(t.pairs)))
     star = t.copy()
-    star.refresh(d, 0)
     parent, child = star.pairs[pick]
     parent.j, child.j = child.j, parent.j
     parent.s, child.s = child.s, parent.s
@@ -333,13 +344,6 @@ def _replace(tree: SampledTree, old, new):
                 return
             stack.extend([node.left, node.right])
     raise ValueError("node not found in tree")
-
-
-def _node_region(tree: SampledTree, node) -> Region:
-    for cand, _, region in tree.internals:
-        if cand is node:
-            return region
-    raise ValueError("internal node not found")
 
 
 def mh_accept(
@@ -434,9 +438,7 @@ class PBartChain:
         return len(self.snapshots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.sigma.shape[0]:
-            raise ValueError("feature dimension mismatch")
+        X = check_features(X, self.sigma.shape[0])
         # identical regions recur across snapshots; group their weights so
         # each unique region's membership column is evaluated once
         accum: dict[bytes, tuple[Region, float]] = {}
@@ -515,10 +517,6 @@ class PBartChain:
             y_scale=float(obj["y_scale"]),
             hyper=hyper,
         )
-
-
-def predict_pbart(c: PBartChain, x) -> float:
-    return float(c.predict(np.asarray(x, dtype=float)[None, :])[0])
 
 
 def fit_pbart(

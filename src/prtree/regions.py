@@ -53,6 +53,10 @@ class Region:
         right_lo[j] = s
         return Region(self.lower, left_hi), Region(right_lo, self.upper)
 
+    def bounded(self) -> np.ndarray:
+        """Indices of the coordinates with at least one finite bound."""
+        return np.flatnonzero((self.lower > -np.inf) | (self.upper < np.inf))
+
     def contains(self, X: np.ndarray) -> np.ndarray:
         """Hard half-open membership 1{lower < x <= upper}, vectorized over rows."""
         X = np.atleast_2d(X)

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, check_features
 from .kernel import (
     MembershipMatrix,
     interval_mass,
@@ -259,7 +259,7 @@ def find_best_split(d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rul
         # child columns = (product of the other coordinates' masses) times
         # the j-th coordinate's mass over (a, s] resp. (s, b]
         other = np.ones(n)
-        for jj in range(d.p):
+        for jj in region.bounded():
             if jj != j:
                 other *= interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj])
         xj = X[:, j]
@@ -308,9 +308,7 @@ class PRTree:
         return self.leaves[0].region.p
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.p:
-            raise ValueError(f"expected {self.p} features, got {X.shape[1]}")
+        X = check_features(X, self.p)
         V = np.column_stack(
             [membership_column(X, leaf.region, self.sigma) for leaf in self.leaves]
         )
@@ -372,11 +370,6 @@ class PRTree:
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
         return cls.from_dict(json.loads(text))
-
-
-def predict_tree(t: PRTree, x) -> float:
-    """Prediction of a fitted tree at a single point."""
-    return float(t.predict(np.asarray(x, dtype=float)[None, :])[0])
 
 
 @dataclass

@@ -46,6 +46,28 @@ def test_fit_predict_roundtrip(tmp_path, data_csv):
     assert rows[0] == ["row", "prediction"]
     got = np.array([float(r[1]) for r in rows[1:]])
     assert np.array_equal(got, expected)  # repr round-trips float64 exactly
+    # without the target column every column is a feature
+    feats = tmp_path / "features.csv"
+    feats.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in d.features.tolist()))
+    assert main(["predict", "--model-file", str(model_path), "--data", str(feats),
+                 "--target", "y", "--out", str(pred_path)]) == 0
+    rows = list(csv.reader(open(pred_path)))
+    assert np.array_equal([float(r[1]) for r in rows[1:]], expected)
+
+
+@pytest.mark.parametrize(
+    "body,fragment",
+    [("0.5\n", "row 3: expected 2 cells"), ("0.5,nan\n", "row 3, column 'b': non-finite")],
+)
+def test_predict_without_target_rejects_bad_rows(tmp_path, data_csv, capsys, body, fragment):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--data", str(data_csv), "--target", "y", "--sigma", "0",
+                 "--out", str(model_path)]) == 0
+    feats = tmp_path / "features.csv"
+    feats.write_text("a,b\n0.1,0.2\n" + body)
+    assert main(["predict", "--model-file", str(model_path), "--data", str(feats),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert fragment in capsys.readouterr().err
 
 
 def test_cv_writes_ten_rows(tmp_path, data_csv):

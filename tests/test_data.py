@@ -46,6 +46,7 @@ def test_load_csv_roundtrip(tmp_path):
     assert d.feature_names == ("a", "b")
     assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert d.target.tolist() == [10.0, 20.0]
+    assert load_csv(path, None).tolist() == [[1.0, 10.0, 2.0], [3.0, 20.0, 4.0]]
 
 
 @pytest.mark.parametrize(
@@ -55,6 +56,8 @@ def test_load_csv_roundtrip(tmp_path):
         ("a,y\n1\n", "expected 2 cells"),
         ("a,y\n1,\n", "blank cell"),
         ("a,y\nfoo,2\n", "non-numeric"),
+        ("a,y\n1,2\nnan,2\n", "row 3, column 'a': non-finite"),
+        ("a,y\n1,inf\n", "row 2, column 'y': non-finite"),
         ("", "empty file"),
         ("a,y\n", "no data rows"),
     ],

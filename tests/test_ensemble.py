@@ -8,8 +8,6 @@ from prtree.ensemble import (
     Forest,
     fit_prgbt,
     fit_prrf,
-    predict_boosted,
-    predict_forest,
 )
 from prtree.regions import Region
 from prtree.tree import LeafNode, PRTree, StoppingRule, fit_prtree
@@ -28,7 +26,7 @@ def test_forest_single_tree_no_bootstrap_equals_tree(small_data):
 
 def test_forest_mean_of_constant_trees():
     f = Forest(trees=[_const_tree(1.0), _const_tree(3.0)])
-    assert predict_forest(f, np.zeros(2)) == 2.0
+    assert np.array_equal(f.predict(np.zeros((1, 2))), [2.0])
 
 
 def test_forest_permutation_invariance(small_data):
@@ -64,6 +62,15 @@ def test_forest_determinism_and_json(small_data):
     assert np.array_equal(a.predict(small_data.features), c.predict(small_data.features))
 
 
+def test_ensembles_reject_non_finite_features(small_data):
+    X = small_data.features[:3].copy()
+    X[2, 0] = np.nan
+    for model in (fit_prrf(small_data, 2, np.zeros(3), rng=RngSpec(0)),
+                  fit_prgbt(small_data, 2, np.full(3, 0.5))):
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(X)
+
+
 def test_forest_validation(small_data):
     with pytest.raises(ValueError):
         fit_prrf(small_data, 0, np.zeros(3))
@@ -90,9 +97,9 @@ def test_gbt_zero_residual_fixed_point():
 
 def test_gbt_additivity_and_shrinkage():
     b = BoostedEnsemble(trees=[_const_tree(1.0), _const_tree(0.5)], shrinkage=1.0)
-    assert predict_boosted(b, np.zeros(2)) == 1.5
+    assert np.array_equal(b.predict(np.zeros((1, 2))), [1.5])
     b2 = BoostedEnsemble(trees=[_const_tree(2.0), _const_tree(2.0)], shrinkage=0.5)
-    assert predict_boosted(b2, np.zeros(2)) == 2.0
+    assert np.array_equal(b2.predict(np.zeros((1, 2))), [2.0])
 
 
 @pytest.mark.parametrize("shrinkage", [1.0, 0.5])

@@ -64,6 +64,8 @@ def test_psi_product_over_coordinates():
     assert psi(x, r, sigma) == pytest.approx(float(expected), abs=1e-12)
     with pytest.raises(ValueError):
         psi(np.array([0.0]), r, sigma)
+    with pytest.raises(ValueError, match="non-finite"):
+        psi(np.array([0.0, np.nan]), r, sigma)
 
 
 def test_membership_rows_sum_to_one_over_partition():
@@ -103,3 +105,25 @@ def test_hard_membership_is_exact_indicator():
     assert set(np.unique(cl)) <= {0.0, 1.0}
     assert np.array_equal(cl + cr, np.ones(25))
     assert np.array_equal(cl, (X[:, 0] <= 0.0).astype(float))
+
+
+def test_membership_equals_product_over_all_coordinates():
+    # skipping coordinates bounded on neither side must not change a bit
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(300, 4))
+    X[:5, 1] = 0.25  # rows on a finite bound
+    inf = np.inf
+    boxes = [
+        ([-inf, -inf, -inf, -inf], [inf, inf, inf, inf]),
+        ([-inf, 0.25, -inf, -inf], [inf, inf, inf, 1.0]),
+        ([-0.5, -inf, -inf, -inf], [0.7, 0.25, inf, inf]),
+        ([-1.0, -0.3, 0.1, -2.0], [1.0, 0.25, 0.9, 0.0]),
+    ]
+    sigmas = [np.zeros(4), np.array([0.3, 0.0, 0.5, 0.0]), np.array([0.2, 0.4, 1e-3, 2.0])]
+    for lower, upper in boxes:
+        region = Region(np.array(lower), np.array(upper))
+        for sigma in sigmas:
+            full = np.ones(X.shape[0])
+            for j in range(4):
+                full *= interval_mass(X[:, j], lower[j], upper[j], sigma[j])
+            assert np.array_equal(membership_column(X, region, sigma), full)

@@ -171,6 +171,62 @@ def test_change_and_swap_moves():
         assert logq2 == 0.0
 
 
+def _oracle_regions(node, region):
+    """(node, region) of every node of a subtree, from Region.split alone."""
+    yield node, region
+    if isinstance(node, SplitNode):
+        left, right = region.split(node.j, node.s)
+        yield from _oracle_regions(node.left, left)
+        yield from _oracle_regions(node.right, right)
+
+
+def _state(t):
+    """Every split rule and every leaf's region bounds and weight, in walk order."""
+    out, stack = [], [t.root]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SplitNode):
+            out.append((node.j, node.s))
+            stack += [node.right, node.left]
+        else:
+            out.append((node.region.lower.tolist(), node.region.upper.tolist(), node.gamma))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_proposal_bookkeeping_matches_region_oracle(seed):
+    # rounded features give tied values; rows and cut counts carried down the
+    # tree must equal Region.contains on the regions Region.split derives,
+    # and a proposal must leave the current tree untouched
+    rng = np.random.default_rng(seed)
+    d = Dataset(np.round(rng.normal(size=(60, 3)), 1), rng.normal(size=60), ("a", "b", "c"))
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    gen = np.random.default_rng(100 + seed)
+    t = _refreshed(LeafNode(None, 0.1), d, rule.min_count(d.n))
+    seen = set()
+    for _ in range(400):
+        before = _state(t)
+        star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
+        if star is not None:
+            seen.add(kind)
+            regions = {id(node): r for node, r in _oracle_regions(star.root, Region.root(d.p))}
+            for leaf, count in zip(star.leaves, star.leaf_counts):
+                region = regions[id(leaf)]
+                assert np.array_equal(leaf.region.lower, region.lower)
+                assert np.array_equal(leaf.region.upper, region.upper)
+                assert count == int(region.contains(d.features).sum())
+            for node, _, rows in star.internals:
+                mask = regions[id(node)].contains(d.features)
+                assert np.array_equal(rows, np.flatnonzero(mask))
+                values = np.unique(d.features[mask, node.j])
+                assert star.node_cuts[id(node)] == ((values[:-1] + values[1:]) / 2.0).size
+            star.set_gammas(gen.normal(size=star.k))
+        assert _state(t) == before
+        if star is not None and gen.random() < 0.6:
+            t = star
+    assert seen == {"grow", "prune", "change", "swap"}
+
+
 # ---------------------------------------------------------------------------
 # MH accept
 
@@ -417,6 +473,8 @@ def test_predict_dimension_mismatch(small_data):
     chain = fit_pbart(small_data, hyper, np.zeros(3), RngSpec(0))
     with pytest.raises(ValueError):
         chain.predict(np.ones((2, 5)))
+    with pytest.raises(ValueError, match="non-finite"):
+        chain.predict(np.array([[0.0, np.nan, 0.0]]))
 
 
 def test_hyper_validation():

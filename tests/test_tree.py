@@ -268,6 +268,11 @@ def test_predict_dimension_mismatch(small_data):
     t = fit_prtree(small_data, np.zeros(3))
     with pytest.raises(ValueError):
         t.predict(np.ones((2, 5)))
+    for bad in (np.nan, np.inf):
+        X = np.ones((2, 3))
+        X[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            t.predict(X)
 
 
 def test_invalid_sigma_rejected(small_data):
