@@ -49,6 +49,35 @@ def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.nd
     return out
 
 
+def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
+    """Yield membership_column(X, r, sigma), bit for bit, for each r in regions.
+
+    Phi((s - x_j) / sigma_j), or 1{x_j <= s} at sigma_j = 0, is evaluated once
+    per row for each distinct finite bound s on coordinate j, in one call per
+    coordinate; a column then multiplies hi - lo over its bounded coordinates
+    in ascending j, with hi = 1 at +inf and lo = 0 at -inf. Only that table
+    and the current column are held, never an n x len(regions) matrix."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
+    bounds = np.array([r.lower for r in regions] + [r.upper for r in regions])
+    cdf = {}
+    for j in range(X.shape[1]):
+        s = np.unique(bounds[np.isfinite(bounds[:, j]), j])
+        if s.size == 0:
+            continue
+        xj = X[:, j]
+        if sigma[j] == 0.0:
+            F = (xj <= s[:, None]).astype(float)
+        else:
+            F = normal_cdf((s[:, None] - xj) / sigma[j])
+        cdf.update(zip([(j, v) for v in s.tolist()], F))
+    for region in regions:
+        col = np.ones(X.shape[0])
+        for j in region.bounded():
+            col *= cdf.get((j, region.upper[j]), 1.0) - cdf.get((j, region.lower[j]), 0.0)
+        yield col
+
+
 def psi(x: np.ndarray, r: Region, sigma: np.ndarray) -> float:
     """Soft membership of a single point in a region; a value in [0, 1]."""
     x = np.asarray(x, dtype=float)
@@ -90,9 +119,8 @@ def build_membership(d: Dataset, regions, sigma) -> MembershipMatrix:
     regions = tuple(regions)
     if not regions:
         raise ValueError("at least one region is required")
-    sigma = np.asarray(sigma, dtype=float)
-    cols = [membership_column(d.features, r, sigma) for r in regions]
-    return MembershipMatrix(np.column_stack(cols), regions)
+    V = np.column_stack(list(membership_columns(d.features, regions, sigma)))
+    return MembershipMatrix(V, regions)
 
 
 def split_membership_column(

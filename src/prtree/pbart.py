@@ -7,13 +7,15 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 from scipy.stats import invgamma
 
 from .data import Dataset, RngSpec, check_features
-from .kernel import MembershipMatrix, membership_column
+from .kernel import MembershipMatrix, membership_column, membership_columns
 from .regions import Region
 from .tree import LeafNode, SplitNode, StoppingRule
 
@@ -253,7 +255,9 @@ def propose_tree(
     an impossible or invalid proposal carries log q-ratio = -inf and a
     None candidate."""
     min_count = rule.min_count(d.n)
-    kind = MOVES[rng.choice(4, p=np.asarray(move_probs, dtype=float))]
+    # the draw of rng.choice(4, p=move_probs), without its per-call array checks
+    cdf = list(accumulate(move_probs))
+    kind = MOVES[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
     invalid = (None, -np.inf, kind)
 
     if kind == GROW:
@@ -450,9 +454,10 @@ class PBartChain:
                         accum[key] = (region, accum[key][1] + float(g))
                     else:
                         accum[key] = (region, float(g))
+        regions, gsums = zip(*accum.values())
         total = np.zeros(X.shape[0])
-        for region, gsum in accum.values():
-            total += gsum * membership_column(X, region, self.sigma)
+        for gsum, col in zip(gsums, membership_columns(X, regions, self.sigma)):
+            total += gsum * col
         norm = total / self.n_snapshots
         return (norm + 0.5) * self.y_scale + self.y_offset
 

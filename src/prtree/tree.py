@@ -14,6 +14,7 @@ from .kernel import (
     MembershipMatrix,
     interval_mass,
     membership_column,
+    membership_columns,
     normal_cdf,
 )
 from .regions import Region
@@ -213,13 +214,16 @@ def _find_best_hard_split(X, V, y, rows_mask, vars, min_count):
     return best
 
 
-def find_best_split(d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rule: StoppingRule):
+def find_best_split(
+    d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rule: StoppingRule, rows=None
+):
     """Best (coordinate, cut) for leaf k by refit SSE over all admissible
     candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
 
     Cuts are the midpoints between consecutive distinct values of leaf k's
     hard-assigned rows that leave at least rule.min_count(n) rows on each
-    side. Two paths compute the same refit SSE:
+    side; `rows`, when given, are their indices (else `Region.contains` finds
+    them among all n rows). Two paths compute the same refit SSE:
 
     - every sigma is 0: the leaves are disjoint indicators, and the SSE
       comes from one sort and prefix sums per coordinate (O(n_k log n_k));
@@ -232,7 +236,11 @@ def find_best_split(d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rul
     n, K = V.shape
     region = P.regions[k]
     min_count = rule.min_count(n)
-    rows_mask = region.contains(d.features)
+    if rows is None:
+        rows_mask = region.contains(d.features)
+    else:
+        rows_mask = np.zeros(n, dtype=bool)
+        rows_mask[rows] = True
     if not sigma.any():
         return _find_best_hard_split(d.features, V, y, rows_mask, vars, min_count)
     B = np.delete(V, k, axis=1)
@@ -309,9 +317,8 @@ class PRTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.p)
-        V = np.column_stack(
-            [membership_column(X, leaf.region, self.sigma) for leaf in self.leaves]
-        )
+        regions = [leaf.region for leaf in self.leaves]
+        V = np.column_stack(list(membership_columns(X, regions, self.sigma)))
         gammas = np.array([leaf.gamma for leaf in self.leaves])
         return V @ gammas
 
@@ -436,7 +443,7 @@ def fit_prtree(
                 fl.vars = candidate_variables(d, fl.rows, n_candidate_vars, features)
             if not fl.vars:
                 continue
-            found = find_best_split(d, P, y, idx, fl.vars, sigma, rule)
+            found = find_best_split(d, P, y, idx, fl.vars, sigma, rule, fl.rows)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))

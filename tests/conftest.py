@@ -137,6 +137,16 @@ def brute_force_split(d: Dataset, P, y, k, vars, sigma, rule):
 
 
 # ---------------------------------------------------------------------------
+# region-by-region prediction oracle
+
+def leafwise_predict(tree, X):
+    """A PR tree's prediction with one membership_column per leaf: the
+    gamma-weighted sum over the n x K matrix of those columns."""
+    V = np.column_stack([membership_column(X, lf.region, tree.sigma) for lf in tree.leaves])
+    return V @ np.array([lf.gamma for lf in tree.leaves])
+
+
+# ---------------------------------------------------------------------------
 # dense Gaussian density oracle for the marginalized residual likelihood
 
 def dense_log_density(R, V, sigma_gamma, sigma_tilde):

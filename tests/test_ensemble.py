@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_dataset
+from conftest import leafwise_predict, random_dataset
 from prtree.data import Dataset, RngSpec
 from prtree.ensemble import (
     BoostedEnsemble,
@@ -69,6 +69,19 @@ def test_ensembles_reject_non_finite_features(small_data):
                   fit_prgbt(small_data, 2, np.full(3, 0.5))):
         with pytest.raises(ValueError, match="non-finite"):
             model.predict(X)
+
+
+def test_ensemble_predictions_equal_leafwise_oracle(small_data):
+    sigma = 0.4 * small_data.features.std(axis=0, ddof=1)
+    X = small_data.features
+    f = fit_prrf(small_data, 4, sigma, StoppingRule(0.05), RngSpec(6), vars_per_tree=2)
+    per_tree = np.stack([leafwise_predict(t, X) for t in f.trees])
+    assert np.array_equal(f.predict(X), np.sort(per_tree, axis=0).mean(axis=0))
+    g = fit_prgbt(small_data, 3, sigma, StoppingRule(0.05), shrinkage=0.5)
+    total = np.zeros(small_data.n)
+    for t in g.trees:
+        total += 0.5 * leafwise_predict(t, X)
+    assert np.array_equal(g.predict(X), total)
 
 
 def test_forest_validation(small_data):

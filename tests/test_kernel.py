@@ -8,6 +8,7 @@ from prtree.kernel import (
     build_membership,
     interval_mass,
     membership_column,
+    membership_columns,
     normal_cdf,
     psi,
     split_membership_column,
@@ -127,3 +128,31 @@ def test_membership_equals_product_over_all_coordinates():
             for j in range(4):
                 full *= interval_mass(X[:, j], lower[j], upper[j], sigma[j])
             assert np.array_equal(membership_column(X, region, sigma), full)
+
+
+def test_membership_columns_equal_membership_column():
+    # one Phi per distinct bound must give every column bit for bit
+    rng = np.random.default_rng(17)
+    X = np.round(rng.normal(size=(400, 3)), 1)
+    X[:10, 0] = 0.2  # rows exactly on a threshold shared by several regions
+    X[10:20, 2] = -0.5
+    root = Region.root(3)
+    left, right = root.split(0, 0.2)
+    ll, lr = left.split(2, -0.5)
+    rl, rr = right.split(0, 1.1)
+    rrl, rrr = rr.split(2, -0.5)
+    regions = [
+        root,                      # no finite bound
+        left, right,               # one side bounded only
+        ll, lr, rl, rrl, rrr,      # a partition sharing the cuts 0.2 and -0.5
+        Region(np.array([-0.3, -1.0, -0.5]), np.array([0.2, 0.4, 0.7])),
+    ]
+    sigmas = [np.zeros(3), np.array([0.0, 0.4, 1e-3]), np.array([0.5, 0.2, 0.3])]
+    for sigma in sigmas:
+        got = np.column_stack(list(membership_columns(X, regions, sigma)))
+        want = np.column_stack([membership_column(X, r, sigma) for r in regions])
+        assert np.array_equal(got, want)
+        assert np.array_equal(got[:, 0], np.ones(X.shape[0]))
+    # a single row and a single region
+    [col] = membership_columns(X[0], [ll], sigmas[1])
+    assert np.array_equal(col, membership_column(X[0], ll, sigmas[1]))

@@ -5,7 +5,9 @@ import pytest
 
 from conftest import dense_log_density, random_dataset, recursive_log_prior
 from prtree.data import Dataset, RngSpec
+from prtree.kernel import membership_column
 from prtree.pbart import (
+    MOVES,
     PBartChain,
     PBartHyper,
     SampledTree,
@@ -457,6 +459,40 @@ def test_predict_equals_mean_of_per_snapshot_predictions(small_data):
         )
         per_snap.append(single.predict(X))
     assert np.allclose(chain.predict(X), np.mean(per_snap, axis=0), atol=1e-12)
+
+
+def test_predict_equals_region_by_region_oracle(small_data):
+    sigma = 0.3 * small_data.features.std(axis=0, ddof=1)
+    sigma[1] = 0.0
+    chain = fit_pbart(small_data, PBartHyper(m=5, it_burn=5, it_max=15), sigma, RngSpec(4))
+    X = small_data.features
+    # group each distinct region's weights in first-seen order, then one column per region
+    groups = {}
+    for snap in chain.snapshots:
+        for regions, gammas in snap:
+            for region, g in zip(regions, gammas):
+                key = (tuple(region.lower), tuple(region.upper))
+                region_g = groups.setdefault(key, [region, 0.0])
+                region_g[1] += float(g)
+    assert len(groups) > 5
+    total = np.zeros(small_data.n)
+    for region, gsum in groups.values():
+        total += gsum * membership_column(X, region, sigma)
+    want = (total / chain.n_snapshots + 0.5) * chain.y_scale + chain.y_offset
+    assert np.array_equal(chain.predict(X), want)
+
+
+@pytest.mark.parametrize("move_probs", [(0.25, 0.25, 0.25, 0.25), (0.5, 0.0, 0.3, 0.2)])
+def test_move_kind_draw_matches_generator_choice(move_probs):
+    d = _line_data(np.arange(12.0))
+    t = _refreshed(LeafNode(None), d)
+    gen, ref = np.random.default_rng(21), np.random.default_rng(21)
+    for _ in range(300):
+        _, _, kind = propose_tree(t, gen, move_probs, d, StoppingRule(0.1))
+        assert kind == MOVES[ref.choice(4, p=move_probs)]
+        if kind == "grow":  # then the leaf, the coordinate and one of 11 cuts are drawn
+            ref.integers(1), ref.integers(1), ref.integers(11)
+    assert gen.bit_generator.state == ref.bit_generator.state
 
 
 def test_chain_json_roundtrip(small_data):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_force_split, hard_tree_oracle, random_dataset
+from conftest import brute_force_split, hard_tree_oracle, leafwise_predict, random_dataset
 from prtree.data import Dataset
 from prtree.kernel import build_membership
 from prtree.regions import Region
@@ -248,6 +248,37 @@ def test_soft_tree_prediction_and_row_sums(small_data):
     assert np.allclose(P.values.sum(axis=1), 1.0, atol=1e-9)
     gam = np.array([lf.gamma for lf in t.leaves])
     assert np.allclose(t.predict(small_data.features), P.values @ gam)
+
+
+@pytest.mark.parametrize("sigma_scale", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.6), (0.5, 0.5, 0.5)])
+def test_predict_equals_leafwise_oracle(small_data, sigma_scale):
+    sigma = np.array(sigma_scale) * small_data.features.std(axis=0, ddof=1)
+    t = fit_prtree(small_data, sigma, StoppingRule(min_leaf_fraction=0.05))
+    assert t.leaf_count > 3
+    # the training rows, and one row on each leaf's finite upper bounds
+    on_cut = np.tile(small_data.features[0], (t.leaf_count, 1))
+    for row, leaf in zip(on_cut, t.leaves):
+        finite = np.isfinite(leaf.region.upper)
+        row[finite] = leaf.region.upper[finite]
+    X = np.vstack([small_data.features, on_cut])
+    assert np.array_equal(t.predict(X), leafwise_predict(t, X))
+
+
+def test_split_search_with_given_rows_equals_region_rows():
+    rng = np.random.default_rng(8)
+    d = random_dataset(rng, 120, 3)
+    d = Dataset(np.round(d.features, 1), d.target, d.feature_names)
+    root = Region.root(3)
+    left, right = root.split(0, 0.05)
+    regions = [*left.split(1, -0.25), right]
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    for sigma in (np.zeros(3), np.array([0.3, 0.0, 0.2])):
+        P = build_membership(d, regions, sigma)
+        for k, region in enumerate(regions):
+            rows = np.flatnonzero(region.contains(d.features))
+            want = find_best_split(d, P, d.target, k, [0, 1, 2], sigma, rule)
+            assert want is not None
+            assert find_best_split(d, P, d.target, k, [0, 1, 2], sigma, rule, rows) == want
 
 
 def test_json_roundtrip_bit_identical(small_data):
