@@ -9,7 +9,7 @@ the query point. On top of the single tree, this package provides bagging
 
 from .data import Dataset, RngSpec, StandardScaler, load_csv, standard_scale
 from .regions import Region
-from .kernel import MembershipMatrix, build_membership, psi, split_membership_column
+from .kernel import build_membership, psi, split_membership_column
 from .tree import (
     PRTree,
     StoppingRule,
@@ -43,7 +43,9 @@ from .evaluate import (
     LearnerSpec,
     bias_variance,
     cross_validate,
+    fit_model,
     make_cv_plan,
+    tune_on_holdout,
     tune_sigma,
     write_biasvar_csv,
     write_cv_csv,
@@ -56,7 +58,6 @@ __all__ = [
     "load_csv",
     "standard_scale",
     "Region",
-    "MembershipMatrix",
     "psi",
     "build_membership",
     "split_membership_column",
@@ -86,6 +87,8 @@ __all__ = [
     "BiasVarReport",
     "make_cv_plan",
     "tune_sigma",
+    "tune_on_holdout",
+    "fit_model",
     "cross_validate",
     "bias_variance",
     "write_cv_csv",

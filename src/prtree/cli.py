@@ -17,19 +17,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import CsvFormatError, Dataset, RngSpec, load_csv
-from .ensemble import BoostedEnsemble, Forest, fit_prgbt, fit_prrf
+from .data import CsvFormatError, Dataset, RngSpec, load_csv, read_csv
+from .ensemble import BoostedEnsemble, Forest
 from .evaluate import (
     LearnerSpec,
     bias_variance,
     cross_validate,
+    fit_model,
     make_cv_plan,
-    tune_sigma,
+    tune_on_holdout,
     write_biasvar_csv,
     write_cv_csv,
 )
-from .pbart import PBartChain, PBartHyper, fit_pbart
-from .tree import PRTree, StoppingRule, fit_prtree
+from .pbart import PBartChain, PBartHyper
+from .tree import PRTree, StoppingRule
 
 log = logging.getLogger("prtree")
 
@@ -141,33 +142,19 @@ def _spec(cfg) -> LearnerSpec:
     )
 
 
-def _fit_full(cfg, d: Dataset, rng: RngSpec):
+def _cmd_fit(cfg) -> int:
     """Fit the configured model on the whole dataset, tuning sigma on an
-    internal 65/15-style split when no explicit --sigma is given."""
+    internal 65/15-style holdout when no explicit --sigma is given."""
+    d = _load_dataset(cfg)
     spec = _spec(cfg)
+    rng = RngSpec(int(cfg["seed"]))
     if cfg["sigma"] is not None:
         sigma = _parse_sigma(cfg["sigma"], d.p)
     else:
-        gen = rng.stream(999).generator()
-        perm = gen.permutation(d.n)
-        cut = max(1, int(round(0.8125 * d.n)))
-        if cut >= d.n:
-            cut = d.n - 1
-        learner = lambda tr, s: fit_prtree(tr, s, spec.rule)
-        sigma = tune_sigma(d.subset(perm[:cut]), d.subset(perm[cut:]), learner)
+        cut = min(max(1, int(round(0.8125 * d.n))), d.n - 1)
+        sigma = tune_on_holdout(d, spec, rng.stream(999), cut)
         log.info("tuned sigma: %s", sigma.tolist())
-    if spec.kind == "tree":
-        return fit_prtree(d, sigma, spec.rule)
-    if spec.kind == "rf":
-        return fit_prrf(d, spec.n_trees, sigma, spec.rule, rng=rng)
-    if spec.kind == "gbt":
-        return fit_prgbt(d, spec.n_trees, sigma, spec.rule, shrinkage=spec.shrinkage)
-    return fit_pbart(d, spec.hyper, sigma, rng, rule=spec.rule)
-
-
-def _cmd_fit(cfg) -> int:
-    d = _load_dataset(cfg)
-    model = _fit_full(cfg, d, RngSpec(int(cfg["seed"])))
+    model = fit_model(spec, d, sigma, rng)
     out = cfg["out"] or "model.json"
     Path(out).write_text(model.to_json() + "\n")
     log.info("wrote model to %s", out)
@@ -189,18 +176,28 @@ def _load_model(path):
     return loader(text)
 
 
+def _predict_features(path, target: str, names) -> np.ndarray:
+    """The feature columns of a CSV in the model's order, found by name. The
+    target column is optional at prediction time and dropped if present; a
+    model file without feature names takes the remaining columns in order."""
+    header, table = read_csv(path)
+    columns = [h for h in header if h != target]
+    names = list(names) or columns
+    missing = [h for h in names if h not in columns]
+    extra = [h for h in columns if h not in names]
+    if missing or extra:
+        raise ConfigError(
+            f"columns of {path} do not match the model's features: "
+            f"missing {missing}, extra {extra}"
+        )
+    return table[:, [header.index(h) for h in names]]
+
+
 def _cmd_predict(cfg) -> int:
     if not cfg.get("model_file"):
         raise ConfigError("--model-file is required")
     model = _load_model(cfg["model_file"])
-    # the target column is optional at prediction time; drop it if present
-    try:
-        X = load_csv(cfg["data"], cfg["target"]).features
-    except CsvFormatError as exc:
-        if "target column not found" not in str(exc):
-            raise
-        X = load_csv(cfg["data"], None)
-    preds = model.predict(X)
+    preds = model.predict(_predict_features(cfg["data"], cfg["target"], model.feature_names))
     out = cfg["out"] or "predictions.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")

@@ -89,13 +89,13 @@ class CsvFormatError(ValueError):
     """Raised when a CSV file violates the expected numeric layout."""
 
 
-def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
-    """Read a headed, comma-separated numeric file into a Dataset, or, with
-    target_column None, into a feature matrix of every column.
+def read_csv(path, target_column: str | None = None) -> tuple[list[str], np.ndarray]:
+    """The header and the numeric table of a headed, comma-separated file.
 
-    Row order is preserved. Malformed cells (blank, non-numeric or
-    non-finite) and ragged rows are reported with their 1-based row number
-    and column name.
+    Row order is preserved. A repeated column name, or a target_column
+    missing from the header, is reported first; malformed cells (blank,
+    non-numeric or non-finite) and ragged rows are reported with their
+    1-based row number and column name.
     """
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -108,6 +108,8 @@ def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
         except StopIteration:
             raise CsvFormatError(f"empty file: {path}") from None
         header = [h.strip() for h in header]
+        if len(set(header)) != len(header):
+            raise CsvFormatError(f"duplicate column names in {path}: {header}")
         if target_column is not None and target_column not in header:
             raise CsvFormatError(f"target column not found: {target_column!r}")
         rows = []
@@ -133,7 +135,14 @@ def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
             rows.append(values)
     if not rows:
         raise CsvFormatError(f"no data rows in {path}")
-    table = np.array(rows, dtype=float)
+    return header, np.array(rows, dtype=float)
+
+
+def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
+    """Read a headed, comma-separated numeric file (see read_csv) into a
+    Dataset, or, with target_column None, into a feature matrix of every
+    column."""
+    header, table = read_csv(path, target_column)
     if target_column is None:
         return table
     tgt = header.index(target_column)

@@ -21,6 +21,7 @@ class Forest:
     trees: list[PRTree]
     bootstrap: bool = True
     feature_subsets: list[tuple[int, ...]] = field(default_factory=list)
+    feature_names: tuple[str, ...] = ()
 
     @property
     def m(self) -> int:
@@ -36,6 +37,7 @@ class Forest:
         return json.dumps(
             {
                 "kind": "forest",
+                "feature_names": list(self.feature_names),
                 "bootstrap": self.bootstrap,
                 "feature_subsets": [list(fs) for fs in self.feature_subsets],
                 "trees": [t.to_dict() for t in self.trees],
@@ -51,6 +53,7 @@ class Forest:
             trees=[PRTree.from_dict(t) for t in obj["trees"]],
             bootstrap=bool(obj["bootstrap"]),
             feature_subsets=[tuple(fs) for fs in obj["feature_subsets"]],
+            feature_names=tuple(obj.get("feature_names", ())),
         )
 
 
@@ -60,6 +63,7 @@ class BoostedEnsemble:
 
     trees: list[PRTree]
     shrinkage: float = 1.0
+    feature_names: tuple[str, ...] = ()
 
     @property
     def m(self) -> int:
@@ -76,6 +80,7 @@ class BoostedEnsemble:
         return json.dumps(
             {
                 "kind": "gbt",
+                "feature_names": list(self.feature_names),
                 "shrinkage": float(self.shrinkage),
                 "trees": [t.to_dict() for t in self.trees],
             }
@@ -89,6 +94,7 @@ class BoostedEnsemble:
         return cls(
             trees=[PRTree.from_dict(t) for t in obj["trees"]],
             shrinkage=float(obj["shrinkage"]),
+            feature_names=tuple(obj.get("feature_names", ())),
         )
 
 
@@ -121,7 +127,8 @@ def fit_prrf(
             feats = tuple(range(d.p))
         trees.append(fit_prtree(sample, sigma, rule, features=list(feats)))
         subsets.append(feats)
-    return Forest(trees=trees, bootstrap=bootstrap, feature_subsets=subsets)
+    return Forest(trees=trees, bootstrap=bootstrap, feature_subsets=subsets,
+                  feature_names=d.feature_names)
 
 
 def fit_prgbt(
@@ -146,4 +153,4 @@ def fit_prgbt(
         trees.append(t)
         resid = resid - shrinkage * t.predict(d.features)
         log.debug("stage %d training rmse %.6g", ell + 1, np.sqrt(np.mean(resid**2)))
-    return BoostedEnsemble(trees=trees, shrinkage=shrinkage)
+    return BoostedEnsemble(trees=trees, shrinkage=shrinkage, feature_names=d.feature_names)

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, RngSpec, StandardScaler
+from .data import Dataset, RngSpec, standard_scale
 from .ensemble import fit_prgbt, fit_prrf
 from .pbart import PBartHyper, fit_pbart
 from .tree import StoppingRule, fit_prtree
@@ -118,7 +118,9 @@ class LearnerSpec:
             raise ValueError(f"unknown learner kind {self.kind!r}")
 
 
-def _fit_model(spec: LearnerSpec, train: Dataset, sigma, rng: RngSpec):
+def fit_model(spec: LearnerSpec, train: Dataset, sigma, rng: RngSpec):
+    """Fit the learner `spec` names on `train` at noise scale `sigma`; the
+    forest and the Bayesian model draw from `rng`."""
     if spec.custom_fit is not None:
         return spec.custom_fit(train, sigma, rng)
     if spec.kind == "tree":
@@ -135,13 +137,16 @@ def _tuning_learner(spec: LearnerSpec, rng: RngSpec) -> Callable:
     """Learner used on the validation split. The single tree and the boosted
     model tune with themselves; the forest and the Bayesian model reuse the
     noise scale tuned for a single tree."""
-    if spec.custom_fit is not None:
-        return lambda tr, sigma: spec.custom_fit(tr, sigma, rng)
-    if spec.kind == "gbt":
-        return lambda tr, sigma: fit_prgbt(
-            tr, spec.n_trees, sigma, spec.rule, shrinkage=spec.shrinkage
-        )
-    return lambda tr, sigma: fit_prtree(tr, sigma, spec.rule)
+    if spec.custom_fit is None and spec.kind in ("rf", "pbart"):
+        spec = LearnerSpec(kind="tree", rule=spec.rule)
+    return lambda tr, sigma: fit_model(spec, tr, sigma, rng)
+
+
+def tune_on_holdout(d: Dataset, spec: LearnerSpec, rng: RngSpec, cut: int) -> np.ndarray:
+    """tune_sigma on one random holdout of d: a permutation drawn from rng,
+    whose first `cut` rows train and the rest validate."""
+    perm = rng.generator().permutation(d.n)
+    return tune_sigma(d.subset(perm[:cut]), d.subset(perm[cut:]), _tuning_learner(spec, rng))
 
 
 def _train_valid_split(rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,10 +176,8 @@ def cross_validate(d: Dataset, spec: LearnerSpec, plan: CVPlan, rng: RngSpec) ->
     for i in range(plan.n_folds):
         rest, test = plan.round_indices(i)
         fold_rng = rng.stream(i)
-        d_rest, d_test = d.subset(rest), d.subset(test)
-        scaler = StandardScaler().fit(d_rest.features)
-        d_rest = Dataset(scaler.transform(d_rest.features), d_rest.target, d.feature_names)
-        d_test = Dataset(scaler.transform(d_test.features), d_test.target, d.feature_names)
+        d_rest, scaler = standard_scale(d.subset(rest))
+        d_test = Dataset(scaler.transform(d.features[test]), d.target[test], d.feature_names)
         if spec.sigma is not None:
             sigma = np.asarray(spec.sigma, dtype=float)
         else:
@@ -182,7 +185,7 @@ def cross_validate(d: Dataset, spec: LearnerSpec, plan: CVPlan, rng: RngSpec) ->
             sigma = tune_sigma(
                 d_rest.subset(tr_idx), d_rest.subset(va_idx), _tuning_learner(spec, fold_rng)
             )
-        model = _fit_model(spec, d_rest, sigma, fold_rng)
+        model = fit_model(spec, d_rest, sigma, fold_rng)
         pred = model.predict(d_test.features)
         rmses[i] = np.sqrt(np.mean((pred - d_test.target) ** 2))
         log.info("round %d test rmse %.6g", i, rmses[i])
@@ -218,14 +221,8 @@ def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> B
         sigma = np.asarray(spec.sigma, dtype=float)
     else:
         # one shared tuning split so every trial sees the same noise scale
-        gen = rng.stream(1_000_003).generator()
-        perm = gen.permutation(d.n)
         cut = max(1, int(round(0.8 * d.n * 0.8125)))
-        sigma = tune_sigma(
-            d.subset(perm[:cut]),
-            d.subset(perm[cut:]),
-            _tuning_learner(spec, rng.stream(1_000_003)),
-        )
+        sigma = tune_on_holdout(d, spec, rng.stream(1_000_003), cut)
 
     pool_X = pool_y = None
     preds = []
@@ -236,7 +233,7 @@ def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> B
         if pool_X is None:
             pool_X = d.features[perm[n_train:]]
             pool_y = d.target[perm[n_train:]]
-        model = _fit_model(spec, train, sigma, rng.stream(t))
+        model = fit_model(spec, train, sigma, rng.stream(t))
         preds.append(model.predict(pool_X))
     preds = np.stack(preds)  # trials x pool
     mean_pred = preds.mean(axis=0)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import erfc
 
@@ -23,17 +21,16 @@ def normal_cdf(t):
 
 
 def interval_mass(x: np.ndarray, a: float, b: float, sigma: float) -> np.ndarray:
-    """Mass a N(x, sigma^2) variable places in (a, b], per element of x.
+    """Mass a N(x, sigma^2) variable places in (a, b], per element of x:
+    F(b) - F(a), with F the CDF Phi((t - x) / sigma), or the indicator
+    1{x <= t} at sigma = 0 (so the mass is then 1{a < x <= b}).
 
-    sigma = 0 degenerates to the half-open indicator 1{a < x <= b}.
-    Infinite bounds contribute CDF values of exactly 0 or 1.
+    Infinite bounds need no special case: F is exactly 0 at -inf and 1 at +inf.
     """
     x = np.asarray(x, dtype=float)
     if sigma == 0.0:
-        return ((x > a) & (x <= b)).astype(float)
-    hi = np.ones_like(x) if b == np.inf else normal_cdf((b - x) / sigma)
-    lo = np.zeros_like(x) if a == -np.inf else normal_cdf((a - x) / sigma)
-    return hi - lo
+        return (x <= b).astype(float) - (x <= a)
+    return normal_cdf((b - x) / sigma) - normal_cdf((a - x) / sigma)
 
 
 def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.ndarray:
@@ -88,52 +85,25 @@ def psi(x: np.ndarray, r: Region, sigma: np.ndarray) -> float:
     return float(membership_column(x[None, :], r, np.asarray(sigma, dtype=float))[0])
 
 
-@dataclass(frozen=True)
-class MembershipMatrix:
-    """n x K matrix of soft assignments of rows to leaf regions.
-
-    Entries lie in [0, 1]; rows sum to 1 whenever the regions partition R^p.
-    """
-
-    values: np.ndarray
-    regions: tuple[Region, ...]
-
-    def __post_init__(self):
-        V = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", V)
-        object.__setattr__(self, "regions", tuple(self.regions))
-        if V.ndim != 2 or V.shape[1] != len(self.regions):
-            raise ValueError("values must have one column per region")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.values.shape[1]
-
-
-def build_membership(d: Dataset, regions, sigma) -> MembershipMatrix:
-    """Assemble the membership matrix of a dataset over a list of regions."""
+def build_membership(d: Dataset, regions, sigma) -> np.ndarray:
+    """The n x K membership array of a dataset over K regions: column k
+    holds every row's soft membership in regions[k]. Rows sum to 1 whenever
+    the regions partition R^p."""
     regions = tuple(regions)
     if not regions:
         raise ValueError("at least one region is required")
-    V = np.column_stack(list(membership_columns(d.features, regions, sigma)))
-    return MembershipMatrix(V, regions)
+    return np.column_stack(list(membership_columns(d.features, regions, sigma)))
 
 
-def split_membership_column(
-    P: MembershipMatrix, k: int, j: int, s: float, d: Dataset, sigma
-) -> MembershipMatrix:
-    """Replace column k by the two columns of its children split at s on
-    coordinate j. Child columns are evaluated fresh, so for every row they
-    sum to the parent value up to roundoff (Gaussian mass is additive over
-    a partition of the parent region)."""
+def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
+    """(V, regions) with column k and regions[k] replaced by the two children
+    of a split at s on coordinate j. Child columns are evaluated fresh, so for
+    every row they sum to the parent value up to roundoff (Gaussian mass is
+    additive over a partition of the parent region)."""
     sigma = np.asarray(sigma, dtype=float)
-    left, right = P.regions[k].split(j, s)
+    regions = tuple(regions)
+    left, right = regions[k].split(j, s)
     lcol = membership_column(d.features, left, sigma)
     rcol = membership_column(d.features, right, sigma)
-    values = np.column_stack([P.values[:, :k], lcol, rcol, P.values[:, k + 1 :]])
-    regions = P.regions[:k] + (left, right) + P.regions[k + 1 :]
-    return MembershipMatrix(values, regions)
+    V = np.column_stack([V[:, :k], lcol, rcol, V[:, k + 1 :]])
+    return V, regions[:k] + (left, right) + regions[k + 1 :]

@@ -8,14 +8,14 @@ import json
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate
 
 import numpy as np
 from scipy.stats import invgamma
 
 from .data import Dataset, RngSpec, check_features
-from .kernel import MembershipMatrix, membership_column, membership_columns
+from .kernel import membership_column, membership_columns
 from .regions import Region
 from .tree import LeafNode, SplitNode, StoppingRule
 
@@ -69,11 +69,7 @@ class PBartHyper:
         sg = self.sigma_gamma
         if sg is None:
             sg = 0.5 / (2.0 * math.sqrt(self.m))
-        return PBartHyper(
-            m=self.m, alpha=self.alpha, beta=self.beta, nu=self.nu, lam=lam,
-            sigma_gamma=sg, it_burn=self.it_burn, it_max=self.it_max,
-            move_probs=self.move_probs,
-        )
+        return replace(self, lam=lam, sigma_gamma=sg)
 
 
 class SampledTree:
@@ -196,36 +192,36 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     return total
 
 
-def marginal_log_likelihood(R, P, sigma_gamma: float, sigma_tilde: float) -> float:
+def marginal_log_likelihood(R, V, sigma_gamma: float, sigma_tilde: float) -> float:
     """Log density of residuals with leaf weights integrated out:
-    N(0, sigma_tilde^2 I + sigma_gamma^2 P P^T).
+    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T), for the n x K membership array V.
 
     Evaluated by the K-step Sherman-Morrison recursion (one rank-one
     update per membership column) applied to the vectors actually needed,
     with the matrix-determinant lemma accumulating the log determinant.
     """
-    logdet, quad = _sigma0_recursion(R, P, sigma_gamma, sigma_tilde)
+    logdet, quad = _sigma0_recursion(R, V, sigma_gamma, sigma_tilde)
     n = len(np.asarray(R))
     return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
 
 
-def sigma0_log_det(P, sigma_gamma: float, sigma_tilde: float) -> float:
+def sigma0_log_det(V, sigma_gamma: float, sigma_tilde: float) -> float:
     """log det of the marginal residual covariance, from the same rank-one
     recursion that the likelihood uses."""
-    V = P.values if isinstance(P, MembershipMatrix) else np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
     logdet, _ = _sigma0_recursion(np.zeros(V.shape[0]), V, sigma_gamma, sigma_tilde)
     return logdet
 
 
-def _sigma0_recursion(R, P, sigma_gamma: float, sigma_tilde: float):
+def _sigma0_recursion(R, V, sigma_gamma: float, sigma_tilde: float):
     """(log det Sigma0, R^T Sigma0^{-1} R) by K rank-one updates."""
     if sigma_tilde <= 0.0:
         raise ValueError("sigma_tilde must be positive")
-    V = P.values if isinstance(P, MembershipMatrix) else np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
     R = np.asarray(R, dtype=float)
     n, K = V.shape
     if R.shape != (n,):
-        raise ValueError("residual length must match P's row count")
+        raise ValueError("residual length must match V's row count")
     st2 = sigma_tilde**2
     if sigma_gamma == 0.0:
         return n * math.log(st2), float(R @ R) / st2
@@ -354,8 +350,8 @@ def mh_accept(
     t: SampledTree,
     t_star: SampledTree | None,
     R,
-    P,
-    P_star,
+    V,
+    V_star,
     hyper: PBartHyper,
     rng: np.random.Generator,
     sigma_tilde: float,
@@ -367,8 +363,8 @@ def mh_accept(
         return False
     delta = (
         log_q_ratio
-        + marginal_log_likelihood(R, P_star, hyper.sigma_gamma, sigma_tilde)
-        - marginal_log_likelihood(R, P, hyper.sigma_gamma, sigma_tilde)
+        + marginal_log_likelihood(R, V_star, hyper.sigma_gamma, sigma_tilde)
+        - marginal_log_likelihood(R, V, hyper.sigma_gamma, sigma_tilde)
         + tree_log_prior(t_star, hyper.alpha, hyper.beta)
         - tree_log_prior(t, hyper.alpha, hyper.beta)
     )
@@ -380,14 +376,14 @@ def mh_accept(
 def draw_gammas(
     t: SampledTree,
     R,
-    P,
+    V,
     hyper: PBartHyper,
     rng: np.random.Generator,
     sigma_tilde: float,
 ) -> np.ndarray:
     """One full Gibbs sweep over leaf weights, in leaf order, each draw
     conditioning on the freshest values of the other weights."""
-    V = P.values if isinstance(P, MembershipMatrix) else np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
     R = np.asarray(R, dtype=float)
     sg2 = hyper.sigma_gamma**2
     st2 = sigma_tilde**2
@@ -436,6 +432,7 @@ class PBartChain:
     y_offset: float
     y_scale: float
     hyper: PBartHyper
+    feature_names: tuple[str, ...] = ()
 
     @property
     def n_snapshots(self) -> int:
@@ -476,13 +473,8 @@ class PBartChain:
         return json.dumps(
             {
                 "kind": "pbart",
-                "hyper": {
-                    "m": self.hyper.m, "alpha": self.hyper.alpha, "beta": self.hyper.beta,
-                    "nu": self.hyper.nu, "lam": self.hyper.lam,
-                    "sigma_gamma": self.hyper.sigma_gamma,
-                    "it_burn": self.hyper.it_burn, "it_max": self.hyper.it_max,
-                    "move_probs": list(self.hyper.move_probs),
-                },
+                "feature_names": list(self.feature_names),
+                "hyper": asdict(self.hyper),
                 "sigma": [float(v) for v in self.sigma],
                 "y_offset": self.y_offset,
                 "y_scale": self.y_scale,
@@ -497,12 +489,7 @@ class PBartChain:
         obj = json.loads(text)
         if obj.get("kind") != "pbart":
             raise ValueError("not a pbart chain")
-        h = obj["hyper"]
-        hyper = PBartHyper(
-            m=h["m"], alpha=h["alpha"], beta=h["beta"], nu=h["nu"], lam=h["lam"],
-            sigma_gamma=h["sigma_gamma"], it_burn=h["it_burn"], it_max=h["it_max"],
-            move_probs=tuple(h["move_probs"]),
-        )
+        hyper = PBartHyper(**{**obj["hyper"], "move_probs": tuple(obj["hyper"]["move_probs"])})
         snapshots = []
         for snap in obj["snapshots"]:
             trees = []
@@ -521,6 +508,7 @@ class PBartChain:
             y_offset=float(obj["y_offset"]),
             y_scale=float(obj["y_scale"]),
             hyper=hyper,
+            feature_names=tuple(obj.get("feature_names", ())),
         )
 
 
@@ -577,12 +565,10 @@ def fit_pbart(
             R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
-            P = MembershipMatrix(mats[ell], [lf.region for lf in t.leaves])
             if star is not None:
                 V_star = star.membership(d.features, sigma)
-                P_star = MembershipMatrix(V_star, [lf.region for lf in star.leaves])
                 accepted = mh_accept(
-                    t, star, R, P, P_star, hyper, gen, sigma_tilde, log_q
+                    t, star, R, mats[ell], V_star, hyper, gen, sigma_tilde, log_q
                 )
             else:
                 accepted = False
@@ -590,8 +576,7 @@ def fit_pbart(
             if accepted:
                 trees[ell] = t = star
                 mats[ell] = V_star
-                P = P_star
-            gam = draw_gammas(t, R, P, hyper, gen, sigma_tilde)
+            gam = draw_gammas(t, R, mats[ell], hyper, gen, sigma_tilde)
             new_fit = mats[ell] @ gam
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
@@ -618,4 +603,5 @@ def fit_pbart(
         y_offset=y_min,
         y_scale=span,
         hyper=hyper,
+        feature_names=d.feature_names,
     )

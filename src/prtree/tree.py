@@ -10,13 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, check_features
-from .kernel import (
-    MembershipMatrix,
-    interval_mass,
-    membership_column,
-    membership_columns,
-    normal_cdf,
-)
+from .kernel import interval_mass, membership_column, membership_columns, normal_cdf
 from .regions import Region
 
 log = logging.getLogger(__name__)
@@ -62,17 +56,17 @@ def _is_disjoint_binary(V: np.ndarray) -> bool:
     return bool(np.all((V == 0.0) | (V == 1.0)) and np.all(V.sum(axis=1) <= 1.0))
 
 
-def fit_weights(P, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares leaf weights for membership matrix P.
+def fit_weights(V, y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares leaf weights for the n x K membership array V.
 
     Hard-assignment matrices (exact 0/1 entries, disjoint columns) are
     solved column-wise, which is exact; the general case goes through the
     Moore-Penrose pseudo-inverse.
     """
-    V = P.values if isinstance(P, MembershipMatrix) else np.asarray(P, dtype=float)
+    V = np.asarray(V, dtype=float)
     y = np.asarray(y, dtype=float)
     if V.shape[0] != y.shape[0]:
-        raise ValueError("row count of P must match the target length")
+        raise ValueError("row count of V must match the target length")
     if _is_disjoint_binary(V):
         gamma = np.empty(V.shape[1])
         for k in range(V.shape[1]):
@@ -215,10 +209,12 @@ def _find_best_hard_split(X, V, y, rows_mask, vars, min_count):
 
 
 def find_best_split(
-    d: Dataset, P: MembershipMatrix, y, k: int, vars, sigma, rule: StoppingRule, rows=None
+    d: Dataset, V: np.ndarray, region: Region, y, k: int, vars, sigma, rule: StoppingRule,
+    rows=None,
 ):
-    """Best (coordinate, cut) for leaf k by refit SSE over all admissible
-    candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
+    """Best (coordinate, cut) for leaf k, whose region is `region` and whose
+    membership is column k of V, by refit SSE over all admissible candidates,
+    as (j, s, sse), or None. Ties break toward the smaller (j, s).
 
     Cuts are the midpoints between consecutive distinct values of leaf k's
     hard-assigned rows that leave at least rule.min_count(n) rows on each
@@ -232,9 +228,7 @@ def find_best_split(
     """
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
-    V = P.values
     n, K = V.shape
-    region = P.regions[k]
     min_count = rule.min_count(n)
     if rows is None:
         rows_mask = region.contains(d.features)
@@ -251,6 +245,8 @@ def find_best_split(
         Q, ry = None, y.copy()
 
     X = d.features
+    masses = [(jj, interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj]))
+              for jj in region.bounded()]
     candidates = []
     for j in sorted(vars):
         a, b = region.lower[j], region.upper[j]
@@ -267,22 +263,16 @@ def find_best_split(
         # child columns = (product of the other coordinates' masses) times
         # the j-th coordinate's mass over (a, s] resp. (s, b]
         other = np.ones(n)
-        for jj in region.bounded():
+        for jj, mass in masses:
             if jj != j:
-                other *= interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj])
-        xj = X[:, j]
-        if sigma[j] == 0.0:
-            above = (xj > a) if a != -np.inf else np.ones(n, dtype=bool)
-            below = (xj <= b) if b != np.inf else np.ones(n, dtype=bool)
-            lmask = above[:, None] & (xj[:, None] <= cuts)
-            L = lmask * other[:, None]
-            R = ((xj[:, None] > cuts) & below[:, None]) * other[:, None]
-        else:
-            Fa = np.zeros(n) if a == -np.inf else normal_cdf((a - xj) / sigma[j])
-            Fb = np.ones(n) if b == np.inf else normal_cdf((b - xj) / sigma[j])
-            Fs = normal_cdf((cuts[None, :] - xj[:, None]) / sigma[j])
-            L = other[:, None] * (Fs - Fa[:, None])
-            R = other[:, None] * (Fb[:, None] - Fs)
+                other *= mass
+        # F at a, every cut and b: the indicator 1{x_j <= t} at sigma_j = 0,
+        # else Phi; exactly 0 and 1 at infinite a and b
+        t = np.concatenate(([a], cuts, [b]))
+        xj = X[:, j, None]
+        F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
+        L = other[:, None] * (F[:, 1:-1] - F[:, :1])
+        R = other[:, None] * (F[:, -1:] - F[:, 1:-1])
         sse = _split_sse_batch(ry, Q, L, R)
         for s, val in zip(cuts, sse):
             candidates.append((float(val), j, float(s)))
@@ -351,7 +341,9 @@ class PRTree:
         return {"sigma": [float(v) for v in self.sigma], "nodes": nodes}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        """to_dict plus the feature names, which a forest or boosted file
+        holds once at its top level instead of per tree."""
+        return json.dumps({"feature_names": list(self.feature_names), **self.to_dict()})
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PRTree":
@@ -372,7 +364,8 @@ class PRTree:
             return SplitNode(int(spec["j"]), float(spec["s"]), left, right)
 
         root = build(0)
-        return cls(root=root, sigma=np.array(obj["sigma"], dtype=float), leaves=leaves)
+        return cls(root=root, sigma=np.array(obj["sigma"], dtype=float), leaves=leaves,
+                   feature_names=tuple(obj.get("feature_names", ())))
 
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
@@ -420,10 +413,6 @@ def fit_prtree(
     root: SplitNode | LeafNode = root_leaf
     leaves = [_FitLeaf(root_leaf, np.arange(n), 0, None, "")]
     V = np.ones((n, 1))
-
-    def mm():
-        return MembershipMatrix(V, [fl.node.region for fl in leaves])
-
     gamma = fit_weights(V, y)
     resid = y - V @ gamma
     sse_cur = float(resid @ resid)
@@ -432,7 +421,6 @@ def fit_prtree(
     while True:
         if rule.max_leaves is not None and len(leaves) >= rule.max_leaves:
             break
-        P = mm()
         options = []
         for idx, fl in enumerate(leaves):
             if rule.max_depth is not None and fl.depth >= rule.max_depth:
@@ -443,7 +431,7 @@ def fit_prtree(
                 fl.vars = candidate_variables(d, fl.rows, n_candidate_vars, features)
             if not fl.vars:
                 continue
-            found = find_best_split(d, P, y, idx, fl.vars, sigma, rule, fl.rows)
+            found = find_best_split(d, V, fl.node.region, y, idx, fl.vars, sigma, rule, fl.rows)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))

@@ -106,13 +106,11 @@ def hard_tree_oracle(X, y, min_frac=0.10, k_vars=3, max_leaves=None):
 # ---------------------------------------------------------------------------
 # exhaustive split-search oracle with a dense full refit per candidate
 
-def brute_force_split(d: Dataset, P, y, k, vars, sigma, rule):
-    """Try every admissible (j, s) for leaf k, refit all leaf weights with a
-    dense pseudo-inverse, and return the smallest-SSE candidate under the
-    same tie rule as the library."""
+def brute_force_split(d: Dataset, V, region, y, k, vars, sigma, rule):
+    """Try every admissible (j, s) for leaf k (column k of V, region
+    `region`), refit all leaf weights with a dense pseudo-inverse, and return
+    the smallest-SSE candidate under the same tie rule as the library."""
     sigma = np.asarray(sigma, dtype=float)
-    region = P.regions[k]
-    V = P.values
     min_count = rule.min_count(d.n)
     mask = region.contains(d.features)
     candidates = []

@@ -92,13 +92,14 @@ def test_criterion_2_split_search_oracle():
                                             else np.median(d.features[:, 1]))))
         # guard: splitting on a coordinate needs the cut inside the region
         try:
-            P = build_membership(d, regions, sigma)
+            V = build_membership(d, regions, sigma)
         except ValueError:
-            P = build_membership(d, [root], sigma)
-        k = int(rng.integers(P.k))
+            regions = [root]
+            V = build_membership(d, regions, sigma)
+        k = int(rng.integers(V.shape[1]))
         vars = list(range(p))
-        got = find_best_split(d, P, d.target, k, vars, sigma, rule)
-        want = brute_force_split(d, P, d.target, k, vars, sigma, rule)
+        got = find_best_split(d, V, regions[k], d.target, k, vars, sigma, rule)
+        want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None or got is None:
             if (want is None) != (got is None):
                 disagreements += 1
@@ -135,20 +136,20 @@ def test_criterion_3_membership_properties():
                 continue
             left, right = r.split(j, s)
             regions[idx : idx + 1] = [left, right]
-        P = build_membership(d, regions, sigma)
-        worst_sum = max(worst_sum, float(np.max(np.abs(P.values.sum(axis=1) - 1.0))))
+        V = build_membership(d, regions, sigma)
+        worst_sum = max(worst_sum, float(np.max(np.abs(V.sum(axis=1) - 1.0))))
         # split one region further and check the children add to the parent
-        k = int(rng.integers(P.k))
-        r = P.regions[k]
+        k = int(rng.integers(V.shape[1]))
+        r = regions[k]
         j = int(rng.integers(p))
         lo = r.lower[j] if np.isfinite(r.lower[j]) else -3.0
         hi = r.upper[j] if np.isfinite(r.upper[j]) else 3.0
         s = float(rng.uniform(lo, hi))
         if not (r.lower[j] < s < r.upper[j]):
             continue
-        P2 = split_membership_column(P, k, j, s, d, sigma)
-        child_sum = P2.values[:, k] + P2.values[:, k + 1]
-        worst_add = max(worst_add, float(np.max(np.abs(child_sum - P.values[:, k]))))
+        V2, _ = split_membership_column(V, regions, k, j, s, d, sigma)
+        child_sum = V2[:, k] + V2[:, k + 1]
+        worst_add = max(worst_add, float(np.max(np.abs(child_sum - V[:, k]))))
     ok = worst_sum <= 1e-9 and worst_add <= 1e-9
     _report(3, "membership row sums and additivity", ok,
             f"max|rowsum-1|={worst_sum:.2e}, max additivity gap={worst_add:.2e}")

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from prtree.cli import main
-from prtree.data import load_csv
+from prtree.data import RngSpec, load_csv
+from prtree.evaluate import LearnerSpec, fit_model, tune_on_holdout
+from prtree.pbart import PBartHyper
 from prtree.tree import PRTree
 
 
@@ -143,3 +145,68 @@ def test_pbart_cli_fit(tmp_path, data_csv):
     obj = json.loads(out.read_text())
     assert obj["kind"] == "pbart"
     assert len(obj["snapshots"]) == 4
+
+
+@pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
+def test_fit_tunes_and_fits_like_the_harness(tmp_path, data_csv, model):
+    # one dispatch and one tuning rule: gbt tunes sigma with gbt itself
+    out = tmp_path / "model.json"
+    assert main(["fit", "--model", model, "--trees", "3", "--iters", "6", "--burn", "2",
+                 "--data", str(data_csv), "--target", "y", "--seed", "4",
+                 "--out", str(out)]) == 0
+    d = load_csv(data_csv, "y")
+    hyper = PBartHyper(m=3, it_burn=2, it_max=6) if model == "pbart" else None
+    spec = LearnerSpec(kind=model, n_trees=3, hyper=hyper)
+    cut = min(max(1, round(0.8125 * d.n)), d.n - 1)
+    sigma = tune_on_holdout(d, spec, RngSpec(4).stream(999), cut)
+    assert out.read_text() == fit_model(spec, d, sigma, RngSpec(4)).to_json() + "\n"
+
+
+def _write_features(path, header, X):
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in X.tolist()))
+
+
+@pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
+def test_predict_matches_columns_by_name(tmp_path, data_csv, capsys, model):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--model", model, "--trees", "2", "--iters", "4", "--burn", "1",
+                 "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
+                 "--out", str(model_path)]) == 0
+    assert json.loads(model_path.read_text())["feature_names"] == ["a", "b"]
+    X = load_csv(data_csv, "y").features
+    outs = {}
+    for name, header, cols in [("ab", ["a", "b"], [0, 1]), ("ba", ["b", "a"], [1, 0]),
+                               ("bya", ["b", "y", "a"], [1, 0, 0])]:
+        feats = tmp_path / f"{name}.csv"
+        _write_features(feats, header, X[:, cols])
+        pred = tmp_path / f"{name}.pred"
+        assert main(["predict", "--model-file", str(model_path), "--data", str(feats),
+                     "--target", "y", "--out", str(pred)]) == 0
+        outs[name] = pred.read_bytes()
+    assert outs["ba"] == outs["ab"] and outs["bya"] == outs["ab"]
+    # a renamed column is rejected, naming what is missing and what is extra
+    feats = tmp_path / "renamed.csv"
+    _write_features(feats, ["a", "c"], X)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_path), "--data", str(feats),
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "missing ['b']" in err and "extra ['c']" in err
+
+
+def test_model_file_without_names_predicts_by_position(tmp_path, data_csv):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
+                 "--out", str(model_path)]) == 0
+    obj = json.loads(model_path.read_text())
+    del obj["feature_names"]
+    model_path.write_text(json.dumps(obj))
+    X = load_csv(data_csv, "y").features
+    feats = tmp_path / "feats.csv"
+    _write_features(feats, ["u", "v"], X)
+    pred = tmp_path / "p.csv"
+    assert main(["predict", "--model-file", str(model_path), "--data", str(feats),
+                 "--out", str(pred)]) == 0
+    got = [float(r[1]) for r in list(csv.reader(open(pred)))[1:]]
+    assert np.array_equal(got, PRTree.from_json(model_path.read_text()).predict(X))

@@ -53,6 +53,7 @@ def test_load_csv_roundtrip(tmp_path):
     "text,fragment",
     [
         ("a,b\n1,2\n", "target column not found"),
+        ("a,b,a,y\n1,2,3,4\n", "duplicate column names"),
         ("a,y\n1\n", "expected 2 cells"),
         ("a,y\n1,\n", "blank cell"),
         ("a,y\nfoo,2\n", "non-numeric"),

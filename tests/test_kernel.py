@@ -4,7 +4,6 @@ from scipy.integrate import quad
 
 from prtree.data import Dataset
 from prtree.kernel import (
-    MembershipMatrix,
     build_membership,
     interval_mass,
     membership_column,
@@ -75,24 +74,19 @@ def test_membership_rows_sum_to_one_over_partition():
     root = Region.root(2)
     l, r = root.split(0, 0.3)
     rl, rr = r.split(1, -0.2)
-    P = build_membership(d, [l, rl, rr], np.array([0.5, 0.8]))
-    assert np.allclose(P.values.sum(axis=1), 1.0, atol=1e-9)
-    assert P.n == 40 and P.k == 3
+    V = build_membership(d, [l, rl, rr], np.array([0.5, 0.8]))
+    assert np.allclose(V.sum(axis=1), 1.0, atol=1e-9)
+    assert V.shape == (40, 3)
 
 
 def test_child_columns_sum_to_parent():
     rng = np.random.default_rng(3)
     d = Dataset(rng.normal(size=(30, 3)), rng.normal(size=30), ("a", "b", "c"))
     root = Region.root(3)
-    P = build_membership(d, [root], np.array([0.4, 0.0, 1.2]))
-    P2 = split_membership_column(P, 0, 2, 0.1, d, np.array([0.4, 0.0, 1.2]))
-    assert P2.k == 2
-    assert np.allclose(P2.values.sum(axis=1), P.values[:, 0], atol=1e-9)
-
-
-def test_membership_matrix_validation():
-    with pytest.raises(ValueError):
-        MembershipMatrix(np.ones((3, 2)), (Region.root(1),))
+    V = build_membership(d, [root], np.array([0.4, 0.0, 1.2]))
+    V2, regions = split_membership_column(V, [root], 0, 2, 0.1, d, np.array([0.4, 0.0, 1.2]))
+    assert V2.shape[1] == 2 and [r.upper[2] for r in regions] == [0.1, np.inf]
+    assert np.allclose(V2.sum(axis=1), V[:, 0], atol=1e-9)
 
 
 def test_hard_membership_is_exact_indicator():

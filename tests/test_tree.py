@@ -144,10 +144,10 @@ def test_find_best_split_matches_brute_force(sigma_scale):
     rule = StoppingRule()
     for d, regions, k in _split_search_cases(rng):
         sigma = sigma_scale * d.features.std(axis=0, ddof=1)
-        P = build_membership(d, regions, sigma)
+        V = build_membership(d, regions, sigma)
         vars = list(range(d.p))
-        got = find_best_split(d, P, d.target, k, vars, sigma, rule)
-        want = brute_force_split(d, P, d.target, k, vars, sigma, rule)
+        got = find_best_split(d, V, regions[k], d.target, k, vars, sigma, rule)
+        want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None:
             assert got is None
         else:
@@ -161,15 +161,17 @@ def test_find_best_split_exact_tie_goes_to_smaller_cut():
     X = np.arange(6.0)[:, None]
     d = Dataset(X, np.array([0.0, 5, 5, 5, 5, 10]), ("a",))
     rule = StoppingRule(min_leaf_fraction=0.1)
-    P = build_membership(d, [Region.root(1)], np.zeros(1))
-    assert find_best_split(d, P, d.target, 0, [0], np.zeros(1), rule) == (0, 0.5, 20.0)
+    V = build_membership(d, [Region.root(1)], np.zeros(1))
+    assert find_best_split(d, V, Region.root(1), d.target, 0, [0], np.zeros(1), rule) == (
+        0, 0.5, 20.0)
 
 
 def test_find_best_split_none_when_no_admissible_cut():
     X = np.array([[1.0], [1.0], [1.0]])
     d = Dataset(X, np.array([1.0, 2.0, 3.0]), ("a",))
-    P = build_membership(d, [Region.root(1)], np.zeros(1))
-    assert find_best_split(d, P, d.target, 0, [0], np.zeros(1), StoppingRule()) is None
+    V = build_membership(d, [Region.root(1)], np.zeros(1))
+    rule = StoppingRule()
+    assert find_best_split(d, V, Region.root(1), d.target, 0, [0], np.zeros(1), rule) is None
 
 
 def test_hard_tree_equals_cart_oracle():
@@ -244,10 +246,10 @@ def test_feature_restriction():
 def test_soft_tree_prediction_and_row_sums(small_data):
     sigma = 0.4 * small_data.features.std(axis=0, ddof=1)
     t = fit_prtree(small_data, sigma)
-    P = build_membership(small_data, [lf.region for lf in t.leaves], sigma)
-    assert np.allclose(P.values.sum(axis=1), 1.0, atol=1e-9)
+    V = build_membership(small_data, [lf.region for lf in t.leaves], sigma)
+    assert np.allclose(V.sum(axis=1), 1.0, atol=1e-9)
     gam = np.array([lf.gamma for lf in t.leaves])
-    assert np.allclose(t.predict(small_data.features), P.values @ gam)
+    assert np.allclose(t.predict(small_data.features), V @ gam)
 
 
 @pytest.mark.parametrize("sigma_scale", [(0.0, 0.0, 0.0), (0.3, 0.0, 0.6), (0.5, 0.5, 0.5)])
@@ -273,12 +275,12 @@ def test_split_search_with_given_rows_equals_region_rows():
     regions = [*left.split(1, -0.25), right]
     rule = StoppingRule(min_leaf_fraction=0.05)
     for sigma in (np.zeros(3), np.array([0.3, 0.0, 0.2])):
-        P = build_membership(d, regions, sigma)
+        V = build_membership(d, regions, sigma)
         for k, region in enumerate(regions):
             rows = np.flatnonzero(region.contains(d.features))
-            want = find_best_split(d, P, d.target, k, [0, 1, 2], sigma, rule)
+            want = find_best_split(d, V, region, d.target, k, [0, 1, 2], sigma, rule)
             assert want is not None
-            assert find_best_split(d, P, d.target, k, [0, 1, 2], sigma, rule, rows) == want
+            assert find_best_split(d, V, region, d.target, k, [0, 1, 2], sigma, rule, rows) == want
 
 
 def test_json_roundtrip_bit_identical(small_data):
