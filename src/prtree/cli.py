@@ -101,28 +101,20 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _default_trees(model: str) -> int:
-    return {"rf": 100, "gbt": 50, "pbart": 50}.get(model, 1)
-
-
 def _load_dataset(cfg) -> Dataset:
     if not cfg.get("data"):
         raise ConfigError("--data is required")
     return load_csv(cfg["data"], cfg["target"])
 
 
-def _rule(cfg) -> StoppingRule:
-    return StoppingRule(
-        min_leaf_fraction=float(cfg["min_leaf"]),
-        max_leaves=int(cfg["max_leaves"]) if cfg["max_leaves"] is not None else None,
-    )
-
-
 def _spec(cfg) -> LearnerSpec:
     model = cfg["model"]
     if model not in ("tree", "rf", "gbt", "pbart"):
         raise ConfigError(f"unknown model {model!r}")
-    n_trees = int(cfg["trees"]) if cfg["trees"] is not None else _default_trees(model)
+    if cfg["trees"] is not None:
+        n_trees = int(cfg["trees"])
+    else:
+        n_trees = {"rf": 100, "gbt": 50, "pbart": 50}.get(model, 1)
     hyper = None
     if model == "pbart":
         hyper = PBartHyper(
@@ -137,7 +129,10 @@ def _spec(cfg) -> LearnerSpec:
         kind=model,
         n_trees=n_trees,
         shrinkage=float(cfg["shrinkage"]),
-        rule=_rule(cfg),
+        rule=StoppingRule(
+            min_leaf_fraction=float(cfg["min_leaf"]),
+            max_leaves=int(cfg["max_leaves"]) if cfg["max_leaves"] is not None else None,
+        ),
         hyper=hyper,
     )
 

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, RngSpec
-from .tree import PRTree, StoppingRule, fit_prtree
+from .tree import PRTree, StoppingRule, fit_prtree, model_json, read_model_json
 
 log = logging.getLogger(__name__)
 
@@ -34,7 +33,7 @@ class Forest:
         return np.sort(preds, axis=0).mean(axis=0)
 
     def to_json(self) -> str:
-        return json.dumps(
+        return model_json(
             {
                 "kind": "forest",
                 "feature_names": list(self.feature_names),
@@ -46,14 +45,13 @@ class Forest:
 
     @classmethod
     def from_json(cls, text: str) -> "Forest":
-        obj = json.loads(text)
-        if obj.get("kind") != "forest":
-            raise ValueError("not a forest model")
+        obj = read_model_json(text, "forest")
+        names = tuple(obj.get("feature_names", ()))
         return cls(
-            trees=[PRTree.from_dict(t) for t in obj["trees"]],
+            trees=[PRTree.from_dict(t, names) for t in obj["trees"]],
             bootstrap=bool(obj["bootstrap"]),
             feature_subsets=[tuple(fs) for fs in obj["feature_subsets"]],
-            feature_names=tuple(obj.get("feature_names", ())),
+            feature_names=names,
         )
 
 
@@ -77,7 +75,7 @@ class BoostedEnsemble:
         return total
 
     def to_json(self) -> str:
-        return json.dumps(
+        return model_json(
             {
                 "kind": "gbt",
                 "feature_names": list(self.feature_names),
@@ -88,13 +86,12 @@ class BoostedEnsemble:
 
     @classmethod
     def from_json(cls, text: str) -> "BoostedEnsemble":
-        obj = json.loads(text)
-        if obj.get("kind") != "gbt":
-            raise ValueError("not a boosted model")
+        obj = read_model_json(text, "gbt")
+        names = tuple(obj.get("feature_names", ()))
         return cls(
-            trees=[PRTree.from_dict(t) for t in obj["trees"]],
+            trees=[PRTree.from_dict(t, names) for t in obj["trees"]],
             shrinkage=float(obj["shrinkage"]),
-            feature_names=tuple(obj.get("feature_names", ())),
+            feature_names=names,
         )
 
 
@@ -122,7 +119,7 @@ def fit_prrf(
         gen = rng.stream(ell).generator()
         sample = d.subset(gen.integers(0, d.n, size=d.n)) if bootstrap else d
         if vars_per_tree < d.p:
-            feats = tuple(sorted(gen.choice(d.p, size=vars_per_tree, replace=False)))
+            feats = tuple(sorted(gen.choice(d.p, size=vars_per_tree, replace=False).tolist()))
         else:
             feats = tuple(range(d.p))
         trees.append(fit_prtree(sample, sigma, rule, features=list(feats)))

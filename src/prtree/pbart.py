@@ -4,7 +4,6 @@ weights and the noise scale."""
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from bisect import bisect_right
@@ -17,7 +16,7 @@ from scipy.stats import invgamma
 from .data import Dataset, RngSpec, check_features
 from .kernel import membership_column, membership_columns
 from .regions import Region
-from .tree import LeafNode, SplitNode, StoppingRule
+from .tree import FlatTree, StoppingRule, model_json, read_model_json, split_candidates
 
 log = logging.getLogger(__name__)
 
@@ -73,101 +72,77 @@ class PBartHyper:
 
 
 class SampledTree:
-    """One tree of the additive model, with cached region/leaf metadata.
+    """One tree of the additive model: node arrays plus caches keyed by node
+    index, so a move edits a copy of the arrays at the indices the caches give.
 
-    `refresh` recomputes leaf regions and the hard rows of every node from
-    the topology and reports whether the tree is structurally valid (every
-    split value strictly inside its region, every leaf at least
-    `min_count` hard rows). Rows are carried down from the root, rows with
-    x_j <= s going left, which is exactly `Region.contains` on each child."""
+    `refresh` recomputes the caches from the arrays and reports whether the
+    tree is structurally valid (every split value strictly inside its
+    region, every leaf at least `min_count` hard rows). Rows are carried down
+    from the root, rows with x_j <= s going left, which is exactly
+    `Region.contains` on each child. Leaves, their regions and the internal
+    nodes are listed in preorder."""
 
-    def __init__(self, root=None):
-        self.root = root if root is not None else LeafNode(None)
-        self.leaves: list[LeafNode] = []
+    def __init__(self, nodes: FlatTree):
+        self.nodes = nodes
+        self.leaves: list[int] = []
+        self.regions: list[Region] = []
         self.leaf_depths: list[int] = []
         self.leaf_rows: list[np.ndarray] = []
-        self.internals: list[tuple[SplitNode, int, np.ndarray]] = []
-        self.pairs: list[tuple[SplitNode, SplitNode]] = []
+        self.internals: list[tuple[int, int, np.ndarray]] = []
+        self.pairs: list[tuple[int, int]] = []
         self.node_cuts: dict[int, int] = {}
 
-    @property
-    def leaf_counts(self) -> list[int]:
-        return [rows.size for rows in self.leaf_rows]
-
     def copy(self) -> "SampledTree":
-        """A clone with new nodes (sharing the immutable regions and row
-        arrays) whose cached lists list the clones in the same order, so an
-        index into this tree's lists locates the same node in the clone."""
-        clone: dict[int, LeafNode | SplitNode] = {}
-
-        def dup(node):
-            if isinstance(node, LeafNode):
-                new = LeafNode(node.region, node.gamma)
-            else:
-                new = SplitNode(node.j, node.s, dup(node.left), dup(node.right))
-            clone[id(node)] = new
-            return new
-
-        star = SampledTree(dup(self.root))
-        star.leaves = [clone[id(leaf)] for leaf in self.leaves]
-        star.leaf_depths, star.leaf_rows = list(self.leaf_depths), list(self.leaf_rows)
-        star.internals = [(clone[id(node)], depth, rows) for node, depth, rows in self.internals]
-        star.pairs = [(clone[id(a)], clone[id(b)]) for a, b in self.pairs]
-        star.node_cuts = {id(clone[key]): n for key, n in self.node_cuts.items()}
-        return star
+        """A tree on copies of the arrays, with empty caches: node indices
+        of this tree locate the same nodes in the copy until it is edited."""
+        return SampledTree(self.nodes.copy())
 
     def refresh(self, d: Dataset, min_count: int) -> bool:
-        self.leaves, self.leaf_depths, self.leaf_rows = [], [], []
+        self.leaves, self.regions, self.leaf_depths, self.leaf_rows = [], [], [], []
         self.internals, self.pairs, self.node_cuts = [], [], {}
-        return self._walk(self.root, Region.root(d.p), np.arange(d.n), 0, d, min_count)
-
-    def _walk(self, node, region: Region, rows, depth: int, d: Dataset, min_count: int) -> bool:
-        if isinstance(node, LeafNode):
-            node.region = region
-            self.leaves.append(node)
-            self.leaf_depths.append(depth)
-            self.leaf_rows.append(rows)
-            return rows.size >= min_count
-        if not (region.lower[node.j] < node.s < region.upper[node.j]):
-            return False
-        self.internals.append((node, depth, rows))
-        self.node_cuts[id(node)] = _region_cuts(d, rows, node.j).size
-        for child in (node.left, node.right):
-            if isinstance(child, SplitNode):
-                self.pairs.append((node, child))
-        left_r, right_r = region.split(node.j, node.s)
-        go_left = d.features[rows, node.j] <= node.s
-        return self._walk(node.left, left_r, rows[go_left], depth + 1, d, min_count) and (
-            self._walk(node.right, right_r, rows[~go_left], depth + 1, d, min_count)
-        )
+        feature, threshold = self.nodes.feature, self.nodes.threshold
+        left, right = self.nodes.left, self.nodes.right
+        rows_of = {0: np.arange(d.n)}
+        for i, depth, region in self.nodes.walk(d.p):
+            rows, j, s = rows_of.pop(i), feature[i], threshold[i]
+            if j < 0:
+                self.leaves.append(i)
+                self.regions.append(region)
+                self.leaf_depths.append(depth)
+                self.leaf_rows.append(rows)
+                if rows.size < min_count:
+                    return False
+                continue
+            if not (region.lower[j] < s < region.upper[j]):
+                return False
+            self.internals.append((i, depth, rows))
+            self.node_cuts[i] = split_candidates(d, rows, j).size
+            self.pairs += [(i, c) for c in (left[i], right[i]) if feature[c] >= 0]
+            go_left = d.features[rows, j] <= s
+            rows_of[left[i]], rows_of[right[i]] = rows[go_left], rows[~go_left]
+        return True
 
     @property
     def k(self) -> int:
         return len(self.leaves)
 
     def gammas(self) -> np.ndarray:
-        return np.array([leaf.gamma for leaf in self.leaves])
+        return np.array([self.nodes.value[i] for i in self.leaves])
 
     def set_gammas(self, gam: np.ndarray):
-        for leaf, g in zip(self.leaves, gam):
-            leaf.gamma = float(g)
+        for i, g in zip(self.leaves, gam):
+            self.nodes.value[i] = float(g)
 
     def membership(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return np.column_stack([membership_column(X, lf.region, sigma) for lf in self.leaves])
+        return np.column_stack([membership_column(X, r, sigma) for r in self.regions])
 
     def prunable(self) -> list[int]:
         """Indices into `internals` of the nodes whose children are both leaves."""
+        f, left, right = self.nodes.feature, self.nodes.left, self.nodes.right
         return [
-            i
-            for i, (node, _, _) in enumerate(self.internals)
-            if isinstance(node.left, LeafNode) and isinstance(node.right, LeafNode)
+            i for i, (node, _, _) in enumerate(self.internals)
+            if f[left[node]] < 0 and f[right[node]] < 0
         ]
-
-
-def _region_cuts(d: Dataset, rows: np.ndarray, j: int) -> np.ndarray:
-    """Midpoints between consecutive distinct values of feature j over rows."""
-    values = np.unique(d.features[rows, j])
-    return (values[:-1] + values[1:]) / 2.0
 
 
 def _admissible_vars(d: Dataset, rows: np.ndarray) -> list[int]:
@@ -180,10 +155,10 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     """Log prior of a tree topology: depth-decaying split probabilities
     plus uniform split-variable and cut-point factors."""
     total = 0.0
-    p = t.leaves[0].region.p
+    p = t.regions[0].p
     for node, depth, _ in t.internals:
         total += math.log(alpha / (1.0 + depth) ** beta)
-        n_cuts = t.node_cuts[id(node)]
+        n_cuts = t.node_cuts[node]
         if n_cuts == 0:
             return -np.inf
         total += -math.log(p) - math.log(n_cuts)
@@ -265,12 +240,10 @@ def propose_tree(
         if not adm:
             return invalid
         j = adm[int(rng.integers(len(adm)))]
-        cuts = _region_cuts(d, rows, j)
+        cuts = split_candidates(d, rows, j)
         s = float(cuts[int(rng.integers(cuts.size))])
         star = t.copy()
-        target = star.leaves[i]
-        split = SplitNode(j, s, LeafNode(None, target.gamma), LeafNode(None, target.gamma))
-        _replace(star, target, split)
+        star.nodes.grow(t.leaves[i], j, s)
         if not star.refresh(d, min_count):
             return invalid
         log_fwd = (
@@ -287,13 +260,13 @@ def propose_tree(
         pick = prunable[int(rng.integers(len(prunable)))]
         node, _, rows = t.internals[pick]
         star = t.copy()
-        _replace(star, star.internals[pick][0], LeafNode(None, 0.0))
+        star.nodes.prune(node)
         if not star.refresh(d, min_count):
             return invalid
         log_fwd = _log(move_probs[1]) - math.log(len(prunable))
         log_rev = (
             _log(move_probs[0]) - math.log(len(star.leaves))
-            - math.log(len(_admissible_vars(d, rows))) - math.log(t.node_cuts[id(node)])
+            - math.log(len(_admissible_vars(d, rows))) - math.log(t.node_cuts[node])
         )
         return star, log_rev - log_fwd, kind
 
@@ -306,44 +279,26 @@ def propose_tree(
         if not adm:
             return invalid
         j_new = adm[int(rng.integers(len(adm)))]
-        cuts_new = _region_cuts(d, rows, j_new)
+        cuts_new = split_candidates(d, rows, j_new)
         s_new = float(cuts_new[int(rng.integers(cuts_new.size))])
         star = t.copy()
-        target = star.internals[pick][0]
-        target.j, target.s = j_new, s_new
+        star.nodes.feature[node], star.nodes.threshold[node] = j_new, s_new
         if not star.refresh(d, min_count):
             return invalid
-        return star, math.log(cuts_new.size) - math.log(t.node_cuts[id(node)]), kind
+        return star, math.log(cuts_new.size) - math.log(t.node_cuts[node]), kind
 
     # SWAP: exchange the split rules of a parent/child internal pair
     if not t.pairs:
         return invalid
     pick = int(rng.integers(len(t.pairs)))
+    parent, child = t.pairs[pick]
     star = t.copy()
-    parent, child = star.pairs[pick]
-    parent.j, child.j = child.j, parent.j
-    parent.s, child.s = child.s, parent.s
+    f, s = star.nodes.feature, star.nodes.threshold
+    f[parent], f[child] = f[child], f[parent]
+    s[parent], s[child] = s[child], s[parent]
     if not star.refresh(d, min_count):
         return invalid
     return star, 0.0, kind
-
-
-def _replace(tree: SampledTree, old, new):
-    if tree.root is old:
-        tree.root = new
-        return
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SplitNode):
-            if node.left is old:
-                node.left = new
-                return
-            if node.right is old:
-                node.right = new
-                return
-            stack.extend([node.left, node.right])
-    raise ValueError("node not found in tree")
 
 
 def mh_accept(
@@ -434,26 +389,27 @@ class PBartChain:
     hyper: PBartHyper
     feature_names: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        # identical regions recur across snapshots; their weights are summed
+        # once here, in first-seen order, so that predict evaluates each
+        # distinct region's membership column once
+        groups: dict[bytes, list] = {}
+        for snap in self.snapshots:
+            for regions, gammas in snap:
+                for region, g in zip(regions, gammas):
+                    key = region.lower.tobytes() + region.upper.tobytes()
+                    groups.setdefault(key, [region, 0.0])[1] += float(g)
+        self._regions = [region for region, _ in groups.values()]
+        self._gsums = [gsum for _, gsum in groups.values()]
+
     @property
     def n_snapshots(self) -> int:
         return len(self.snapshots)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.sigma.shape[0])
-        # identical regions recur across snapshots; group their weights so
-        # each unique region's membership column is evaluated once
-        accum: dict[bytes, tuple[Region, float]] = {}
-        for snap in self.snapshots:
-            for regions, gammas in snap:
-                for region, g in zip(regions, gammas):
-                    key = region.lower.tobytes() + region.upper.tobytes()
-                    if key in accum:
-                        accum[key] = (region, accum[key][1] + float(g))
-                    else:
-                        accum[key] = (region, float(g))
-        regions, gsums = zip(*accum.values())
         total = np.zeros(X.shape[0])
-        for gsum, col in zip(gsums, membership_columns(X, regions, self.sigma)):
+        for gsum, col in zip(self._gsums, membership_columns(X, self._regions, self.sigma)):
             total += gsum * col
         norm = total / self.n_snapshots
         return (norm + 0.5) * self.y_scale + self.y_offset
@@ -470,7 +426,7 @@ class PBartChain:
             ]
             for snap in self.snapshots
         ]
-        return json.dumps(
+        return model_json(
             {
                 "kind": "pbart",
                 "feature_names": list(self.feature_names),
@@ -486,9 +442,7 @@ class PBartChain:
 
     @classmethod
     def from_json(cls, text: str) -> "PBartChain":
-        obj = json.loads(text)
-        if obj.get("kind") != "pbart":
-            raise ValueError("not a pbart chain")
+        obj = read_model_json(text, "pbart")
         hyper = PBartHyper(**{**obj["hyper"], "move_probs": tuple(obj["hyper"]["move_probs"])})
         snapshots = []
         for snap in obj["snapshots"]:
@@ -541,7 +495,7 @@ def fit_pbart(
     mats = []
     fits = np.zeros((hyper.m, d.n))
     for ell in range(hyper.m):
-        t = SampledTree(LeafNode(None, float(gen.normal(0.0, hyper.sigma_gamma))))
+        t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))))
         t.refresh(d, min_count)
         trees.append(t)
         V = t.membership(d.features, sigma)
@@ -584,12 +538,7 @@ def fit_pbart(
             sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
         sigma_trace[it - 1] = sigma_tilde
         if it > hyper.it_burn:
-            snapshots.append(
-                [
-                    (tuple(lf.region for lf in t.leaves), t.gammas())
-                    for t in trees
-                ]
-            )
+            snapshots.append([(tuple(t.regions), t.gammas()) for t in trees])
         if it % 100 == 0:
             acc = sum(v["accepted"] for v in accept_log.values())
             tot = acc + sum(v["rejected"] for v in accept_log.values())

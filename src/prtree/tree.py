@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,20 +21,88 @@ log = logging.getLogger(__name__)
 GAIN_TOL = 1e-12
 # Singular values below PINV_RCOND * largest are treated as zero.
 PINV_RCOND = 1e-10
+# Layout version of every model file; a file of any other version is rejected.
+SCHEMA = "prtree/2"
+
+
+def model_json(obj: dict) -> str:
+    """A model file: `obj` as JSON, led by the schema key."""
+    return json.dumps({"schema": SCHEMA, **obj})
+
+
+def read_model_json(text: str, kind: str) -> dict:
+    """The object of a model file of `kind` (a file that names no kind holds a
+    tree); a ValueError unless the file carries this version's schema."""
+    obj = json.loads(text)
+    if obj.get("schema") != SCHEMA:
+        raise ValueError(
+            f"model file schema {obj.get('schema')!r}, expected {SCHEMA!r}: refit the model"
+        )
+    if obj.get("kind", "tree") != kind:
+        raise ValueError(f"not a {kind} model")
+    return obj
 
 
 @dataclass
-class LeafNode:
-    region: Region
-    gamma: float = 0.0
+class FlatTree:
+    """A binary tree as parallel node arrays (sklearn's layout; Pedregosa et
+    al. 2011). Node 0 is the root. Split node i sends x with
+    x[feature[i]] <= threshold[i] to node left[i] and the rest to right[i]. A
+    leaf has feature -1, threshold 0 and children -1; value holds its weight
+    (0 at a split). Leaf regions are derived by `walk`, never stored."""
 
+    feature: list[int]
+    threshold: list[float]
+    left: list[int]
+    right: list[int]
+    value: list[float]
 
-@dataclass
-class SplitNode:
-    j: int
-    s: float
-    left: "SplitNode | LeafNode"
-    right: "SplitNode | LeafNode"
+    @classmethod
+    def leaf(cls, value: float = 0.0) -> "FlatTree":
+        return cls([-1], [0.0], [-1], [-1], [value])
+
+    def copy(self) -> "FlatTree":
+        return FlatTree(self.feature[:], self.threshold[:], self.left[:], self.right[:],
+                        self.value[:])
+
+    def grow(self, i: int, j: int, s: float) -> tuple[int, int]:
+        """Split leaf i at s on coordinate j into two appended leaves, which
+        take its weight; returns their indices."""
+        k = len(self.feature)
+        self.feature += [-1, -1]
+        self.threshold += [0.0, 0.0]
+        self.left += [-1, -1]
+        self.right += [-1, -1]
+        self.value += [self.value[i]] * 2
+        self.feature[i], self.threshold[i], self.value[i] = j, s, 0.0
+        self.left[i], self.right[i] = k, k + 1
+        return k, k + 1
+
+    def prune(self, i: int):
+        """Make split node i, whose children are leaves, a leaf of weight 0;
+        the children's entries are deleted and later nodes renumbered."""
+        gone = (self.left[i], self.right[i])
+        self.feature[i], self.threshold[i], self.left[i], self.right[i] = -1, 0.0, -1, -1
+        self.value[i] = 0.0
+        keep = [k for k in range(len(self.feature)) if k not in gone]
+        index = {-1: -1, **{old: new for new, old in enumerate(keep)}}
+        self.feature, self.threshold, self.value = (
+            [a[k] for k in keep] for a in (self.feature, self.threshold, self.value)
+        )
+        self.left, self.right = ([index[a[k]] for k in keep] for a in (self.left, self.right))
+
+    def walk(self, p: int):
+        """(node, depth, region) of every node in preorder, a child's region
+        being its parent's Region.split. That split is taken only when the
+        walk resumes past the parent, so a caller may check the parent's
+        threshold first; an invalid one raises ValueError."""
+        stack = [(0, 0, Region.root(p))]
+        while stack:
+            i, depth, region = stack.pop()
+            yield i, depth, region
+            if self.feature[i] >= 0:
+                lo, hi = region.split(self.feature[i], self.threshold[i])
+                stack += [(self.right[i], depth + 1, hi), (self.left[i], depth + 1, lo)]
 
 
 @dataclass(frozen=True)
@@ -95,20 +164,10 @@ def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray):
     return after, sse_l, sse_r, tot2 - tot1**2 / n
 
 
-def _best_hard_reduction(v: np.ndarray, y: np.ndarray) -> float | None:
-    """Largest SSE reduction of a single hard split of y along values v;
-    None when v has fewer than two distinct values."""
-    order = np.argsort(v, kind="stable")
-    after, sse_l, sse_r, sse_tot = _hard_cut_sse(v[order], y[order])
-    if after.size == 0:
-        return None
-    return float(np.max(sse_tot - sse_l - sse_r))
-
-
 def candidate_variables(d: Dataset, rows, k: int = 3, features=None) -> list[int]:
     """The k coordinates whose best hard split over `rows` reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
-    no valid split are dropped."""
+    fewer than two distinct values have no split and are dropped."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("rows must be non-empty")
@@ -117,18 +176,17 @@ def candidate_variables(d: Dataset, rows, k: int = 3, features=None) -> list[int
     cols = range(d.p) if features is None else features
     scored = []
     for j in cols:
-        red = _best_hard_reduction(X[:, j], y)
-        if red is not None:
-            scored.append((-red, j))
+        order = np.argsort(X[:, j], kind="stable")
+        after, sse_l, sse_r, sse_tot = _hard_cut_sse(X[order, j], y[order])
+        if after.size:
+            scored.append((-float(np.max(sse_tot - sse_l - sse_r)), j))
     scored.sort()
     return [j for _, j in scored[:k]]
 
 
-def split_candidates(d: Dataset, region: Region, j: int) -> np.ndarray:
-    """Midpoints between consecutive distinct values of feature j among the
-    rows hard-assigned to the region."""
-    mask = region.contains(d.features)
-    values = np.unique(d.features[mask, j])
+def split_candidates(d: Dataset, rows, j: int) -> np.ndarray:
+    """Midpoints between consecutive distinct values of feature j over rows."""
+    values = np.unique(d.features[rows, j])
     return (values[:-1] + values[1:]) / 2.0
 
 
@@ -231,11 +289,10 @@ def find_best_split(
     n, K = V.shape
     min_count = rule.min_count(n)
     if rows is None:
-        rows_mask = region.contains(d.features)
-    else:
+        rows = np.flatnonzero(region.contains(d.features))
+    if not sigma.any():
         rows_mask = np.zeros(n, dtype=bool)
         rows_mask[rows] = True
-    if not sigma.any():
         return _find_best_hard_split(d.features, V, y, rows_mask, vars, min_count)
     B = np.delete(V, k, axis=1)
     if K > 1:
@@ -250,11 +307,8 @@ def find_best_split(
     candidates = []
     for j in sorted(vars):
         a, b = region.lower[j], region.upper[j]
-        inleaf = np.sort(X[rows_mask, j])
-        uniq = np.unique(inleaf)
-        if uniq.size < 2:
-            continue
-        cuts = (uniq[:-1] + uniq[1:]) / 2.0
+        cuts = split_candidates(d, rows, j)
+        inleaf = np.sort(X[rows, j])
         left_cnt = np.searchsorted(inleaf, cuts, side="right")
         ok = (left_cnt >= min_count) & (inleaf.size - left_cnt >= min_count)
         cuts = cuts[ok]
@@ -283,19 +337,33 @@ def find_best_split(
     return best[1], best[2], best[0]
 
 
+class Leaf(NamedTuple):
+    region: Region
+    gamma: float
+
+
 @dataclass
 class PRTree:
     """A fitted probabilistic regression tree.
 
     Prediction is the gamma-weighted sum of soft memberships over all
     leaves; with sigma = 0 this degenerates to the usual piecewise-constant
-    lookup. Immutable in practice once fitted.
+    lookup. The node arrays are the whole model; `leaves`, each leaf's
+    region and weight in preorder, is derived from them once. Immutable in
+    practice once fitted.
     """
 
-    root: SplitNode | LeafNode
+    nodes: FlatTree
     sigma: np.ndarray
-    leaves: list[LeafNode] = field(repr=False)
     feature_names: tuple[str, ...] = ()
+    leaves: list[Leaf] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.leaves = [
+            Leaf(region, self.nodes.value[i])
+            for i, _, region in self.nodes.walk(self.p)
+            if self.nodes.feature[i] < 0
+        ]
 
     @property
     def leaf_count(self) -> int:
@@ -303,7 +371,7 @@ class PRTree:
 
     @property
     def p(self) -> int:
-        return self.leaves[0].region.p
+        return self.sigma.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.p)
@@ -313,72 +381,30 @@ class PRTree:
         return V @ gammas
 
     def to_dict(self) -> dict:
-        nodes = []
-
-        def emit(node):
-            idx = len(nodes)
-            nodes.append(None)
-            if isinstance(node, LeafNode):
-                nodes[idx] = {
-                    "kind": "leaf",
-                    "gamma": float(node.gamma),
-                    "lower": [float(v) for v in node.region.lower],
-                    "upper": [float(v) for v in node.region.upper],
-                }
-            else:
-                left = emit(node.left)
-                right = emit(node.right)
-                nodes[idx] = {
-                    "kind": "split",
-                    "j": int(node.j),
-                    "s": float(node.s),
-                    "left": left,
-                    "right": right,
-                }
-            return idx
-
-        emit(self.root)
-        return {"sigma": [float(v) for v in self.sigma], "nodes": nodes}
+        """sigma and the node arrays; the feature names are kept by the file,
+        once for a forest or a boosted model."""
+        return {"sigma": [float(v) for v in self.sigma], **asdict(self.nodes)}
 
     def to_json(self) -> str:
-        """to_dict plus the feature names, which a forest or boosted file
-        holds once at its top level instead of per tree."""
-        return json.dumps({"feature_names": list(self.feature_names), **self.to_dict()})
+        return model_json({"feature_names": list(self.feature_names), **self.to_dict()})
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "PRTree":
-        nodes = obj["nodes"]
-        leaves: list[LeafNode] = []
-
-        def build(idx):
-            spec = nodes[idx]
-            if spec["kind"] == "leaf":
-                leaf = LeafNode(
-                    Region(np.array(spec["lower"]), np.array(spec["upper"])),
-                    gamma=float(spec["gamma"]),
-                )
-                leaves.append(leaf)
-                return leaf
-            left = build(spec["left"])
-            right = build(spec["right"])
-            return SplitNode(int(spec["j"]), float(spec["s"]), left, right)
-
-        root = build(0)
-        return cls(root=root, sigma=np.array(obj["sigma"], dtype=float), leaves=leaves,
-                   feature_names=tuple(obj.get("feature_names", ())))
+    def from_dict(cls, obj: dict, feature_names=()) -> "PRTree":
+        nodes = FlatTree(**{f.name: obj[f.name] for f in fields(FlatTree)})
+        return cls(nodes, np.array(obj["sigma"], dtype=float), tuple(feature_names))
 
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
-        return cls.from_dict(json.loads(text))
+        obj = read_model_json(text, "tree")
+        return cls.from_dict(obj, obj.get("feature_names", ()))
 
 
 @dataclass
 class _FitLeaf:
-    node: LeafNode
+    node: int
+    region: Region
     rows: np.ndarray
     depth: int
-    parent: SplitNode | None
-    side: str
     vars: list[int] | None = None
 
 
@@ -409,9 +435,8 @@ def fit_prtree(
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
 
-    root_leaf = LeafNode(Region.root(d.p))
-    root: SplitNode | LeafNode = root_leaf
-    leaves = [_FitLeaf(root_leaf, np.arange(n), 0, None, "")]
+    nodes = FlatTree.leaf()
+    leaves = [_FitLeaf(0, Region.root(d.p), np.arange(n), 0)]
     V = np.ones((n, 1))
     gamma = fit_weights(V, y)
     resid = y - V @ gamma
@@ -431,7 +456,7 @@ def fit_prtree(
                 fl.vars = candidate_variables(d, fl.rows, n_candidate_vars, features)
             if not fl.vars:
                 continue
-            found = find_best_split(d, V, fl.node.region, y, idx, fl.vars, sigma, rule, fl.rows)
+            found = find_best_split(d, V, fl.region, y, idx, fl.vars, sigma, rule, fl.rows)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))
@@ -441,7 +466,7 @@ def fit_prtree(
         _, idx, j, s = chosen
 
         fl = leaves[idx]
-        left_r, right_r = fl.node.region.split(j, s)
+        left_r, right_r = fl.region.split(j, s)
         lcol = membership_column(d.features, left_r, sigma)
         rcol = membership_column(d.features, right_r, sigma)
         V_new = np.column_stack([V[:, :idx], lcol, rcol, V[:, idx + 1 :]])
@@ -452,22 +477,15 @@ def fit_prtree(
             break
 
         go_left = d.features[fl.rows, j] <= s
-        left_leaf = LeafNode(left_r)
-        right_leaf = LeafNode(right_r)
-        split = SplitNode(j, float(s), left_leaf, right_leaf)
-        if fl.parent is None:
-            root = split
-        else:
-            setattr(fl.parent, fl.side, split)
+        lnode, rnode = nodes.grow(fl.node, int(j), float(s))
         leaves[idx : idx + 1] = [
-            _FitLeaf(left_leaf, fl.rows[go_left], fl.depth + 1, split, "left"),
-            _FitLeaf(right_leaf, fl.rows[~go_left], fl.depth + 1, split, "right"),
+            _FitLeaf(lnode, left_r, fl.rows[go_left], fl.depth + 1),
+            _FitLeaf(rnode, right_r, fl.rows[~go_left], fl.depth + 1),
         ]
         V, gamma, sse_cur = V_new, gamma_new, sse_new
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_cur)
 
     gamma = fit_weights(V, y)
     for fl, g in zip(leaves, gamma):
-        fl.node.gamma = float(g)
-    return PRTree(root=root, sigma=sigma, leaves=[fl.node for fl in leaves],
-                  feature_names=d.feature_names)
+        nodes.value[fl.node] = float(g)
+    return PRTree(nodes, sigma, d.feature_names)

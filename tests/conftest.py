@@ -15,6 +15,7 @@ import pytest
 
 from prtree.data import Dataset
 from prtree.kernel import membership_column
+from prtree.tree import FlatTree
 
 
 # ---------------------------------------------------------------------------
@@ -164,21 +165,30 @@ def dense_log_det(V, sigma_gamma, sigma_tilde):
 # ---------------------------------------------------------------------------
 # independent recursive evaluator of the tree-structure prior
 
-def recursive_log_prior(node, region, d: Dataset, alpha, beta, depth=0):
-    from prtree.tree import LeafNode
-
+def recursive_log_prior(nodes: FlatTree, region, d: Dataset, alpha, beta, i=0, depth=0):
+    """Log prior of the subtree of node i of `nodes`, whose region is `region`."""
     p = d.p
-    if isinstance(node, LeafNode):
+    j = nodes.feature[i]
+    if j < 0:
         return math.log1p(-alpha / (1.0 + depth) ** beta)
     mask = region.contains(d.features)
-    n_cuts = np.unique(d.features[mask, node.j]).size - 1
+    n_cuts = np.unique(d.features[mask, j]).size - 1
     total = (
         math.log(alpha / (1.0 + depth) ** beta) - math.log(p) - math.log(n_cuts)
     )
-    left, right = region.split(node.j, node.s)
-    total += recursive_log_prior(node.left, left, d, alpha, beta, depth + 1)
-    total += recursive_log_prior(node.right, right, d, alpha, beta, depth + 1)
+    left, right = region.split(j, nodes.threshold[i])
+    total += recursive_log_prior(nodes, left, d, alpha, beta, nodes.left[i], depth + 1)
+    total += recursive_log_prior(nodes, right, d, alpha, beta, nodes.right[i], depth + 1)
     return total
+
+
+def grown_tree(*splits):
+    """Node arrays grown from one leaf by the (node, j, s) splits, in order;
+    the children of a split are appended, left first."""
+    nodes = FlatTree.leaf()
+    for i, j, s in splits:
+        nodes.grow(i, j, s)
+    return nodes
 
 
 # ---------------------------------------------------------------------------

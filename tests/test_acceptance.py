@@ -21,6 +21,7 @@ from conftest import (
     brute_force_split,
     dense_log_density,
     dense_log_det,
+    grown_tree,
     hard_tree_oracle,
     random_dataset,
     recursive_log_prior,
@@ -40,7 +41,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import LeafNode, StoppingRule, fit_prtree, find_best_split
+from prtree.tree import FlatTree, StoppingRule, fit_prtree, find_best_split
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -205,9 +206,7 @@ def test_criterion_5_posterior_draw_calibration():
     V = rng_d.random((12, 2))
     R = rng_d.normal(size=12)
     data = Dataset(np.arange(12.0)[:, None], np.zeros(12), ("a",))
-    from prtree.tree import SplitNode
-
-    t = SampledTree(SplitNode(0, 5.5, LeafNode(None), LeafNode(None)))
+    t = SampledTree(grown_tree((0, 0, 5.5)))
     assert t.refresh(data, 1)
     sg, st, frozen = 0.4, 0.7, 0.3
     A1 = float(V[:, 0] @ V[:, 0])
@@ -243,18 +242,16 @@ def test_criterion_6_micro_chain_exactness():
 
     # enumerate: single leaf, stump at 0.5, stump at 1.5
     def stump(s):
-        from prtree.tree import SplitNode
-
-        t = SampledTree(SplitNode(0, s, LeafNode(None), LeafNode(None)))
+        t = SampledTree(grown_tree((0, 0, s)))
         assert t.refresh(d, 1)
         return t
 
-    states = [SampledTree(LeafNode(None)), stump(0.5), stump(1.5)]
+    states = [SampledTree(FlatTree.leaf()), stump(0.5), stump(1.5)]
     states[0].refresh(d, 1)
     log_post = []
     for t in states:
         P = t.membership(d.features, sigma)
-        lp = recursive_log_prior(t.root, Region.root(1), d, alpha, beta)
+        lp = recursive_log_prior(t.nodes, Region.root(1), d, alpha, beta)
         log_post.append(lp + dense_log_density(y, P, sg, st))
     log_post = np.array(log_post)
     target = np.exp(log_post - log_post.max())
@@ -263,7 +260,7 @@ def test_criterion_6_micro_chain_exactness():
     def classify(t):
         if t.k == 1:
             return 0
-        return 1 if abs(t.root.s - 0.5) < 1e-9 else 2
+        return 1 if abs(t.nodes.threshold[0] - 0.5) < 1e-9 else 2
 
     gen = np.random.default_rng(23)
     t = states[0]

@@ -1,14 +1,32 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
 from prtree.cli import main
 from prtree.data import RngSpec, load_csv
+from prtree.ensemble import BoostedEnsemble, Forest
 from prtree.evaluate import LearnerSpec, fit_model, tune_on_holdout
-from prtree.pbart import PBartHyper
-from prtree.tree import PRTree
+from prtree.pbart import PBartChain, PBartHyper
+from prtree.tree import SCHEMA, PRTree
+
+# A tree file in the layout before model files carried a schema: nested node
+# records, each leaf storing its region with non-standard infinite bounds.
+UNVERSIONED_TREE = (
+    '{"feature_names": ["a", "b"], "sigma": [0.0, 0.0], "nodes": ['
+    '{"kind": "split", "j": 0, "s": 0.5, "left": 1, "right": 2}, '
+    '{"kind": "leaf", "gamma": 1.0, "lower": [-Infinity, -Infinity], "upper": [0.5, Infinity]}, '
+    '{"kind": "leaf", "gamma": 2.0, "lower": [0.5, -Infinity], "upper": [Infinity, Infinity]}]}'
+)
+
+
+def _standard_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 @pytest.fixture
@@ -30,8 +48,10 @@ def test_fit_writes_model(tmp_path, data_csv):
     rc = main(["fit", "--model", "tree", "--data", str(data_csv), "--target", "y",
                "--sigma", "0", "--out", str(out)])
     assert rc == 0
-    obj = json.loads(out.read_text())
-    assert "nodes" in obj
+    obj = _standard_json(out.read_text())
+    assert obj["schema"] == SCHEMA
+    arrays = [obj[k] for k in ("feature", "threshold", "left", "right", "value")]
+    assert len(arrays[0]) > 1 and {len(a) for a in arrays} == {len(arrays[0])}
 
 
 def test_fit_predict_roundtrip(tmp_path, data_csv):
@@ -210,3 +230,40 @@ def test_model_file_without_names_predicts_by_position(tmp_path, data_csv):
                  "--out", str(pred)]) == 0
     got = [float(r[1]) for r in list(csv.reader(open(pred)))[1:]]
     assert np.array_equal(got, PRTree.from_json(model_path.read_text()).predict(X))
+
+
+@pytest.mark.parametrize("model,cls", [("tree", PRTree), ("rf", Forest), ("gbt", BoostedEnsemble),
+                                       ("pbart", PBartChain)])
+def test_model_file_of_another_schema_is_rejected(tmp_path, data_csv, capsys, model, cls):
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--model", model, "--trees", "2", "--iters", "4", "--burn", "1",
+                 "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
+                 "--out", str(model_path)]) == 0
+    text = model_path.read_text()
+    obj = _standard_json(text) if model != "pbart" else json.loads(text)
+    assert obj["schema"] == SCHEMA
+    cls.from_json(text)
+    for found in (None, "prtree/1"):
+        if found is None:
+            del obj["schema"]
+        else:
+            obj["schema"] = found
+        message = f"schema {found!r}, expected {SCHEMA!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls.from_json(json.dumps(obj))
+        model_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                     "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+        assert message in capsys.readouterr().err
+
+
+def test_unversioned_tree_file_is_rejected(tmp_path, data_csv, capsys):
+    message = f"schema None, expected {SCHEMA!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PRTree.from_json(UNVERSIONED_TREE)
+    model_path = tmp_path / "old.json"
+    model_path.write_text(UNVERSIONED_TREE)
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert message in capsys.readouterr().err

@@ -9,13 +9,11 @@ from prtree.ensemble import (
     fit_prgbt,
     fit_prrf,
 )
-from prtree.regions import Region
-from prtree.tree import LeafNode, PRTree, StoppingRule, fit_prtree
+from prtree.tree import FlatTree, PRTree, StoppingRule, fit_prtree
 
 
 def _const_tree(value, p=2):
-    leaf = LeafNode(Region.root(p), gamma=value)
-    return PRTree(root=leaf, sigma=np.zeros(p), leaves=[leaf])
+    return PRTree(FlatTree.leaf(value), np.zeros(p))
 
 
 def test_forest_single_tree_no_bootstrap_equals_tree(small_data):
@@ -143,6 +141,26 @@ def test_gbt_validation(small_data):
         fit_prgbt(small_data, 2, np.zeros(3), shrinkage=0.0)
     with pytest.raises(ValueError):
         fit_prgbt(small_data, 2, np.zeros(3), shrinkage=1.5)
+
+
+def test_loaded_ensembles_equal_fitted_tree_by_tree(small_data):
+    sigma = 0.3 * small_data.features.std(axis=0, ddof=1)
+    X = small_data.features
+    for model in (fit_prrf(small_data, 3, sigma, rng=RngSpec(2), vars_per_tree=2),
+                  fit_prgbt(small_data, 3, sigma, shrinkage=0.5)):
+        again = type(model).from_json(model.to_json())
+        assert again.feature_names == model.feature_names == small_data.feature_names
+        assert again.m == model.m
+        for fitted, loaded in zip(model.trees, again.trees):
+            assert fitted.feature_names == loaded.feature_names == small_data.feature_names
+            assert fitted.nodes == loaded.nodes
+            assert np.array_equal(fitted.sigma, loaded.sigma)
+            assert len(fitted.leaves) == len(loaded.leaves)
+            for a, b in zip(fitted.leaves, loaded.leaves):
+                assert np.array_equal(a.region.lower, b.region.lower)
+                assert np.array_equal(a.region.upper, b.region.upper)
+                assert a.gamma == b.gamma
+            assert np.array_equal(fitted.predict(X), loaded.predict(X))
 
 
 def test_model_kind_guards(small_data):

@@ -1,9 +1,10 @@
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from conftest import dense_log_density, random_dataset, recursive_log_prior
+from conftest import dense_log_density, grown_tree, random_dataset, recursive_log_prior
 from prtree.data import Dataset, RngSpec
 from prtree.kernel import membership_column
 from prtree.pbart import (
@@ -20,7 +21,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import LeafNode, SplitNode, StoppingRule
+from prtree.tree import FlatTree, StoppingRule
 
 
 def _line_data(values, y=None):
@@ -29,8 +30,8 @@ def _line_data(values, y=None):
     return Dataset(X, y, ("a",))
 
 
-def _refreshed(root, d, min_count=1):
-    t = SampledTree(root)
+def _refreshed(nodes, d, min_count=1):
+    t = SampledTree(nodes)
     assert t.refresh(d, min_count)
     return t
 
@@ -40,13 +41,13 @@ def _refreshed(root, d, min_count=1):
 
 def test_prior_single_leaf():
     d = _line_data([0.0, 1.0])
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     assert tree_log_prior(t, 0.95, 2.0) == pytest.approx(math.log(0.05))
 
 
 def test_prior_stump_one_cut():
     d = _line_data([0.0, 1.0])
-    t = _refreshed(SplitNode(0, 0.5, LeafNode(None), LeafNode(None)), d)
+    t = _refreshed(grown_tree((0, 0, 0.5)), d)
     expected = math.log(0.95) + 2.0 * math.log(1.0 - 0.95 / 4.0)
     assert tree_log_prior(t, 0.95, 2.0) == pytest.approx(expected)
 
@@ -54,14 +55,10 @@ def test_prior_stump_one_cut():
 def test_prior_matches_recursive_oracle():
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 40, 2)
-    root = SplitNode(
-        0, 0.1,
-        SplitNode(1, -0.2, LeafNode(None), LeafNode(None)),
-        LeafNode(None),
-    )
-    t = _refreshed(root, d)
+    nodes = grown_tree((0, 0, 0.1), (1, 1, -0.2))
+    t = _refreshed(nodes, d)
     got = tree_log_prior(t, 0.95, 2.0)
-    want = recursive_log_prior(root, Region.root(2), d, 0.95, 2.0)
+    want = recursive_log_prior(nodes, Region.root(2), d, 0.95, 2.0)
     assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -109,7 +106,7 @@ def test_mll_rejects_bad_sigma():
 
 def test_prune_on_single_leaf_is_invalid():
     d = _line_data([0.0, 1.0, 2.0])
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     star, logq, kind = propose_tree(
         t, np.random.default_rng(0), (0.0, 1.0, 0.0, 0.0), d, StoppingRule()
     )
@@ -119,7 +116,7 @@ def test_prune_on_single_leaf_is_invalid():
 def test_grow_then_prune_restores_topology():
     d = _line_data([0.0, 1.0, 2.0, 3.0])
     gen = np.random.default_rng(3)
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     star, _, kind = propose_tree(t, gen, (1.0, 0.0, 0.0, 0.0), d, StoppingRule())
     assert kind == "grow" and star is not None and star.k == 2
     back, _, kind2 = propose_tree(star, gen, (0.0, 1.0, 0.0, 0.0), d, StoppingRule())
@@ -130,7 +127,7 @@ def test_grow_q_ratio_hand_count():
     # single leaf, 1 variable, 2 candidate cuts, symmetric move probabilities:
     # forward prob 1/(1*1*2) * p_g, reverse prune prob p_p / 1
     d = _line_data([0.0, 1.0, 2.0])
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     for seed in range(20):
         star, logq, kind = propose_tree(
             t, np.random.default_rng(seed), (0.5, 0.5, 0.0, 0.0), d, StoppingRule()
@@ -144,7 +141,7 @@ def test_grow_q_ratio_hand_count():
 def test_proposals_respect_min_leaf_size():
     # any split of 3 points leaves one side with a single point
     d = _line_data([0.0, 1.0, 2.0])
-    t = _refreshed(LeafNode(None), d, min_count=1)
+    t = _refreshed(FlatTree.leaf(), d, min_count=1)
     rule = StoppingRule(min_leaf_fraction=0.5)  # min_count = 2
     star, logq, kind = propose_tree(
         t, np.random.default_rng(0), (1.0, 0.0, 0.0, 0.0), d, rule
@@ -155,12 +152,7 @@ def test_proposals_respect_min_leaf_size():
 def test_change_and_swap_moves():
     rng = np.random.default_rng(7)
     d = random_dataset(rng, 50, 2)
-    root = SplitNode(
-        0, 0.0,
-        SplitNode(1, 0.1, LeafNode(None), LeafNode(None)),
-        LeafNode(None),
-    )
-    t = _refreshed(root, d)
+    t = _refreshed(grown_tree((0, 0, 0.0), (1, 1, 0.1)), d)
     gen = np.random.default_rng(5)
     star, logq, kind = propose_tree(t, gen, (0.0, 0.0, 1.0, 0.0), d, StoppingRule())
     assert kind == "change"
@@ -173,26 +165,24 @@ def test_change_and_swap_moves():
         assert logq2 == 0.0
 
 
-def _oracle_regions(node, region):
-    """(node, region) of every node of a subtree, from Region.split alone."""
-    yield node, region
-    if isinstance(node, SplitNode):
-        left, right = region.split(node.j, node.s)
-        yield from _oracle_regions(node.left, left)
-        yield from _oracle_regions(node.right, right)
+def _oracle_regions(nodes, i, region):
+    """(node, region) of node i and of its subtree in preorder, from Region.split alone."""
+    yield i, region
+    if nodes.feature[i] >= 0:
+        left, right = region.split(nodes.feature[i], nodes.threshold[i])
+        yield from _oracle_regions(nodes, nodes.left[i], left)
+        yield from _oracle_regions(nodes, nodes.right[i], right)
 
 
 def _state(t):
-    """Every split rule and every leaf's region bounds and weight, in walk order."""
-    out, stack = [], [t.root]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SplitNode):
-            out.append((node.j, node.s))
-            stack += [node.right, node.left]
-        else:
-            out.append((node.region.lower.tolist(), node.region.upper.tolist(), node.gamma))
-    return out
+    """The node arrays (split rules and weights) and every cache of t, as plain values."""
+    return (
+        asdict(t.nodes),
+        [(r.lower.tolist(), r.upper.tolist()) for r in t.regions],
+        [rows.tolist() for rows in t.leaf_rows],
+        [(node, depth, rows.tolist()) for node, depth, rows in t.internals],
+        t.leaves[:], t.leaf_depths[:], t.pairs[:], dict(t.node_cuts),
+    )
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -204,24 +194,28 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
     d = Dataset(np.round(rng.normal(size=(60, 3)), 1), rng.normal(size=60), ("a", "b", "c"))
     rule = StoppingRule(min_leaf_fraction=0.05)
     gen = np.random.default_rng(100 + seed)
-    t = _refreshed(LeafNode(None, 0.1), d, rule.min_count(d.n))
+    t = _refreshed(FlatTree.leaf(0.1), d, rule.min_count(d.n))
     seen = set()
     for _ in range(400):
         before = _state(t)
         star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
         if star is not None:
             seen.add(kind)
-            regions = {id(node): r for node, r in _oracle_regions(star.root, Region.root(d.p))}
-            for leaf, count in zip(star.leaves, star.leaf_counts):
-                region = regions[id(leaf)]
-                assert np.array_equal(leaf.region.lower, region.lower)
-                assert np.array_equal(leaf.region.upper, region.upper)
-                assert count == int(region.contains(d.features).sum())
+            regions = dict(_oracle_regions(star.nodes, 0, Region.root(d.p)))
+            # every array entry is reachable from the root: a prune leaves no orphans
+            assert sorted(regions) == list(range(len(star.nodes.feature)))
+            assert {len(a) for a in asdict(star.nodes).values()} == {len(regions)}
+            assert star.leaves == [i for i in regions if star.nodes.feature[i] < 0]
+            for leaf, leaf_region, rows in zip(star.leaves, star.regions, star.leaf_rows):
+                region = regions[leaf]
+                assert np.array_equal(leaf_region.lower, region.lower)
+                assert np.array_equal(leaf_region.upper, region.upper)
+                assert np.array_equal(rows, np.flatnonzero(region.contains(d.features)))
             for node, _, rows in star.internals:
-                mask = regions[id(node)].contains(d.features)
+                mask = regions[node].contains(d.features)
                 assert np.array_equal(rows, np.flatnonzero(mask))
-                values = np.unique(d.features[mask, node.j])
-                assert star.node_cuts[id(node)] == ((values[:-1] + values[1:]) / 2.0).size
+                values = np.unique(d.features[mask, star.nodes.feature[node]])
+                assert star.node_cuts[node] == ((values[:-1] + values[1:]) / 2.0).size
             star.set_gammas(gen.normal(size=star.k))
         assert _state(t) == before
         if star is not None and gen.random() < 0.6:
@@ -234,7 +228,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
 
 def test_mh_identity_always_accepts():
     d = _line_data([0.0, 1.0, 2.0], y=[1.0, -1.0, 0.5])
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     P = np.ones((3, 1))
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.5)
     gen = np.random.default_rng(0)
@@ -244,7 +238,7 @@ def test_mh_identity_always_accepts():
 
 def test_mh_invalid_always_rejects():
     d = _line_data([0.0, 1.0, 2.0])
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     P = np.ones((3, 1))
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.5)
     gen = np.random.default_rng(0)
@@ -253,8 +247,8 @@ def test_mh_invalid_always_rejects():
 
 def test_mh_acceptance_frequency_matches_delta():
     d = _line_data([0.0, 1.0, 2.0], y=[0.4, -0.2, 0.1])
-    t = _refreshed(LeafNode(None), d)
-    star = _refreshed(SplitNode(0, 0.5, LeafNode(None), LeafNode(None)), d)
+    t = _refreshed(FlatTree.leaf(), d)
+    star = _refreshed(grown_tree((0, 0, 0.5)), d)
     P = np.ones((3, 1))
     Ps = np.column_stack([(d.features[:, 0] <= 0.5), (d.features[:, 0] > 0.5)]).astype(float)
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.4)
@@ -282,7 +276,7 @@ def test_mh_acceptance_frequency_matches_delta():
 
 def test_draw_gammas_simple_posterior():
     d = _line_data([0.0])
-    t = _refreshed(LeafNode(None), d, min_count=1)
+    t = _refreshed(FlatTree.leaf(), d, min_count=1)
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=1.0)
     gen = np.random.default_rng(0)
     draws = np.array(
@@ -301,7 +295,7 @@ def test_draw_gammas_flat_prior_limit():
     V = rng.random((30, 2))
     R = rng.normal(size=30)
     d = _line_data(np.arange(30.0))
-    t = SampledTree(SplitNode(0, 14.5, LeafNode(None), LeafNode(None)))
+    t = SampledTree(grown_tree((0, 0, 14.5)))
     assert t.refresh(d, 1)
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=1e6)
     # with a flat prior, the first draw of a sweep concentrates near the
@@ -485,7 +479,7 @@ def test_predict_equals_region_by_region_oracle(small_data):
 @pytest.mark.parametrize("move_probs", [(0.25, 0.25, 0.25, 0.25), (0.5, 0.0, 0.3, 0.2)])
 def test_move_kind_draw_matches_generator_choice(move_probs):
     d = _line_data(np.arange(12.0))
-    t = _refreshed(LeafNode(None), d)
+    t = _refreshed(FlatTree.leaf(), d)
     gen, ref = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(300):
         _, _, kind = propose_tree(t, gen, move_probs, d, StoppingRule(0.1))

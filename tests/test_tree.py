@@ -65,10 +65,12 @@ def test_fit_weights_shape_mismatch():
 def test_split_candidates_midpoints():
     X = np.array([[1.0], [2.0], [2.0], [4.0], [9.0]])
     d = Dataset(X, np.zeros(5), ("a",))
-    cuts = split_candidates(d, Region.root(1), 0)
+    cuts = split_candidates(d, np.arange(5), 0)
     assert cuts.tolist() == [1.5, 3.0, 6.5]
-    region = Region(np.array([1.5]), np.array([5.0]))
-    assert split_candidates(d, region, 0).tolist() == [3.0]
+    # the rows of the region (1.5, 5.0]
+    rows = np.flatnonzero(Region(np.array([1.5]), np.array([5.0])).contains(X))
+    assert rows.tolist() == [1, 2, 3]
+    assert split_candidates(d, rows, 0).tolist() == [3.0]
 
 
 def test_candidate_variables_ranks_by_reduction():
