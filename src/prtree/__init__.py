@@ -9,7 +9,7 @@ the query point. On top of the single tree, this package provides bagging
 
 from .data import Dataset, RngSpec, StandardScaler, load_csv, standard_scale
 from .regions import Region
-from .kernel import build_membership, psi, split_membership_column
+from .kernel import build_membership, psi
 from .tree import (
     PRTree,
     StoppingRule,
@@ -18,6 +18,7 @@ from .tree import (
     fit_prtree,
     fit_weights,
     split_candidates,
+    split_membership_column,
 )
 from .ensemble import (
     BoostedEnsemble,

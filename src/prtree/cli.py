@@ -30,7 +30,7 @@ from .evaluate import (
     write_cv_csv,
 )
 from .pbart import PBartChain, PBartHyper
-from .tree import PRTree, StoppingRule
+from .tree import PRTree, StoppingRule, read_model_json
 
 log = logging.getLogger("prtree")
 
@@ -109,8 +109,6 @@ def _load_dataset(cfg) -> Dataset:
 
 def _spec(cfg) -> LearnerSpec:
     model = cfg["model"]
-    if model not in ("tree", "rf", "gbt", "pbart"):
-        raise ConfigError(f"unknown model {model!r}")
     if cfg["trees"] is not None:
         n_trees = int(cfg["trees"])
     else:
@@ -158,8 +156,7 @@ def _cmd_fit(cfg) -> int:
 
 def _load_model(path):
     text = Path(path).read_text()
-    obj = json.loads(text)
-    kind = obj.get("kind", "tree")
+    kind = read_model_json(text).get("kind", "tree")
     loader = {
         "tree": PRTree.from_json,
         "forest": Forest.from_json,
@@ -225,22 +222,14 @@ def _cmd_cv(cfg) -> int:
 def _cmd_biasvar(cfg) -> int:
     d = _load_dataset(cfg)
     model = cfg["model"]
-    if model == "tree":
-        knobs = (
-            _parse_int_list(cfg["max_leaves"]) if cfg["max_leaves"] is not None else [2, 4, 8, 16]
-        )
-    else:
-        knobs = _parse_int_list(cfg["trees"]) if cfg["trees"] is not None else [1, 10, 50]
+    # the swept knob: the leaf cap of a single tree, else the tree count
+    key, default = ("max_leaves", [2, 4, 8, 16]) if model == "tree" else ("trees", [1, 10, 50])
+    knobs = _parse_int_list(cfg[key]) if cfg[key] is not None else default
     sigma = _parse_sigma(cfg["sigma"], d.p) if cfg["sigma"] is not None else None
     rng = RngSpec(int(cfg["seed"]))
     rows = []
     for knob in knobs:
-        knob_cfg = dict(cfg)
-        if model == "tree":
-            knob_cfg["max_leaves"] = knob
-        else:
-            knob_cfg["trees"] = knob
-        spec = _spec(knob_cfg)
+        spec = _spec({**cfg, key: knob})
         spec.sigma = sigma
         report = bias_variance(d, spec, int(cfg["trials"]), rng)
         log.info(

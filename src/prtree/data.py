@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -173,14 +172,6 @@ class StandardScaler:
 
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (np.asarray(X, dtype=float) - self.mean) / self.std
-
-    def to_json(self) -> str:
-        return json.dumps({"mean": list(self.mean), "std": list(self.std)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "StandardScaler":
-        obj = json.loads(text)
-        return cls(mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float))
 
 
 def standard_scale(d: Dataset) -> tuple[Dataset, StandardScaler]:

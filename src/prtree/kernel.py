@@ -94,16 +94,3 @@ def build_membership(d: Dataset, regions, sigma) -> np.ndarray:
         raise ValueError("at least one region is required")
     return np.column_stack(list(membership_columns(d.features, regions, sigma)))
 
-
-def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
-    """(V, regions) with column k and regions[k] replaced by the two children
-    of a split at s on coordinate j. Child columns are evaluated fresh, so for
-    every row they sum to the parent value up to roundoff (Gaussian mass is
-    additive over a partition of the parent region)."""
-    sigma = np.asarray(sigma, dtype=float)
-    regions = tuple(regions)
-    left, right = regions[k].split(j, s)
-    lcol = membership_column(d.features, left, sigma)
-    rcol = membership_column(d.features, right, sigma)
-    V = np.column_stack([V[:, :k], lcol, rcol, V[:, k + 1 :]])
-    return V, regions[:k] + (left, right) + regions[k + 1 :]

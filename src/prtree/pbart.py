@@ -7,7 +7,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
@@ -378,9 +378,12 @@ def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -
 
 @dataclass
 class PBartChain:
-    """Post-burn-in posterior trace of the additive tree model."""
+    """Post-burn-in posterior trace of the additive tree model: per retained
+    iteration, the node arrays of each of the m trees, leaf weights included.
+    `snapshots` holds the same iterations as (regions tuple, gamma array) per
+    tree, leaves in preorder, derived from the arrays once."""
 
-    snapshots: list  # per iteration: list of (regions tuple, gamma array) per tree
+    trees: list[list[FlatTree]]
     sigma_trace: np.ndarray
     acceptance_log: dict
     sigma: np.ndarray
@@ -388,23 +391,36 @@ class PBartChain:
     y_scale: float
     hyper: PBartHyper
     feature_names: tuple[str, ...] = ()
+    snapshots: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        # identical regions recur across snapshots; their weights are summed
-        # once here, in first-seen order, so that predict evaluates each
-        # distinct region's membership column once
+        # each distinct tree structure is walked once. Identical regions recur
+        # across snapshots; their weights are summed once here, in first-seen
+        # order, so that predict evaluates each distinct region's column once
+        p = self.sigma.shape[0]
+        walked: dict[tuple, tuple[list[int], tuple[Region, ...]]] = {}
         groups: dict[bytes, list] = {}
-        for snap in self.snapshots:
-            for regions, gammas in snap:
+        self.snapshots = []
+        for snap in self.trees:
+            pairs = []
+            for t in snap:
+                key = (tuple(t.feature), tuple(t.threshold), tuple(t.left), tuple(t.right))
+                if key not in walked:
+                    found = [(i, r) for i, _, r in t.walk(p) if t.feature[i] < 0]
+                    walked[key] = [i for i, _ in found], tuple(r for _, r in found)
+                leaves, regions = walked[key]
+                gammas = np.array([t.value[i] for i in leaves])
+                pairs.append((regions, gammas))
                 for region, g in zip(regions, gammas):
-                    key = region.lower.tobytes() + region.upper.tobytes()
-                    groups.setdefault(key, [region, 0.0])[1] += float(g)
+                    bounds = region.lower.tobytes() + region.upper.tobytes()
+                    groups.setdefault(bounds, [region, 0.0])[1] += float(g)
+            self.snapshots.append(pairs)
         self._regions = [region for region, _ in groups.values()]
         self._gsums = [gsum for _, gsum in groups.values()]
 
     @property
     def n_snapshots(self) -> int:
-        return len(self.snapshots)
+        return len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.sigma.shape[0])
@@ -415,17 +431,6 @@ class PBartChain:
         return (norm + 0.5) * self.y_scale + self.y_offset
 
     def to_json(self) -> str:
-        snaps = [
-            [
-                {
-                    "gammas": [float(g) for g in gammas],
-                    "lower": [[float(v) for v in r.lower] for r in regions],
-                    "upper": [[float(v) for v in r.upper] for r in regions],
-                }
-                for regions, gammas in snap
-            ]
-            for snap in self.snapshots
-        ]
         return model_json(
             {
                 "kind": "pbart",
@@ -436,7 +441,7 @@ class PBartChain:
                 "y_scale": self.y_scale,
                 "sigma_trace": [float(v) for v in self.sigma_trace],
                 "acceptance_log": self.acceptance_log,
-                "snapshots": snaps,
+                "snapshots": [[vars(t) for t in snap] for snap in self.trees],
             }
         )
 
@@ -444,21 +449,12 @@ class PBartChain:
     def from_json(cls, text: str) -> "PBartChain":
         obj = read_model_json(text, "pbart")
         hyper = PBartHyper(**{**obj["hyper"], "move_probs": tuple(obj["hyper"]["move_probs"])})
-        snapshots = []
-        for snap in obj["snapshots"]:
-            trees = []
-            for entry in snap:
-                regions = tuple(
-                    Region(np.array(lo), np.array(hi))
-                    for lo, hi in zip(entry["lower"], entry["upper"])
-                )
-                trees.append((regions, np.array(entry["gammas"], dtype=float)))
-            snapshots.append(trees)
+        sigma = np.array(obj["sigma"], dtype=float)
         return cls(
-            snapshots=snapshots,
+            trees=[[FlatTree.from_dict(t, sigma.size) for t in snap] for snap in obj["snapshots"]],
             sigma_trace=np.array(obj["sigma_trace"], dtype=float),
             acceptance_log=obj["acceptance_log"],
-            sigma=np.array(obj["sigma"], dtype=float),
+            sigma=sigma,
             y_offset=float(obj["y_offset"]),
             y_scale=float(obj["y_scale"]),
             hyper=hyper,
@@ -538,14 +534,14 @@ def fit_pbart(
             sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
         sigma_trace[it - 1] = sigma_tilde
         if it > hyper.it_burn:
-            snapshots.append([(tuple(t.regions), t.gammas()) for t in trees])
+            snapshots.append([t.nodes.copy() for t in trees])
         if it % 100 == 0:
             acc = sum(v["accepted"] for v in accept_log.values())
             tot = acc + sum(v["rejected"] for v in accept_log.values())
             log.debug("iteration %d sigma=%.4g acceptance=%.3f", it, sigma_tilde, acc / tot)
 
     return PBartChain(
-        snapshots=snapshots,
+        trees=snapshots,
         sigma_trace=sigma_trace,
         acceptance_log=accept_log,
         sigma=sigma,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, field, fields
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +23,7 @@ GAIN_TOL = 1e-12
 # Singular values below PINV_RCOND * largest are treated as zero.
 PINV_RCOND = 1e-10
 # Layout version of every model file; a file of any other version is rejected.
-SCHEMA = "prtree/2"
+SCHEMA = "prtree/3"
 
 
 def model_json(obj: dict) -> str:
@@ -30,15 +31,17 @@ def model_json(obj: dict) -> str:
     return json.dumps({"schema": SCHEMA, **obj})
 
 
-def read_model_json(text: str, kind: str) -> dict:
-    """The object of a model file of `kind` (a file that names no kind holds a
-    tree); a ValueError unless the file carries this version's schema."""
+def read_model_json(text: str, kind: str | None = None) -> dict:
+    """The object of a model file of `kind`, or of any kind if None (a file
+    naming no kind holds a tree); a ValueError unless it has this schema."""
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a model file holds a JSON object")
     if obj.get("schema") != SCHEMA:
         raise ValueError(
             f"model file schema {obj.get('schema')!r}, expected {SCHEMA!r}: refit the model"
         )
-    if obj.get("kind", "tree") != kind:
+    if kind is not None and obj.get("kind", "tree") != kind:
         raise ValueError(f"not a {kind} model")
     return obj
 
@@ -60,6 +63,30 @@ class FlatTree:
     @classmethod
     def leaf(cls, value: float = 0.0) -> "FlatTree":
         return cls([-1], [0.0], [-1], [-1], [value])
+
+    @classmethod
+    def from_dict(cls, obj: dict, p: int) -> "FlatTree":
+        """The node arrays of a model file's tree over p coordinates; a
+        ValueError unless they form one binary tree rooted at node 0, each
+        child numbered after its parent, as `grow` and `prune` keep them."""
+        try:
+            tree = cls(*([kind(v) for v in obj[f.name]]
+                         for f, kind in zip(fields(cls), (index, float, index, index, float))))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"malformed node arrays: {exc!r}") from None
+        n = len(tree.feature)
+        if n == 0 or {len(a) for a in vars(tree).values()} != {n}:
+            raise ValueError("node arrays must be non-empty and of equal length")
+        for i, (j, *children) in enumerate(zip(tree.feature, tree.left, tree.right)):
+            if not (0 <= j < p and min(children) > i or j == -1 and children == [-1, -1]):
+                raise ValueError(f"node {i} has feature {j} and children {children}: a leaf "
+                                 f"has -1, -1, -1 and a split a feature in [0, {p}) and two "
+                                 "children of larger index")
+        # with one parent per node, of a smaller index, the walk from the root
+        # reaches every node exactly once
+        if sorted(tree.left + tree.right) != [-1] * 2 * tree.feature.count(-1) + [*range(1, n)]:
+            raise ValueError("every node but the root must be a child exactly once")
+        return tree
 
     def copy(self) -> "FlatTree":
         return FlatTree(self.feature[:], self.threshold[:], self.left[:], self.right[:],
@@ -121,10 +148,6 @@ class StoppingRule:
         return max(1, int(np.ceil(self.min_leaf_fraction * n - 1e-9)))
 
 
-def _is_disjoint_binary(V: np.ndarray) -> bool:
-    return bool(np.all((V == 0.0) | (V == 1.0)) and np.all(V.sum(axis=1) <= 1.0))
-
-
 def fit_weights(V, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares leaf weights for the n x K membership array V.
 
@@ -136,7 +159,7 @@ def fit_weights(V, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if V.shape[0] != y.shape[0]:
         raise ValueError("row count of V must match the target length")
-    if _is_disjoint_binary(V):
+    if np.all((V == 0.0) | (V == 1.0)) and np.all(V.sum(axis=1) <= 1.0):
         gamma = np.empty(V.shape[1])
         for k in range(V.shape[1]):
             members = y[V[:, k] != 0.0]
@@ -337,6 +360,20 @@ def find_best_split(
     return best[1], best[2], best[0]
 
 
+def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
+    """(V, regions) with column k and regions[k] replaced by the two children
+    of a split at s on coordinate j. Child columns are evaluated fresh, so for
+    every row they sum to the parent value up to roundoff (Gaussian mass is
+    additive over a partition of the parent region)."""
+    sigma = np.asarray(sigma, dtype=float)
+    regions = tuple(regions)
+    left, right = regions[k].split(j, s)
+    lcol = membership_column(d.features, left, sigma)
+    rcol = membership_column(d.features, right, sigma)
+    V = np.column_stack([V[:, :k], lcol, rcol, V[:, k + 1 :]])
+    return V, regions[:k] + (left, right) + regions[k + 1 :]
+
+
 class Leaf(NamedTuple):
     region: Region
     gamma: float
@@ -390,8 +427,8 @@ class PRTree:
 
     @classmethod
     def from_dict(cls, obj: dict, feature_names=()) -> "PRTree":
-        nodes = FlatTree(**{f.name: obj[f.name] for f in fields(FlatTree)})
-        return cls(nodes, np.array(obj["sigma"], dtype=float), tuple(feature_names))
+        sigma = np.array(obj["sigma"], dtype=float)
+        return cls(FlatTree.from_dict(obj, sigma.size), sigma, tuple(feature_names))
 
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
@@ -402,7 +439,6 @@ class PRTree:
 @dataclass
 class _FitLeaf:
     node: int
-    region: Region
     rows: np.ndarray
     depth: int
     vars: list[int] | None = None
@@ -413,7 +449,6 @@ def fit_prtree(
     sigma,
     rule: StoppingRule = StoppingRule(),
     features=None,
-    n_candidate_vars: int = 3,
     target=None,
 ) -> PRTree:
     """Grow a PR tree greedily: each iteration applies the single best
@@ -435,8 +470,10 @@ def fit_prtree(
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
 
+    # leaves[k], regions[k] and column k of V describe the same leaf
     nodes = FlatTree.leaf()
-    leaves = [_FitLeaf(0, Region.root(d.p), np.arange(n), 0)]
+    leaves = [_FitLeaf(0, np.arange(n), 0)]
+    regions = (Region.root(d.p),)
     V = np.ones((n, 1))
     gamma = fit_weights(V, y)
     resid = y - V @ gamma
@@ -453,10 +490,10 @@ def fit_prtree(
             if fl.rows.size < 2 * min_count:
                 continue
             if fl.vars is None:
-                fl.vars = candidate_variables(d, fl.rows, n_candidate_vars, features)
+                fl.vars = candidate_variables(d, fl.rows, 3, features)
             if not fl.vars:
                 continue
-            found = find_best_split(d, V, fl.region, y, idx, fl.vars, sigma, rule, fl.rows)
+            found = find_best_split(d, V, regions[idx], y, idx, fl.vars, sigma, rule, fl.rows)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))
@@ -466,10 +503,7 @@ def fit_prtree(
         _, idx, j, s = chosen
 
         fl = leaves[idx]
-        left_r, right_r = fl.region.split(j, s)
-        lcol = membership_column(d.features, left_r, sigma)
-        rcol = membership_column(d.features, right_r, sigma)
-        V_new = np.column_stack([V[:, :idx], lcol, rcol, V[:, idx + 1 :]])
+        V_new, regions_new = split_membership_column(V, regions, idx, j, s, d, sigma)
         gamma_new = fit_weights(V_new, y)
         resid = y - V_new @ gamma_new
         sse_new = float(resid @ resid)
@@ -479,13 +513,12 @@ def fit_prtree(
         go_left = d.features[fl.rows, j] <= s
         lnode, rnode = nodes.grow(fl.node, int(j), float(s))
         leaves[idx : idx + 1] = [
-            _FitLeaf(lnode, left_r, fl.rows[go_left], fl.depth + 1),
-            _FitLeaf(rnode, right_r, fl.rows[~go_left], fl.depth + 1),
+            _FitLeaf(lnode, fl.rows[go_left], fl.depth + 1),
+            _FitLeaf(rnode, fl.rows[~go_left], fl.depth + 1),
         ]
-        V, gamma, sse_cur = V_new, gamma_new, sse_new
+        V, regions, gamma, sse_cur = V_new, regions_new, gamma_new, sse_new
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_cur)
 
-    gamma = fit_weights(V, y)
     for fl, g in zip(leaves, gamma):
         nodes.value[fl.node] = float(g)
     return PRTree(nodes, sigma, d.feature_names)

@@ -28,7 +28,7 @@ from conftest import (
 )
 from prtree.data import Dataset, RngSpec, load_csv
 from prtree.evaluate import LearnerSpec, bias_variance, cross_validate, make_cv_plan
-from prtree.kernel import build_membership, split_membership_column
+from prtree.kernel import build_membership
 from prtree.pbart import (
     PBartHyper,
     SampledTree,
@@ -41,7 +41,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, fit_prtree, find_best_split
+from prtree.tree import FlatTree, StoppingRule, find_best_split, fit_prtree, split_membership_column
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -433,6 +433,10 @@ def test_criterion_9_cli_determinism(tmp_path):
         "biasvar": ["biasvar", "--model", "rf", "--trees", "1,4", "--trials", "3",
                     "--data", str(csv_path), "--target", "y", "--seed", "9",
                     "--sigma", "0.5"],
+        "fit-pbart": ["fit", "--model", "pbart", "--trees", "3", "--iters", "20",
+                      "--burn", "5", "--data", str(csv_path), "--target", "y", "--seed", "9"],
+        "predict": ["predict", "--model-file", str(tmp_path / "fit-pbart_0.out"),
+                    "--data", str(csv_path), "--target", "y"],
     }
     # Run the CLI from the source tree these tests import, not whatever copy
     # (if any) is installed: a relative PYTHONPATH would resolve against cwd.

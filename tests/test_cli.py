@@ -10,7 +10,7 @@ from prtree.data import RngSpec, load_csv
 from prtree.ensemble import BoostedEnsemble, Forest
 from prtree.evaluate import LearnerSpec, fit_model, tune_on_holdout
 from prtree.pbart import PBartChain, PBartHyper
-from prtree.tree import SCHEMA, PRTree
+from prtree.tree import SCHEMA, FlatTree, PRTree
 
 # A tree file in the layout before model files carried a schema: nested node
 # records, each leaf storing its region with non-standard infinite bounds.
@@ -20,6 +20,23 @@ UNVERSIONED_TREE = (
     '{"kind": "leaf", "gamma": 1.0, "lower": [-Infinity, -Infinity], "upper": [0.5, Infinity]}, '
     '{"kind": "leaf", "gamma": 2.0, "lower": [0.5, -Infinity], "upper": [Infinity, Infinity]}]}'
 )
+
+
+# A P-BART file in the prtree/2 layout: each snapshot tree stored as its
+# leaves' weights and region bounds, with non-standard infinite bounds.
+PRTREE2_PBART = (
+    '{"schema": "prtree/2", "kind": "pbart", "feature_names": ["a", "b"], '
+    '"hyper": {"m": 1, "alpha": 0.95, "beta": 2.0, "nu": 3.0, "lam": 1.0, "sigma_gamma": 0.25, '
+    '"it_burn": 0, "it_max": 1, "move_probs": [0.25, 0.25, 0.25, 0.25]}, '
+    '"sigma": [0.0, 0.0], "y_offset": 0.0, "y_scale": 1.0, "sigma_trace": [1.0], '
+    '"acceptance_log": {}, "snapshots": [[{"gammas": [1.0, 2.0], '
+    '"lower": [[-Infinity, -Infinity], [0.5, -Infinity]], '
+    '"upper": [[0.5, Infinity], [Infinity, Infinity]]}]]}'
+)
+
+# Node arrays of a split at 0.5 on feature 0 into leaves of weight 1 and 2.
+STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
+         "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
 
 
 def _standard_json(text):
@@ -240,7 +257,7 @@ def test_model_file_of_another_schema_is_rejected(tmp_path, data_csv, capsys, mo
                  "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
                  "--out", str(model_path)]) == 0
     text = model_path.read_text()
-    obj = _standard_json(text) if model != "pbart" else json.loads(text)
+    obj = _standard_json(text)
     assert obj["schema"] == SCHEMA
     cls.from_json(text)
     for found in (None, "prtree/1"):
@@ -267,3 +284,85 @@ def test_unversioned_tree_file_is_rejected(tmp_path, data_csv, capsys):
     assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
                  "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
     assert message in capsys.readouterr().err
+
+
+def test_prtree2_pbart_file_is_rejected(tmp_path, data_csv, capsys):
+    message = f"schema 'prtree/2', expected {SCHEMA!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PBartChain.from_json(PRTREE2_PBART)
+    model_path = tmp_path / "old.json"
+    model_path.write_text(PRTREE2_PBART)
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def _stump_file(kind, **change):
+    """A tree or a one-snapshot P-BART file over features a and b whose
+    (first) tree is STUMP with the arrays in `change` replaced."""
+    nodes = FlatTree(**STUMP)
+    if kind == "tree":
+        text = PRTree(nodes, np.zeros(2), ("a", "b")).to_json()
+    else:
+        text = PBartChain(trees=[[nodes]], sigma_trace=np.ones(1), acceptance_log={},
+                          sigma=np.zeros(2), y_offset=0.0, y_scale=1.0,
+                          hyper=PBartHyper(m=1, lam=1.0, sigma_gamma=0.25),
+                          feature_names=("a", "b")).to_json()
+    obj = json.loads(text)
+    tree = obj if kind == "tree" else obj["snapshots"][0][0]
+    tree.update(change)
+    for key in [k for k, v in change.items() if v is None]:
+        del tree[key]
+    return json.dumps(obj)
+
+
+ONCE = "every node but the root must be a child exactly once"
+BAD_TREES = {
+    "both children are node 1": ({"left": [1, -1, -1], "right": [1, -1, -1]}, ONCE),
+    "child out of range": ({"right": [3, -1, -1]}, ONCE),
+    "child is the root": ({"right": [0, -1, -1]}, "node 0 has feature 0 and children [1, 0]"),
+    "missing threshold": ({"threshold": None}, "malformed node arrays: KeyError('threshold')"),
+    "unequal lengths": ({"value": [0.0, 1.0]}, "non-empty and of equal length"),
+    "leaf with a child": ({"left": [1, 2, -1]}, "node 1 has feature -1 and children [2, -1]"),
+    "feature out of range": ({"feature": [2, -1, -1]}, "node 0 has feature 2 and children"),
+    "fractional feature": ({"feature": [0.5, -1, -1]}, "malformed node arrays: TypeError"),
+    # nodes 3 and 4 are each other's child, unreachable from the root
+    "unreachable loop": (
+        {"feature": [0, -1, -1, 0, 1, -1, -1], "threshold": [0.5, 0, 0, 0.1, 0.2, 0, 0],
+         "left": [1, -1, -1, 4, 3, -1, -1], "right": [2, -1, -1, 5, 6, -1, -1],
+         "value": [0, 1, 2, 0, 0, 3, 4]},
+        "node 4 has feature 1 and children [3, 6]",
+    ),
+    "threshold outside the region": (
+        {"feature": [0, 0, -1, -1, -1], "threshold": [0.5, 0.7, 0, 0, 0],
+         "left": [1, 3, -1, -1, -1], "right": [2, 4, -1, -1, -1], "value": [0, 0, 1, 2, 3]},
+        "split value 0.7 outside open interval (-inf, 0.5)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TREES))
+@pytest.mark.parametrize("kind,cls", [("tree", PRTree), ("pbart", PBartChain)])
+def test_malformed_node_arrays_are_rejected(tmp_path, data_csv, capsys, kind, cls, case):
+    cls.from_json(_stump_file(kind))
+    change, message = BAD_TREES[case]
+    text = _stump_file(kind, **change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls.from_json(text)
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(text)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_model_file_that_is_not_an_object_is_rejected(tmp_path, data_csv, capsys):
+    for cls in (PRTree, PBartChain):
+        with pytest.raises(ValueError, match="a model file holds a JSON object"):
+            cls.from_json("[1, 2]")
+    model_path = tmp_path / "array.json"
+    model_path.write_text("[1, 2]")
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert "a model file holds a JSON object" in capsys.readouterr().err

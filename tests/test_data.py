@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -83,14 +81,6 @@ def test_scaler_statistics():
     Z = sc.transform(X)
     assert np.allclose(Z[:, 0], [-1.0, 0.0, 1.0])
     assert np.allclose(Z[:, 1], 0.0)
-
-
-def test_scaler_json_roundtrip():
-    sc = StandardScaler().fit(np.random.default_rng(0).normal(size=(10, 3)))
-    sc2 = StandardScaler.from_json(sc.to_json())
-    assert np.array_equal(sc.mean, sc2.mean)
-    assert np.array_equal(sc.std, sc2.std)
-    json.loads(sc.to_json())  # stays valid JSON
 
 
 def test_standard_scale_dataset():

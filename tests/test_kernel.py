@@ -10,9 +10,9 @@ from prtree.kernel import (
     membership_columns,
     normal_cdf,
     psi,
-    split_membership_column,
 )
 from prtree.regions import Region
+from prtree.tree import split_membership_column
 
 
 def _normal_pdf(t):

@@ -405,9 +405,8 @@ def test_fit_pbart_single_leaf_posterior_mean():
 
 
 def test_predict_single_leaf_unscaling():
-    region = Region.root(1)
     chain = PBartChain(
-        snapshots=[[((region,), np.array([0.25]))]],
+        trees=[[FlatTree.leaf(0.25)]],
         sigma_trace=np.array([1.0]),
         acceptance_log={},
         sigma=np.zeros(1),
@@ -420,10 +419,8 @@ def test_predict_single_leaf_unscaling():
 
 
 def test_predict_averages_snapshots():
-    region = Region.root(1)
-    mk = lambda g: [((region,), np.array([g]))]
     chain = PBartChain(
-        snapshots=[mk(0.0), mk(1.0)],
+        trees=[[FlatTree.leaf(0.0)], [FlatTree.leaf(1.0)]],
         sigma_trace=np.array([1.0, 1.0]),
         acceptance_log={},
         sigma=np.zeros(1),
@@ -441,9 +438,9 @@ def test_predict_equals_mean_of_per_snapshot_predictions(small_data):
     chain = fit_pbart(small_data, hyper, sigma, RngSpec(3))
     X = small_data.features[:10]
     per_snap = []
-    for snap in chain.snapshots:
+    for snap in chain.trees:
         single = PBartChain(
-            snapshots=[snap],
+            trees=[snap],
             sigma_trace=chain.sigma_trace,
             acceptance_log={},
             sigma=chain.sigma,
@@ -496,6 +493,24 @@ def test_chain_json_roundtrip(small_data):
     X = small_data.features[:7]
     assert np.array_equal(chain.predict(X), again.predict(X))
     assert chain.to_json() == again.to_json()
+    assert chain.trees == again.trees
+
+
+def test_reloaded_chain_snapshots_equal_fitted(small_data):
+    sigma = 0.3 * small_data.features.std(axis=0, ddof=1)
+    chain = fit_pbart(small_data, PBartHyper(m=5, it_burn=5, it_max=15), sigma, RngSpec(4))
+    again = PBartChain.from_json(chain.to_json())
+
+    def as_bytes(c):
+        return [
+            [([r.lower.tobytes() + r.upper.tobytes() for r in regions], gammas.tobytes())
+             for regions, gammas in snap]
+            for snap in c.snapshots
+        ]
+
+    got = as_bytes(again)
+    assert got == as_bytes(chain) and len(got) == 10 and all(len(s) == 5 for s in got)
+    assert any(len(regions) > 1 for snap in got for regions, _ in snap)
 
 
 def test_predict_dimension_mismatch(small_data):
