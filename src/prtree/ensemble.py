@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, RngSpec
-from .tree import PRTree, StoppingRule, fit_prtree, model_json, read_model_json
+from .tree import PRTree, StoppingRule, fit_prtree, model_json, model_value, read_model_json
 
 log = logging.getLogger(__name__)
 
@@ -46,11 +46,11 @@ class Forest:
     @classmethod
     def from_json(cls, text: str) -> "Forest":
         obj = read_model_json(text, "forest")
-        names = tuple(obj.get("feature_names", ()))
+        names = obj["feature_names"]
         return cls(
-            trees=[PRTree.from_dict(t, names) for t in obj["trees"]],
-            bootstrap=bool(obj["bootstrap"]),
-            feature_subsets=[tuple(fs) for fs in obj["feature_subsets"]],
+            trees=model_value(obj, "trees", lambda ts: [PRTree.from_dict(t, names) for t in ts]),
+            bootstrap=model_value(obj, "bootstrap", bool),
+            feature_subsets=model_value(obj, "feature_subsets", lambda v: [tuple(fs) for fs in v]),
             feature_names=names,
         )
 
@@ -87,10 +87,10 @@ class BoostedEnsemble:
     @classmethod
     def from_json(cls, text: str) -> "BoostedEnsemble":
         obj = read_model_json(text, "gbt")
-        names = tuple(obj.get("feature_names", ()))
+        names = obj["feature_names"]
         return cls(
-            trees=[PRTree.from_dict(t, names) for t in obj["trees"]],
-            shrinkage=float(obj["shrinkage"]),
+            trees=model_value(obj, "trees", lambda ts: [PRTree.from_dict(t, names) for t in ts]),
+            shrinkage=model_value(obj, "shrinkage", float),
             feature_names=names,
         )
 

@@ -16,7 +16,9 @@ from scipy.stats import invgamma
 from .data import Dataset, RngSpec, check_features
 from .kernel import membership_column, membership_columns
 from .regions import Region
-from .tree import FlatTree, StoppingRule, model_json, read_model_json, split_candidates
+from .tree import (
+    FlatTree, StoppingRule, model_json, model_value, read_model_json, scales, split_candidates,
+)
 
 log = logging.getLogger(__name__)
 
@@ -448,17 +450,18 @@ class PBartChain:
     @classmethod
     def from_json(cls, text: str) -> "PBartChain":
         obj = read_model_json(text, "pbart")
-        hyper = PBartHyper(**{**obj["hyper"], "move_probs": tuple(obj["hyper"]["move_probs"])})
-        sigma = np.array(obj["sigma"], dtype=float)
+        sigma = model_value(obj, "sigma", scales)
         return cls(
-            trees=[[FlatTree.from_dict(t, sigma.size) for t in snap] for snap in obj["snapshots"]],
-            sigma_trace=np.array(obj["sigma_trace"], dtype=float),
-            acceptance_log=obj["acceptance_log"],
+            trees=model_value(obj, "snapshots", lambda snaps: [
+                [FlatTree.from_dict(t, sigma.size) for t in snap] for snap in snaps]),
+            sigma_trace=model_value(obj, "sigma_trace", scales),
+            acceptance_log=model_value(obj, "acceptance_log", dict),
             sigma=sigma,
-            y_offset=float(obj["y_offset"]),
-            y_scale=float(obj["y_scale"]),
-            hyper=hyper,
-            feature_names=tuple(obj.get("feature_names", ())),
+            y_offset=model_value(obj, "y_offset", float),
+            y_scale=model_value(obj, "y_scale", float),
+            hyper=model_value(obj, "hyper", lambda h: PBartHyper(
+                **{**h, "move_probs": tuple(h["move_probs"])})),
+            feature_names=obj["feature_names"],
         )
 
 

@@ -17,8 +17,7 @@ from .regions import Region
 
 log = logging.getLogger(__name__)
 
-# Relative threshold below which a candidate split's SSE gain is treated as
-# a tie (and as no gain at all when deciding whether to keep growing).
+# Growth stops at a split that lowers the training SSE by <= GAIN_TOL * (1 + SSE).
 GAIN_TOL = 1e-12
 # Singular values below PINV_RCOND * largest are treated as zero.
 PINV_RCOND = 1e-10
@@ -33,7 +32,8 @@ def model_json(obj: dict) -> str:
 
 def read_model_json(text: str, kind: str | None = None) -> dict:
     """The object of a model file of `kind`, or of any kind if None (a file
-    naming no kind holds a tree); a ValueError unless it has this schema."""
+    naming no kind holds a tree), its feature names a tuple (empty if absent);
+    a ValueError unless it has this schema."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a model file holds a JSON object")
@@ -43,7 +43,27 @@ def read_model_json(text: str, kind: str | None = None) -> dict:
         )
     if kind is not None and obj.get("kind", "tree") != kind:
         raise ValueError(f"not a {kind} model")
+    obj.setdefault("feature_names", [])
+    obj["feature_names"] = model_value(obj, "feature_names", tuple)
     return obj
+
+
+def scales(v) -> np.ndarray:
+    """A JSON list of finite non-negative numbers (sigma, sigma_trace) as a
+    float vector."""
+    a = np.array(v, dtype=float) if np.ndim(v) == 1 else None
+    if a is None or not np.all(np.isfinite(a) & (a >= 0)):
+        raise ValueError("expected a list of finite non-negative numbers")
+    return a
+
+
+def model_value(obj, key: str, kind):
+    """kind(obj[key]) for an object of a model file; a ValueError naming the
+    key if obj is no object, lacks the key or holds a value kind rejects."""
+    try:
+        return kind(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"model file key {key!r} missing or malformed: {exc}") from None
 
 
 @dataclass
@@ -213,32 +233,25 @@ def split_candidates(d: Dataset, rows, j: int) -> np.ndarray:
     return (values[:-1] + values[1:]) / 2.0
 
 
-def _pick_best(candidates):
-    """Smallest-SSE candidate; near-ties (relative GAIN_TOL) resolve to the
-    lexicographically smallest remaining fields."""
-    if not candidates:
-        return None
-    best_sse = min(c[0] for c in candidates)
-    tol = GAIN_TOL * (1.0 + abs(best_sse))
-    return min(c for c in candidates if c[0] <= best_sse + tol)
-
-
-def _split_sse_batch(ry, Q, L, R):
-    """SSE of the full refit for each candidate pair of child columns.
+def _split_sse_batch(ry, Q, other, F):
+    """SSE of the full refit for each cut of one coordinate, from the leaf's
+    table (other, F) over [a, cuts, b] (see `_leaf_cuts`).
 
     ry is the target with the span of the untouched columns projected out,
-    Q an orthonormal basis of that span. Each candidate adds two columns;
-    the explained quadratic is solved from the projected 2x2 Gram system.
+    Q an orthonormal basis of that span. Cut i adds the child columns
+    other * (F[:, i+1] - F[:, 0]) and other * (F[:, -1] - F[:, i+1]); the
+    explained quadratic is solved from the projected 2x2 Gram system.
     """
-    if Q is not None and Q.shape[1] > 0:
+    L = other[:, None] * (F[:, 1:-1] - F[:, :1])
+    R = other[:, None] * (F[:, -1:] - F[:, 1:-1])
+    if Q.shape[1] > 0:
         L = L - Q @ (Q.T @ L)
         R = R - Q @ (Q.T @ R)
     base = float(ry @ ry)
     a = np.einsum("ij,ij->j", L, L)
     b = np.einsum("ij,ij->j", L, R)
     c = np.einsum("ij,ij->j", R, R)
-    u = L.T @ ry
-    v = R.T @ ry
+    u, v = L.T @ ry, R.T @ ry
     det = a * c - b * b
     trace = a + c
     safe = det > (PINV_RCOND**2) * trace**2
@@ -250,48 +263,63 @@ def _split_sse_batch(ry, Q, L, R):
         # (near) rank-deficient pair: fall back to a dense 2-column solve
         A = np.column_stack([L[:, i], R[:, i]])
         coef, *_ = np.linalg.lstsq(A, ry, rcond=PINV_RCOND)
-        fit = A @ coef
-        quad[i] = float(ry @ fit)
+        quad[i] = float(ry @ (A @ coef))
     return base - quad
 
 
-def _find_best_hard_split(X, V, y, rows_mask, vars, min_count):
-    """find_best_split when every sigma is 0. The columns of V are then
-    disjoint 0/1 indicators, so a candidate's refit SSE is the other leaves'
-    SSE around their means plus the children's SSE from prefix sums over
-    the split leaf's rows (rows_mask), one sort per coordinate."""
-    xk, yk = X[rows_mask], y[rows_mask]
-    if yk.size < 2 * min_count:
-        return None
-    counts = V.sum(axis=0)
-    means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
-    r = (y - V @ means)[~rows_mask]
-    base = float(r @ r)
-    # the children's SSE is shift-invariant; centring keeps the prefix sums small
-    yk = yk - yk.mean()
-    best = None
+def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int):
+    """The half of find_best_split that depends on the leaf alone, unchanged
+    until the leaf is split: (rows_mask, per-coordinate entries). There is an
+    entry (j, cuts, table) for each j of vars, ascending, with an admissible
+    cut. At sigma = 0 the table is the children's SSE at each cut, from one
+    sort and prefix sums over the leaf's centred target; otherwise it is
+    (other, F), the other coordinates' mass product and F over [a, cuts, b]."""
+    X = d.features
+    mask = np.zeros(d.n, dtype=bool)
+    mask[rows] = True
+    entries = []
+    if np.count_nonzero(mask) < 2 * min_count:
+        return mask, entries
+    if not sigma.any():
+        # the children's SSE is shift-invariant; centring keeps the prefix sums small
+        xk, yk = X[mask], y[mask] - y[mask].mean()
+        for j in sorted(vars):
+            order = np.argsort(xk[:, j], kind="stable")
+            vs = xk[order, j]
+            after, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[order])
+            ok = (after + 1 >= min_count) & (yk.size - after - 1 >= min_count)
+            if ok.any():
+                after = after[ok]
+                entries.append((j, (vs[after] + vs[after + 1]) / 2.0, sse_l[ok] + sse_r[ok]))
+        return mask, entries
+    rows = np.flatnonzero(mask)
+    masses = [(jj, interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj]))
+              for jj in region.bounded()]
     for j in sorted(vars):
-        order = np.argsort(xk[:, j], kind="stable")
-        vs = xk[order, j]
-        after, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[order])
-        n_left = after + 1
-        ok = (n_left >= min_count) & (yk.size - n_left >= min_count)
-        if not ok.any():
+        cuts = split_candidates(d, rows, j)
+        inleaf = np.sort(X[rows, j])
+        left_cnt = np.searchsorted(inleaf, cuts, side="right")
+        cuts = cuts[(left_cnt >= min_count) & (inleaf.size - left_cnt >= min_count)]
+        if cuts.size == 0:
             continue
-        after = after[ok]
-        sse = base + (sse_l[ok] + sse_r[ok])
-        # argmin keeps the first (smallest) cut among exact ties, and the
-        # strict < keeps the smallest j: the same order as _pick_best
-        i = int(np.argmin(sse))
-        if best is None or sse[i] < best[2]:
-            s = (vs[after[i]] + vs[after[i] + 1]) / 2.0
-            best = (j, float(s), float(sse[i]))
-    return best
+        # a child column is the product of the other coordinates' masses
+        # times the j-th coordinate's mass over (a, s] resp. (s, b]
+        other = np.ones(d.n)
+        for jj, mass in masses:
+            if jj != j:
+                other *= mass
+        # F at a, every cut and b: the indicator 1{x_j <= t} at sigma_j = 0,
+        # else Phi; exactly 0 and 1 at infinite a and b
+        t = np.concatenate(([region.lower[j]], cuts, [region.upper[j]]))
+        xj = X[:, j, None]
+        F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
+        entries.append((j, cuts, (other, F)))
+    return mask, entries
 
 
 def find_best_split(
     d: Dataset, V: np.ndarray, region: Region, y, k: int, vars, sigma, rule: StoppingRule,
-    rows=None,
+    rows=None, cuts=None,
 ):
     """Best (coordinate, cut) for leaf k, whose region is `region` and whose
     membership is column k of V, by refit SSE over all admissible candidates,
@@ -300,64 +328,42 @@ def find_best_split(
     Cuts are the midpoints between consecutive distinct values of leaf k's
     hard-assigned rows that leave at least rule.min_count(n) rows on each
     side; `rows`, when given, are their indices (else `Region.contains` finds
-    them among all n rows). Two paths compute the same refit SSE:
+    them among all n rows). `cuts`, when given, is `_leaf_cuts` of this leaf,
+    which a fit keeps until the leaf is split; only the half of the search
+    that depends on the other leaves is then computed here:
 
-    - every sigma is 0: the leaves are disjoint indicators, and the SSE
-      comes from one sort and prefix sums per coordinate (O(n_k log n_k));
+    - every sigma is 0: the leaves are disjoint indicators, and a cut's SSE
+      is the other leaves' SSE around their means (O(n K)) plus the children's;
     - otherwise (soft or mixed sigma): dense child columns for every cut,
       projected off a QR basis of the other leaves (O(n x #cuts)).
     """
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
-    n, K = V.shape
-    min_count = rule.min_count(n)
-    if rows is None:
-        rows = np.flatnonzero(region.contains(d.features))
-    if not sigma.any():
-        rows_mask = np.zeros(n, dtype=bool)
-        rows_mask[rows] = True
-        return _find_best_hard_split(d.features, V, y, rows_mask, vars, min_count)
-    B = np.delete(V, k, axis=1)
-    if K > 1:
-        Q, _ = np.linalg.qr(B)
-        ry = y - Q @ (Q.T @ y)
-    else:
-        Q, ry = None, y.copy()
-
-    X = d.features
-    masses = [(jj, interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj]))
-              for jj in region.bounded()]
-    candidates = []
-    for j in sorted(vars):
-        a, b = region.lower[j], region.upper[j]
-        cuts = split_candidates(d, rows, j)
-        inleaf = np.sort(X[rows, j])
-        left_cnt = np.searchsorted(inleaf, cuts, side="right")
-        ok = (left_cnt >= min_count) & (inleaf.size - left_cnt >= min_count)
-        cuts = cuts[ok]
-        if cuts.size == 0:
-            continue
-        # child columns = (product of the other coordinates' masses) times
-        # the j-th coordinate's mass over (a, s] resp. (s, b]
-        other = np.ones(n)
-        for jj, mass in masses:
-            if jj != j:
-                other *= mass
-        # F at a, every cut and b: the indicator 1{x_j <= t} at sigma_j = 0,
-        # else Phi; exactly 0 and 1 at infinite a and b
-        t = np.concatenate(([a], cuts, [b]))
-        xj = X[:, j, None]
-        F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        L = other[:, None] * (F[:, 1:-1] - F[:, :1])
-        R = other[:, None] * (F[:, -1:] - F[:, 1:-1])
-        sse = _split_sse_batch(ry, Q, L, R)
-        for s, val in zip(cuts, sse):
-            candidates.append((float(val), j, float(s)))
-
-    best = _pick_best(candidates)
-    if best is None:
+    if cuts is None:
+        if rows is None:
+            rows = np.flatnonzero(region.contains(d.features))
+        cuts = _leaf_cuts(d, region, y, rows, vars, sigma, rule.min_count(V.shape[0]))
+    mask, entries = cuts
+    if not entries:
         return None
-    return best[1], best[2], best[0]
+    if not sigma.any():
+        counts = V.sum(axis=0)
+        means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
+        r = (y - V @ means)[~mask]
+        base = float(r @ r)
+    else:
+        # an orthonormal basis of the other leaves' columns (none for the root)
+        Q, _ = np.linalg.qr(np.delete(V, k, axis=1))
+        ry = y - Q @ (Q.T @ y)
+    best = None
+    for j, s, table in entries:
+        sse = base + table if not sigma.any() else _split_sse_batch(ry, Q, *table)
+        # argmin keeps the first (smallest) cut among exact ties, and the
+        # strict < the smallest j: the order of min over (sse, j, s)
+        i = int(np.argmin(sse))
+        if best is None or sse[i] < best[2]:
+            best = (j, float(s[i]), float(sse[i]))
+    return best
 
 
 def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
@@ -427,13 +433,13 @@ class PRTree:
 
     @classmethod
     def from_dict(cls, obj: dict, feature_names=()) -> "PRTree":
-        sigma = np.array(obj["sigma"], dtype=float)
+        sigma = model_value(obj, "sigma", scales)
         return cls(FlatTree.from_dict(obj, sigma.size), sigma, tuple(feature_names))
 
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
         obj = read_model_json(text, "tree")
-        return cls.from_dict(obj, obj.get("feature_names", ()))
+        return cls.from_dict(obj, obj["feature_names"])
 
 
 @dataclass
@@ -442,6 +448,7 @@ class _FitLeaf:
     rows: np.ndarray
     depth: int
     vars: list[int] | None = None
+    cuts: tuple | None = None  # _leaf_cuts of vars, kept until the leaf is split
 
 
 def fit_prtree(
@@ -491,13 +498,16 @@ def fit_prtree(
                 continue
             if fl.vars is None:
                 fl.vars = candidate_variables(d, fl.rows, 3, features)
+                fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count)
             if not fl.vars:
                 continue
-            found = find_best_split(d, V, regions[idx], y, idx, fl.vars, sigma, rule, fl.rows)
+            found = find_best_split(d, V, regions[idx], y, idx, fl.vars, sigma, rule, fl.rows,
+                                    fl.cuts)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))
-        chosen = _pick_best(options)
+        # ties in sse go to the smaller leaf index, then j, then s
+        chosen = min(options, default=None)
         if chosen is None:
             break
         _, idx, j, s = chosen

@@ -366,3 +366,58 @@ def test_model_file_that_is_not_an_object_is_rejected(tmp_path, data_csv, capsys
     assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
                  "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
     assert "a model file holds a JSON object" in capsys.readouterr().err
+
+
+def _model_file(kind):
+    """A tree, forest, gbt or one-snapshot P-BART file over features a and b
+    whose trees are STUMP."""
+    if kind in ("tree", "pbart"):
+        return _stump_file(kind)
+    trees = [PRTree(FlatTree(**STUMP), np.zeros(2), ("a", "b"))]
+    if kind == "forest":
+        return Forest(trees, feature_subsets=[(0, 1)], feature_names=("a", "b")).to_json()
+    return BoostedEnsemble(trees, 0.5, ("a", "b")).to_json()
+
+
+def _set(key, value):
+    def change(obj):
+        obj[key] = value
+    return change
+
+
+BAD_KEYS = {
+    "tree without sigma": ("tree", lambda obj: obj.pop("sigma"), "sigma"),
+    "tree with a text sigma": ("tree", _set("sigma", "wide"), "sigma"),
+    "tree with numeric names": ("tree", _set("feature_names", 7), "feature_names"),
+    "forest tree as an array": ("forest", lambda obj: obj["trees"].__setitem__(0, [1, 2]),
+                                "trees"),
+    "forest without bootstrap": ("forest", lambda obj: obj.pop("bootstrap"), "bootstrap"),
+    "gbt with a list shrinkage": ("gbt", _set("shrinkage", [0.5]), "shrinkage"),
+    "pbart without hyper": ("pbart", lambda obj: obj.pop("hyper"), "hyper"),
+    "pbart without move_probs": ("pbart", lambda obj: obj["hyper"].pop("move_probs"), "hyper"),
+    "pbart without sigma_trace": ("pbart", lambda obj: obj.pop("sigma_trace"), "sigma_trace"),
+    "pbart with a nested sigma": ("pbart", _set("sigma", [[0.0, 0.0]]), "sigma"),
+    # a negative or NaN sigma would load and predict wrong numbers
+    "tree with a negative sigma": ("tree", _set("sigma", [-0.2, 0.0]), "sigma"),
+    "pbart with a NaN sigma_trace": ("pbart", _set("sigma_trace", [float("nan")]), "sigma_trace"),
+}
+LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_KEYS))
+def test_missing_or_mistyped_model_keys_are_rejected(tmp_path, data_csv, capsys, case):
+    kind, change, key = BAD_KEYS[case]
+    cls = LOADERS[kind]
+    obj = json.loads(_model_file(kind))
+    cls.from_json(json.dumps(obj))
+    change(obj)
+    text = json.dumps(obj)
+    message = f"model file key {key!r} missing or malformed"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cls.from_json(text)
+    model_path = tmp_path / "bad.json"
+    model_path.write_text(text)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
+    assert message in capsys.readouterr().err

@@ -6,6 +6,8 @@ from prtree.data import Dataset
 from prtree.kernel import build_membership
 from prtree.regions import Region
 from prtree.tree import (
+    GAIN_TOL,
+    FlatTree,
     PRTree,
     StoppingRule,
     candidate_variables,
@@ -13,6 +15,7 @@ from prtree.tree import (
     fit_prtree,
     fit_weights,
     split_candidates,
+    split_membership_column,
 )
 
 
@@ -174,6 +177,85 @@ def test_find_best_split_none_when_no_admissible_cut():
     V = build_membership(d, [Region.root(1)], np.zeros(1))
     rule = StoppingRule()
     assert find_best_split(d, V, Region.root(1), d.target, 0, [0], np.zeros(1), rule) is None
+
+
+def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
+    # identical columns at equal sigma give bitwise equal SSEs: j = 0 wins
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 3))
+    X[:, 1] = X[:, 0]
+    d = Dataset(X, 4.0 * np.sign(X[:, 0]) + rng.normal(size=40), ("a", "b", "c"))
+    sigma = np.full(3, 0.3)
+    root = Region.root(3)
+    V = build_membership(d, [root], sigma)
+    rule = StoppingRule()
+    j, s, sse = find_best_split(d, V, root, d.target, 0, [1, 0], sigma, rule)
+    assert j == 0
+    assert find_best_split(d, V, root, d.target, 0, [1], sigma, rule) == (1, s, sse)
+    # a zero target makes every candidate's SSE exactly 0: the smallest
+    # admissible cut of coordinate 0 wins
+    zero = Dataset(X, np.zeros(40), ("a", "b", "c"))
+    first = np.sort(X[:, 0])[rule.min_count(40) - 1 : rule.min_count(40) + 1].mean()
+    assert find_best_split(zero, V, root, zero.target, 0, [2, 1, 0], sigma, rule) == (
+        0, first, 0.0)
+
+
+def _regrow_without_cache(d, sigma, rule, features=None, target=None):
+    """fit_prtree's greedy growth, but with find_best_split computing every
+    leaf's candidates afresh in every round."""
+    if target is not None:
+        d = Dataset(d.features, target, d.feature_names)
+    y, n = d.target, d.n
+    nodes, leaves, regions = FlatTree.leaf(), [(0, np.arange(n), 0)], (Region.root(d.p),)
+    V = np.ones((n, 1))
+    resid = y - V @ fit_weights(V, y)
+    sse_cur = float(resid @ resid)
+    min_count = rule.min_count(n)
+    while rule.max_leaves is None or len(leaves) < rule.max_leaves:
+        options = []
+        for idx, (_, rows, depth) in enumerate(leaves):
+            if rows.size < 2 * min_count or (rule.max_depth is not None
+                                             and depth >= rule.max_depth):
+                continue
+            vars = candidate_variables(d, rows, 3, features)
+            if not vars:
+                continue
+            found = find_best_split(d, V, regions[idx], y, idx, vars, sigma, rule, rows)
+            if found is not None:
+                options.append((found[2], idx, found[0], found[1]))
+        if not options:
+            break
+        _, idx, j, s = min(options)
+        V_new, regions_new = split_membership_column(V, regions, idx, j, s, d, sigma)
+        resid = y - V_new @ fit_weights(V_new, y)
+        sse_new = float(resid @ resid)
+        if sse_cur - sse_new <= GAIN_TOL * (1.0 + sse_cur):
+            break
+        node, rows, depth = leaves[idx]
+        go_left = d.features[rows, j] <= s
+        lnode, rnode = nodes.grow(node, int(j), float(s))
+        leaves[idx : idx + 1] = [(lnode, rows[go_left], depth + 1),
+                                 (rnode, rows[~go_left], depth + 1)]
+        V, regions, sse_cur = V_new, regions_new, sse_new
+    for (node, _, _), g in zip(leaves, fit_weights(V, y)):
+        nodes.value[node] = float(g)
+    return PRTree(nodes, sigma, d.feature_names)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "mixed"])
+def test_cached_leaf_candidates_grow_the_uncached_tree(kind):
+    rng = np.random.default_rng(21)
+    d = random_dataset(rng, 150, 4)
+    d = Dataset(np.round(d.features, 1), d.target, d.feature_names)
+    std = d.features.std(axis=0, ddof=1)
+    sigma = {"hard": np.zeros(4), "soft": 0.3 * std, "mixed": [0.3, 0.0, 0.2, 0.0] * std}[kind]
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    residual = d.target - np.sin(d.features[:, 1])
+    for features, target in ((None, None), ([0, 2, 3], None), (None, residual)):
+        want = _regrow_without_cache(d, sigma, rule, features, target)
+        got = fit_prtree(d, sigma, rule, features=features, target=target)
+        assert want.leaf_count >= 8
+        assert got.to_json() == want.to_json()
 
 
 def test_hard_tree_equals_cart_oracle():
