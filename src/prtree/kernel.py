@@ -25,12 +25,14 @@ def interval_mass(x: np.ndarray, a: float, b: float, sigma: float) -> np.ndarray
     F(b) - F(a), with F the CDF Phi((t - x) / sigma), or the indicator
     1{x <= t} at sigma = 0 (so the mass is then 1{a < x <= b}).
 
-    Infinite bounds need no special case: F is exactly 0 at -inf and 1 at +inf.
+    F is 1.0 at +inf and 0.0 at -inf, exactly what Phi returns there, so Phi
+    is evaluated at finite bounds only.
     """
     x = np.asarray(x, dtype=float)
     if sigma == 0.0:
         return (x <= b).astype(float) - (x <= a)
-    return normal_cdf((b - x) / sigma) - normal_cdf((a - x) / sigma)
+    hi = normal_cdf((b - x) / sigma) if b < np.inf else np.ones_like(x)
+    return hi - normal_cdf((a - x) / sigma) if a > -np.inf else hi
 
 
 def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.ndarray:

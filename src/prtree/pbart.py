@@ -73,56 +73,93 @@ class PBartHyper:
         return replace(self, lam=lam, sigma_gamma=sg)
 
 
+class _Node:
+    """What a node's split path from the root fixes: its depth, region and hard
+    rows, and on demand its admissible coordinates, cuts and column at (X, sigma)."""
+
+    __slots__ = ("depth", "region", "rows", "adm", "cuts", "col")
+
+    def __init__(self, depth: int, region: Region, rows: np.ndarray):
+        self.depth, self.region, self.rows = depth, region, rows
+        self.adm, self.cuts, self.col = None, {}, None
+
+    def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
+        go_left = d.features[self.rows, j] <= s
+        lo, hi = self.region.split(j, s)
+        return (_Node(self.depth + 1, lo, self.rows[go_left]),
+                _Node(self.depth + 1, hi, self.rows[~go_left]))
+
+    def admissible(self, d: Dataset) -> list[int]:
+        """Coordinates with at least two distinct values over the rows."""
+        if self.adm is None:
+            X = np.sort(d.features[self.rows], axis=0)
+            self.adm = np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
+        return self.adm
+
+    def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
+        if j not in self.cuts:
+            self.cuts[j] = split_candidates(d, self.rows, j)
+        return self.cuts[j]
+
+
 class SampledTree:
     """One tree of the additive model: node arrays plus caches keyed by node
     index, so a move edits a copy of the arrays at the indices the caches give.
 
     `refresh` recomputes the caches from the arrays and reports whether the
     tree is structurally valid (every split value strictly inside its
-    region, every leaf at least `min_count` hard rows). Rows are carried down
-    from the root, rows with x_j <= s going left, which is exactly
-    `Region.contains` on each child. Leaves, their regions and the internal
-    nodes are listed in preorder."""
+    region, every leaf at least `min_count` hard rows). Leaves and internal
+    nodes are listed in preorder; `at` maps a node index to its `_Node`.
+    Copies share the `_Node`s by split path, so a refresh builds only those
+    whose path a move changed, rows carried down from the parent (x_j <= s
+    going left, exactly `Region.contains`). `membership` keeps leaf columns
+    only at `fit_inputs`, the fit's own (X, sigma) arrays."""
 
-    def __init__(self, nodes: FlatTree):
-        self.nodes = nodes
-        self.leaves: list[int] = []
-        self.regions: list[Region] = []
-        self.leaf_depths: list[int] = []
-        self.leaf_rows: list[np.ndarray] = []
-        self.internals: list[tuple[int, int, np.ndarray]] = []
-        self.pairs: list[tuple[int, int]] = []
-        self.node_cuts: dict[int, int] = {}
+    def __init__(self, nodes: FlatTree, fit_inputs: tuple | None = None):
+        self.nodes, self.fit_inputs, self.data, self.paths = nodes, fit_inputs, None, {}
+        self.at, self.leaves, self.internals, self.pairs = {}, [], [], []
 
     def copy(self) -> "SampledTree":
-        """A tree on copies of the arrays, with empty caches: node indices
+        """A tree on copies of the arrays, sharing the `_Node`s: node indices
         of this tree locate the same nodes in the copy until it is edited."""
-        return SampledTree(self.nodes.copy())
+        t = SampledTree(self.nodes.copy(), self.fit_inputs)
+        t.data, t.paths = self.data, self.paths
+        return t
 
     def refresh(self, d: Dataset, min_count: int) -> bool:
-        self.leaves, self.regions, self.leaf_depths, self.leaf_rows = [], [], [], []
-        self.internals, self.pairs, self.node_cuts = [], [], {}
+        # paths: the root under (), a split's children under (its path, j, s),
+        # the children's own paths being (that key, 0) and (that key, 1)
+        old = self.paths if self.data is d else {}
+        self.data, self.paths, self.at = d, {}, {}
+        self.leaves, self.internals, self.pairs = [], [], []
         feature, threshold = self.nodes.feature, self.nodes.threshold
         left, right = self.nodes.left, self.nodes.right
-        rows_of = {0: np.arange(d.n)}
-        for i, depth, region in self.nodes.walk(d.p):
-            rows, j, s = rows_of.pop(i), feature[i], threshold[i]
+        self.paths[()] = root = old.get(()) or _Node(0, Region.root(d.p), np.arange(d.n))
+        stack = [(0, (), root)]
+        while stack:
+            i, path, node = stack.pop()
+            self.at[i], j, s = node, feature[i], threshold[i]
             if j < 0:
                 self.leaves.append(i)
-                self.regions.append(region)
-                self.leaf_depths.append(depth)
-                self.leaf_rows.append(rows)
-                if rows.size < min_count:
+                if node.rows.size < min_count:
                     return False
                 continue
-            if not (region.lower[j] < s < region.upper[j]):
+            if not (node.region.lower[j] < s < node.region.upper[j]):
                 return False
-            self.internals.append((i, depth, rows))
-            self.node_cuts[i] = split_candidates(d, rows, j).size
+            self.internals.append(i)
             self.pairs += [(i, c) for c in (left[i], right[i]) if feature[c] >= 0]
-            go_left = d.features[rows, j] <= s
-            rows_of[left[i]], rows_of[right[i]] = rows[go_left], rows[~go_left]
+            key = (path, j, s)
+            self.paths[key] = lo, hi = old.get(key) or node.split(d, j, s)
+            stack += [(right[i], (key, 1), hi), (left[i], (key, 0), lo)]
         return True
+
+    @property
+    def regions(self) -> list[Region]:
+        return [self.at[i].region for i in self.leaves]
+
+    def n_cuts(self, i: int) -> int:
+        """split_candidates count of internal node i's coordinate over its rows."""
+        return self.at[i].cuts_on(self.data, self.nodes.feature[i]).size
 
     @property
     def k(self) -> int:
@@ -136,36 +173,32 @@ class SampledTree:
             self.nodes.value[i] = float(g)
 
     def membership(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        return np.column_stack([membership_column(X, r, sigma) for r in self.regions])
+        fit = self.fit_inputs
+        if fit is None or X is not fit[0] or sigma is not fit[1]:
+            return np.column_stack([membership_column(X, r, sigma) for r in self.regions])
+        for node in (self.at[i] for i in self.leaves if self.at[i].col is None):
+            node.col = membership_column(X, node.region, sigma)
+        return np.column_stack([self.at[i].col for i in self.leaves])
 
     def prunable(self) -> list[int]:
-        """Indices into `internals` of the nodes whose children are both leaves."""
+        """The internal nodes whose children are both leaves."""
         f, left, right = self.nodes.feature, self.nodes.left, self.nodes.right
-        return [
-            i for i, (node, _, _) in enumerate(self.internals)
-            if f[left[node]] < 0 and f[right[node]] < 0
-        ]
-
-
-def _admissible_vars(d: Dataset, rows: np.ndarray) -> list[int]:
-    """Coordinates with at least two distinct values over rows."""
-    X = np.sort(d.features[rows], axis=0)
-    return np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
+        return [i for i in self.internals if f[left[i]] < 0 and f[right[i]] < 0]
 
 
 def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     """Log prior of a tree topology: depth-decaying split probabilities
     plus uniform split-variable and cut-point factors."""
     total = 0.0
-    p = t.regions[0].p
-    for node, depth, _ in t.internals:
-        total += math.log(alpha / (1.0 + depth) ** beta)
-        n_cuts = t.node_cuts[node]
+    p = t.at[0].region.p
+    for node in t.internals:
+        total += math.log(alpha / (1.0 + t.at[node].depth) ** beta)
+        n_cuts = t.n_cuts(node)
         if n_cuts == 0:
             return -np.inf
         total += -math.log(p) - math.log(n_cuts)
-    for depth in t.leaf_depths:
-        total += math.log1p(-alpha / (1.0 + depth) ** beta)
+    for leaf in t.leaves:
+        total += math.log1p(-alpha / (1.0 + t.at[leaf].depth) ** beta)
     return total
 
 
@@ -235,14 +268,13 @@ def propose_tree(
 
     if kind == GROW:
         i = int(rng.integers(len(t.leaves)))
-        rows, depth = t.leaf_rows[i], t.leaf_depths[i]
-        if rule.max_depth is not None and depth >= rule.max_depth:
+        if rule.max_depth is not None and t.at[t.leaves[i]].depth >= rule.max_depth:
             return invalid
-        adm = _admissible_vars(d, rows)
+        adm = t.at[t.leaves[i]].admissible(d)
         if not adm:
             return invalid
         j = adm[int(rng.integers(len(adm)))]
-        cuts = split_candidates(d, rows, j)
+        cuts = t.at[t.leaves[i]].cuts_on(d, j)
         s = float(cuts[int(rng.integers(cuts.size))])
         star = t.copy()
         star.nodes.grow(t.leaves[i], j, s)
@@ -259,8 +291,7 @@ def propose_tree(
         prunable = t.prunable()
         if not prunable:
             return invalid
-        pick = prunable[int(rng.integers(len(prunable)))]
-        node, _, rows = t.internals[pick]
+        node = prunable[int(rng.integers(len(prunable)))]
         star = t.copy()
         star.nodes.prune(node)
         if not star.refresh(d, min_count):
@@ -268,26 +299,25 @@ def propose_tree(
         log_fwd = _log(move_probs[1]) - math.log(len(prunable))
         log_rev = (
             _log(move_probs[0]) - math.log(len(star.leaves))
-            - math.log(len(_admissible_vars(d, rows))) - math.log(t.node_cuts[node])
+            - math.log(len(t.at[node].admissible(d))) - math.log(t.n_cuts(node))
         )
         return star, log_rev - log_fwd, kind
 
     if kind == CHANGE:
         if not t.internals:
             return invalid
-        pick = int(rng.integers(len(t.internals)))
-        node, _, rows = t.internals[pick]
-        adm = _admissible_vars(d, rows)
+        node = t.internals[int(rng.integers(len(t.internals)))]
+        adm = t.at[node].admissible(d)
         if not adm:
             return invalid
         j_new = adm[int(rng.integers(len(adm)))]
-        cuts_new = split_candidates(d, rows, j_new)
+        cuts_new = t.at[node].cuts_on(d, j_new)
         s_new = float(cuts_new[int(rng.integers(cuts_new.size))])
         star = t.copy()
         star.nodes.feature[node], star.nodes.threshold[node] = j_new, s_new
         if not star.refresh(d, min_count):
             return invalid
-        return star, math.log(cuts_new.size) - math.log(t.node_cuts[node]), kind
+        return star, math.log(cuts_new.size) - math.log(t.n_cuts(node)), kind
 
     # SWAP: exchange the split rules of a parent/child internal pair
     if not t.pairs:
@@ -315,7 +345,7 @@ def mh_accept(
     log_q_ratio: float = 0.0,
 ) -> bool:
     """Metropolis-Hastings accept/reject for a proposed tree, using the
-    weight-marginalized residual likelihood."""
+    weight-marginalized residual likelihood; a None proposal is rejected."""
     if t_star is None or log_q_ratio == -np.inf:
         return False
     delta = (
@@ -490,11 +520,13 @@ def fit_pbart(
     gen = rng.generator()
     min_count = rule.min_count(d.n)
 
+    # the trees keep their leaves' membership columns at these arrays only
+    fit_inputs = (d.features, sigma)
     trees = []
     mats = []
     fits = np.zeros((hyper.m, d.n))
     for ell in range(hyper.m):
-        t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))))
+        t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))), fit_inputs)
         t.refresh(d, min_count)
         trees.append(t)
         V = t.membership(d.features, sigma)
@@ -518,13 +550,8 @@ def fit_pbart(
             R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
-            if star is not None:
-                V_star = star.membership(d.features, sigma)
-                accepted = mh_accept(
-                    t, star, R, mats[ell], V_star, hyper, gen, sigma_tilde, log_q
-                )
-            else:
-                accepted = False
+            V_star = None if star is None else star.membership(d.features, sigma)
+            accepted = mh_accept(t, star, R, mats[ell], V_star, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star

@@ -140,9 +140,8 @@ class FlatTree:
 
     def walk(self, p: int):
         """(node, depth, region) of every node in preorder, a child's region
-        being its parent's Region.split. That split is taken only when the
-        walk resumes past the parent, so a caller may check the parent's
-        threshold first; an invalid one raises ValueError."""
+        being its parent's Region.split; a threshold outside its node's
+        region raises ValueError."""
         stack = [(0, 0, Region.root(p))]
         while stack:
             i, depth, region = stack.pop()
@@ -207,10 +206,11 @@ def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray):
     return after, sse_l, sse_r, tot2 - tot1**2 / n
 
 
-def candidate_variables(d: Dataset, rows, k: int = 3, features=None) -> list[int]:
+def candidate_variables(d: Dataset, rows, k: int = 3, features=None, orders=None) -> list[int]:
     """The k coordinates whose best hard split over `rows` reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
-    fewer than two distinct values have no split and are dropped."""
+    fewer than two distinct values have no split and are dropped. `orders`,
+    when given, receives each ranked coordinate's stable argsort over rows."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("rows must be non-empty")
@@ -220,6 +220,8 @@ def candidate_variables(d: Dataset, rows, k: int = 3, features=None) -> list[int
     scored = []
     for j in cols:
         order = np.argsort(X[:, j], kind="stable")
+        if orders is not None:
+            orders[j] = order
         after, sse_l, sse_r, sse_tot = _hard_cut_sse(X[order, j], y[order])
         if after.size:
             scored.append((-float(np.max(sse_tot - sse_l - sse_r)), j))
@@ -267,24 +269,28 @@ def _split_sse_batch(ry, Q, other, F):
     return base - quad
 
 
-def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int):
+def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries). There is an
     entry (j, cuts, table) for each j of vars, ascending, with an admissible
     cut. At sigma = 0 the table is the children's SSE at each cut, from one
     sort and prefix sums over the leaf's centred target; otherwise it is
-    (other, F), the other coordinates' mass product and F over [a, cuts, b]."""
+    (other, F), the other coordinates' mass product and F over [a, cuts, b].
+    `orders` may hold each j's stable argsort over the ascending rows, as
+    candidate_variables gives it; otherwise it is computed here."""
     X = d.features
     mask = np.zeros(d.n, dtype=bool)
     mask[rows] = True
     entries = []
     if np.count_nonzero(mask) < 2 * min_count:
         return mask, entries
+    xk = X[mask]
+    orders = orders or {j: np.argsort(xk[:, j], kind="stable") for j in vars}
     if not sigma.any():
         # the children's SSE is shift-invariant; centring keeps the prefix sums small
-        xk, yk = X[mask], y[mask] - y[mask].mean()
+        yk = y[mask] - y[mask].mean()
         for j in sorted(vars):
-            order = np.argsort(xk[:, j], kind="stable")
+            order = orders[j]
             vs = xk[order, j]
             after, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[order])
             ok = (after + 1 >= min_count) & (yk.size - after - 1 >= min_count)
@@ -292,14 +298,15 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int)
                 after = after[ok]
                 entries.append((j, (vs[after] + vs[after + 1]) / 2.0, sse_l[ok] + sse_r[ok]))
         return mask, entries
-    rows = np.flatnonzero(mask)
     masses = [(jj, interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj]))
               for jj in region.bounded()]
     for j in sorted(vars):
-        cuts = split_candidates(d, rows, j)
-        inleaf = np.sort(X[rows, j])
-        left_cnt = np.searchsorted(inleaf, cuts, side="right")
-        cuts = cuts[(left_cnt >= min_count) & (inleaf.size - left_cnt >= min_count)]
+        # the sorted values, and their split_candidates midpoints
+        vs = xk[orders[j], j]
+        after = np.flatnonzero(vs[:-1] != vs[1:])
+        cuts = (vs[after] + vs[after + 1]) / 2.0
+        left_cnt = np.searchsorted(vs, cuts, side="right")
+        cuts = cuts[(left_cnt >= min_count) & (vs.size - left_cnt >= min_count)]
         if cuts.size == 0:
             continue
         # a child column is the product of the other coordinates' masses
@@ -497,8 +504,10 @@ def fit_prtree(
             if fl.rows.size < 2 * min_count:
                 continue
             if fl.vars is None:
-                fl.vars = candidate_variables(d, fl.rows, 3, features)
-                fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count)
+                orders = {}
+                fl.vars = candidate_variables(d, fl.rows, 3, features, orders)
+                fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count,
+                                     orders)
             if not fl.vars:
                 continue
             found = find_best_split(d, V, regions[idx], y, idx, fl.vars, sigma, rule, fl.rows,

@@ -21,7 +21,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule
+from prtree.tree import FlatTree, StoppingRule, split_candidates
 
 
 def _line_data(values, y=None):
@@ -174,53 +174,179 @@ def _oracle_regions(nodes, i, region):
         yield from _oracle_regions(nodes, nodes.right[i], right)
 
 
+def _oracle_depths(nodes, i=0, depth=0):
+    """(node, depth) of node i and of its subtree in preorder."""
+    yield i, depth
+    if nodes.feature[i] >= 0:
+        yield from _oracle_depths(nodes, nodes.left[i], depth + 1)
+        yield from _oracle_depths(nodes, nodes.right[i], depth + 1)
+
+
 def _state(t):
     """The node arrays (split rules and weights) and every cache of t, as plain values."""
     return (
         asdict(t.nodes),
         [(r.lower.tolist(), r.upper.tolist()) for r in t.regions],
-        [rows.tolist() for rows in t.leaf_rows],
-        [(node, depth, rows.tolist()) for node, depth, rows in t.internals],
-        t.leaves[:], t.leaf_depths[:], t.pairs[:], dict(t.node_cuts),
+        [(i, t.at[i].depth, t.at[i].rows.tolist()) for i in sorted(t.at)],
+        t.internals[:], t.leaves[:], t.pairs[:],
+        [t.n_cuts(node) for node in t.internals],
     )
+
+
+def _check_node_caches(t, d, sigma):
+    """Every node cache of t, carried across proposals, equals its value
+    computed afresh from the region that Region.split derives."""
+    regions = dict(_oracle_regions(t.nodes, 0, Region.root(d.p)))
+    # the cache holds the root and each split's children, of this tree only
+    assert len(t.paths) == 1 + len(t.internals)
+    assert sorted(t.at) == sorted(regions)
+    assert {i: node.depth for i, node in t.at.items()} == dict(_oracle_depths(t.nodes))
+    for i, node in t.at.items():
+        rows = np.flatnonzero(regions[i].contains(d.features))
+        assert np.array_equal(node.region.lower, regions[i].lower)
+        assert np.array_equal(node.region.upper, regions[i].upper)
+        assert np.array_equal(node.rows, rows)
+        if node.adm is not None:
+            distinct = [np.unique(d.features[rows, j]).size for j in range(d.p)]
+            assert node.adm == [j for j in range(d.p) if distinct[j] > 1]
+        for j, cuts in node.cuts.items():
+            assert cuts.tobytes() == split_candidates(d, rows, j).tobytes()
+        if node.col is not None:
+            want = membership_column(d.features, regions[i], sigma)
+            assert node.col.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_proposal_bookkeeping_matches_region_oracle(seed):
-    # rounded features give tied values; rows and cut counts carried down the
-    # tree must equal Region.contains on the regions Region.split derives,
-    # and a proposal must leave the current tree untouched
+    # rounded features give tied values; rows, regions, cut counts, admissible
+    # sets, cut arrays and membership columns carried across proposals must
+    # equal those Region.split and Region.contains derive afresh, and a
+    # proposal must leave the current tree untouched
     rng = np.random.default_rng(seed)
     d = Dataset(np.round(rng.normal(size=(60, 3)), 1), rng.normal(size=60), ("a", "b", "c"))
+    sigma = np.array([0.3, 0.0, 0.2])
     rule = StoppingRule(min_leaf_fraction=0.05)
     gen = np.random.default_rng(100 + seed)
-    t = _refreshed(FlatTree.leaf(0.1), d, rule.min_count(d.n))
+    t = SampledTree(FlatTree.leaf(0.1), (d.features, sigma))
+    assert t.refresh(d, rule.min_count(d.n))
     seen = set()
     for _ in range(400):
         before = _state(t)
         star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
         if star is not None:
             seen.add(kind)
+            star.membership(d.features, sigma)
             regions = dict(_oracle_regions(star.nodes, 0, Region.root(d.p)))
             # every array entry is reachable from the root: a prune leaves no orphans
             assert sorted(regions) == list(range(len(star.nodes.feature)))
             assert {len(a) for a in asdict(star.nodes).values()} == {len(regions)}
             assert star.leaves == [i for i in regions if star.nodes.feature[i] < 0]
-            for leaf, leaf_region, rows in zip(star.leaves, star.regions, star.leaf_rows):
-                region = regions[leaf]
-                assert np.array_equal(leaf_region.lower, region.lower)
-                assert np.array_equal(leaf_region.upper, region.upper)
-                assert np.array_equal(rows, np.flatnonzero(region.contains(d.features)))
-            for node, _, rows in star.internals:
+            for node in star.internals:
                 mask = regions[node].contains(d.features)
-                assert np.array_equal(rows, np.flatnonzero(mask))
                 values = np.unique(d.features[mask, star.nodes.feature[node]])
-                assert star.node_cuts[node] == ((values[:-1] + values[1:]) / 2.0).size
+                assert star.n_cuts(node) == ((values[:-1] + values[1:]) / 2.0).size
+            _check_node_caches(star, d, sigma)
             star.set_gammas(gen.normal(size=star.k))
         assert _state(t) == before
+        _check_node_caches(t, d, sigma)
         if star is not None and gen.random() < 0.6:
             t = star
     assert seen == {"grow", "prune", "change", "swap"}
+
+
+def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
+    """fit_pbart's sampler with nothing carried between proposals: before each
+    proposal the current tree is refreshed from a copy of its node arrays,
+    the proposal is refreshed afresh and every membership column and log
+    prior is evaluated anew."""
+    min_count = rule.min_count(d.n)
+
+    def fresh(nodes):
+        t = SampledTree(nodes.copy())
+        assert t.refresh(d, min_count)
+        return t
+
+    def columns(t):
+        return np.column_stack([membership_column(d.features, r, sigma) for r in t.regions])
+
+    y_min, y_max = float(d.target.min()), float(d.target.max())
+    y_norm = (d.target - y_min) / (y_max - y_min) - 0.5
+    hyper = hyper.calibrated(y_norm)
+    gen = RngSpec(seed).generator()
+    trees = [fresh(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))))
+             for _ in range(hyper.m)]
+    fits = np.array([columns(t) @ t.gammas() for t in trees])
+    total_fit = fits.sum(axis=0)
+    sigma_tilde = math.sqrt((hyper.nu * hyper.lam / 2.0) / gen.gamma(hyper.nu / 2.0))
+    accept_log = {kind: {"accepted": 0, "rejected": 0} for kind in MOVES}
+    sigma_trace, snapshots = [], []
+    for it in range(1, hyper.it_max + 1):
+        for ell in range(hyper.m):
+            R = y_norm - (total_fit - fits[ell])
+            t = fresh(trees[ell].nodes)
+            star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
+            accepted = star is not None and mh_accept(
+                t, fresh(star.nodes), R, columns(t), columns(fresh(star.nodes)), hyper, gen,
+                sigma_tilde, log_q)
+            accept_log[kind]["accepted" if accepted else "rejected"] += 1
+            trees[ell] = t = fresh(star.nodes) if accepted else t
+            V = columns(t)
+            new_fit = V @ draw_gammas(t, R, V, hyper, gen, sigma_tilde)
+            total_fit += new_fit - fits[ell]
+            fits[ell] = new_fit
+        sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
+        sigma_trace.append(sigma_tilde)
+        if it > hyper.it_burn:
+            snapshots.append([t.nodes.copy() for t in trees])
+    return PBartChain(snapshots, np.array(sigma_trace), accept_log, sigma, y_min,
+                      y_max - y_min, hyper, d.feature_names)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "mixed"])
+@pytest.mark.parametrize("max_depth", [None, 2])
+def test_carried_caches_sample_the_uncached_chain(kind, max_depth):
+    # rounded features give tied values; min_count = 3 rows
+    rng = np.random.default_rng(1)
+    d = random_dataset(rng, 60, 3)
+    d = Dataset(np.round(d.features, 1), d.target, d.feature_names)
+    std = d.features.std(axis=0, ddof=1)
+    sigma = {"hard": np.zeros(3), "soft": 0.3 * std, "mixed": np.array([0.3, 0.0, 0.2]) * std}[kind]
+    rule = StoppingRule(min_leaf_fraction=0.05, max_depth=max_depth)
+    hyper = PBartHyper(m=4, it_burn=10, it_max=40)
+    want = _fit_pbart_uncached(d, hyper, sigma, 8, rule)
+    got = fit_pbart(d, hyper, sigma, RngSpec(8), rule)
+    assert all(want.acceptance_log[move]["accepted"] > 0 for move in MOVES)
+    assert got.to_json() == want.to_json()
+
+
+def test_membership_at_other_inputs_is_evaluated_fresh():
+    # once the caches hold columns at the fit's (X, sigma), any other X or
+    # sigma, including an equal copy of X, gets columns evaluated afresh, and
+    # the fit's own columns stay as they were
+    rng = np.random.default_rng(12)
+    d = random_dataset(rng, 50, 3)
+    sigma = 0.3 * d.features.std(axis=0, ddof=1)
+    others = [(rng.normal(size=(25, 3)), 2.0 * sigma), (rng.normal(size=(25, 3)), sigma),
+              (d.features.copy(), sigma), (d.features, sigma.copy()), (d.features, np.zeros(3)),
+              (d.features, sigma)]
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    gen = np.random.default_rng(13)
+    t = SampledTree(FlatTree.leaf(), (d.features, sigma))
+    assert t.refresh(d, rule.min_count(d.n))
+    t.membership(d.features, sigma)
+    largest = 1
+    for _ in range(200):
+        star, _, _ = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
+        if star is None:
+            continue
+        star.membership(d.features, sigma)
+        for X, s in others:
+            want = np.column_stack([membership_column(X, r, s) for r in star.regions])
+            assert star.membership(X, s).tobytes() == want.tobytes()
+        largest = max(largest, star.k)
+        if gen.random() < 0.6:
+            t = star
+    assert largest > 3
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +592,13 @@ def test_predict_equals_region_by_region_oracle(small_data):
                 region_g = groups.setdefault(key, [region, 0.0])
                 region_g[1] += float(g)
     assert len(groups) > 5
-    total = np.zeros(small_data.n)
-    for region, gsum in groups.values():
-        total += gsum * membership_column(X, region, sigma)
-    want = (total / chain.n_snapshots + 0.5) * chain.y_scale + chain.y_offset
-    assert np.array_equal(chain.predict(X), want)
+    held_out = np.random.default_rng(5).normal(size=(30, 3))
+    for X in (X, held_out):
+        total = np.zeros(X.shape[0])
+        for region, gsum in groups.values():
+            total += gsum * membership_column(X, region, sigma)
+        want = (total / chain.n_snapshots + 0.5) * chain.y_scale + chain.y_offset
+        assert np.array_equal(chain.predict(X), want)
 
 
 @pytest.mark.parametrize("move_probs", [(0.25, 0.25, 0.25, 0.25), (0.5, 0.0, 0.3, 0.2)])
