@@ -64,8 +64,8 @@ def _parse_sigma(text, p):
         values = [float(v) for v in parts]
     except ValueError:
         raise ConfigError(f"--sigma must be numeric, got {text!r}") from None
-    if any(v < 0 for v in values):
-        raise ConfigError("--sigma entries must be non-negative")
+    if not all(0 <= v < np.inf for v in values):
+        raise ConfigError(f"--sigma entries must be finite and non-negative, got {text!r}")
     if len(values) == 1:
         return np.full(p, values[0])
     if len(values) != p:

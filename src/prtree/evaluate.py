@@ -58,6 +58,9 @@ def make_cv_plan(d: Dataset, n_folds: int = 10, n_bins: int = 10) -> CVPlan:
     """Decile-bin the target and deal each bin's indices round-robin across
     folds, so every fold's target histogram matches the global one to
     within one count per bin."""
+    if n_folds < 3:
+        raise ValueError(f"n_folds must be at least 3, got {n_folds}: each round holds out two "
+                         "folds, so at least one more must be left to train on")
     if d.n < n_folds:
         raise ValueError(f"need at least {n_folds} rows, got {d.n}")
     y = d.target

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
-from scipy.stats import invgamma
+from scipy.special import gammainccinv
 
 from .data import Dataset, RngSpec, check_features
 from .kernel import membership_column, membership_columns
@@ -66,7 +66,9 @@ class PBartHyper:
         if lam is None:
             s2 = float(np.var(y_norm, ddof=1)) if y_norm.size > 1 else 1.0
             s2 = max(s2, 1e-12)
-            lam = 2.0 * s2 / (self.nu * invgamma.ppf(0.9, self.nu / 2.0))
+            # the 0.9 quantile of InvGamma(nu / 2, 1), as scipy.stats.invgamma computes it
+            q90 = 1.0 / gammainccinv(self.nu / 2.0, 0.9)
+            lam = 2.0 * s2 / (self.nu * q90)
         sg = self.sigma_gamma
         if sg is None:
             sg = 0.5 / (2.0 * math.sqrt(self.m))
@@ -176,8 +178,9 @@ class SampledTree:
         fit = self.fit_inputs
         if fit is None or X is not fit[0] or sigma is not fit[1]:
             return np.column_stack([membership_column(X, r, sigma) for r in self.regions])
-        for node in (self.at[i] for i in self.leaves if self.at[i].col is None):
-            node.col = membership_column(X, node.region, sigma)
+        new = [self.at[i] for i in self.leaves if self.at[i].col is None]
+        for node, col in zip(new, membership_columns(X, [node.region for node in new], sigma)):
+            node.col = col
         return np.column_stack([self.at[i].col for i in self.leaves])
 
     def prunable(self) -> list[int]:
@@ -510,7 +513,7 @@ def fit_pbart(
     of resampling it (diagnostics and exactness tests)."""
     if d.n < 2:
         raise ValueError("need at least 2 rows")
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = scales(sigma, d.p)
     y = d.target
     y_min, y_max = float(y.min()), float(y.max())
     span = y_max - y_min if y_max > y_min else 1.0

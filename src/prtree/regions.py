@@ -25,7 +25,7 @@ class Region:
         hi = np.asarray(self.upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("bounds must be 1-d arrays of equal length")
-        if not np.all(lo < hi):
+        if not (lo < hi).all():
             raise ValueError("each lower bound must be strictly below its upper bound")
         lo.setflags(write=False)
         hi.setflags(write=False)
@@ -52,10 +52,6 @@ class Region:
         right_lo = self.lower.copy()
         right_lo[j] = s
         return Region(self.lower, left_hi), Region(right_lo, self.upper)
-
-    def bounded(self) -> np.ndarray:
-        """Indices of the coordinates with at least one finite bound."""
-        return np.flatnonzero((self.lower > -np.inf) | (self.upper < np.inf))
 
     def contains(self, X: np.ndarray) -> np.ndarray:
         """Hard half-open membership 1{lower < x <= upper}, vectorized over rows."""

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, check_features
-from .kernel import interval_mass, membership_column, membership_columns, normal_cdf
+from .kernel import membership_column, membership_columns, normal_cdf
 from .regions import Region
 
 log = logging.getLogger(__name__)
@@ -48,12 +48,13 @@ def read_model_json(text: str, kind: str | None = None) -> dict:
     return obj
 
 
-def scales(v) -> np.ndarray:
-    """A JSON list of finite non-negative numbers (sigma, sigma_trace) as a
-    float vector."""
+def scales(v, p: int | None = None) -> np.ndarray:
+    """A list of finite non-negative numbers (sigma, sigma_trace) as a float
+    vector; given p, the sigma of a fit over p features, so of length p."""
     a = np.array(v, dtype=float) if np.ndim(v) == 1 else None
-    if a is None or not np.all(np.isfinite(a) & (a >= 0)):
-        raise ValueError("expected a list of finite non-negative numbers")
+    if a is None or not np.all(np.isfinite(a) & (a >= 0)) or p not in (None, a.size):
+        raise ValueError("expected a list of finite non-negative numbers" if p is None
+                         else f"sigma must be {p} finite non-negative numbers")
     return a
 
 
@@ -162,6 +163,10 @@ class StoppingRule:
     def __post_init__(self):
         if not (0.0 < self.min_leaf_fraction <= 0.5):
             raise ValueError("min_leaf_fraction must lie in (0, 0.5]")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0 (0 keeps the root only)")
+        if self.max_leaves is not None and self.max_leaves < 1:
+            raise ValueError("max_leaves must be >= 1")
 
     def min_count(self, n: int) -> int:
         return max(1, int(np.ceil(self.min_leaf_fraction * n - 1e-9)))
@@ -275,7 +280,8 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     entry (j, cuts, table) for each j of vars, ascending, with an admissible
     cut. At sigma = 0 the table is the children's SSE at each cut, from one
     sort and prefix sums over the leaf's centred target; otherwise it is
-    (other, F), the other coordinates' mass product and F over [a, cuts, b].
+    (other, F): the membership of the leaf's region with coordinate j freed,
+    from one membership_columns call over all j, and F over [a, cuts, b].
     `orders` may hold each j's stable argsort over the ascending rows, as
     candidate_variables gives it; otherwise it is computed here."""
     X = d.features
@@ -298,8 +304,7 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
                 after = after[ok]
                 entries.append((j, (vs[after] + vs[after + 1]) / 2.0, sse_l[ok] + sse_r[ok]))
         return mask, entries
-    masses = [(jj, interval_mass(X[:, jj], region.lower[jj], region.upper[jj], sigma[jj]))
-              for jj in region.bounded()]
+    found = []
     for j in sorted(vars):
         # the sorted values, and their split_candidates midpoints
         vs = xk[orders[j], j]
@@ -307,14 +312,14 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
         cuts = (vs[after] + vs[after + 1]) / 2.0
         left_cnt = np.searchsorted(vs, cuts, side="right")
         cuts = cuts[(left_cnt >= min_count) & (vs.size - left_cnt >= min_count)]
-        if cuts.size == 0:
-            continue
-        # a child column is the product of the other coordinates' masses
-        # times the j-th coordinate's mass over (a, s] resp. (s, b]
-        other = np.ones(d.n)
-        for jj, mass in masses:
-            if jj != j:
-                other *= mass
+        if cuts.size:
+            # a child column is `other`, the membership of the region with j
+            # freed, times the j-th coordinate's mass over (a, s] resp. (s, b]
+            lower, upper = region.lower.copy(), region.upper.copy()
+            lower[j], upper[j] = -np.inf, np.inf
+            found.append((j, cuts, Region(lower, upper)))
+    others = membership_columns(X, [freed for *_, freed in found], sigma)
+    for (j, cuts, _), other in zip(found, others):
         # F at a, every cut and b: the indicator 1{x_j <= t} at sigma_j = 0,
         # else Phi; exactly 0 and 1 at infinite a and b
         t = np.concatenate(([region.lower[j]], cuts, [region.upper[j]]))
@@ -378,13 +383,11 @@ def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d:
     of a split at s on coordinate j. Child columns are evaluated fresh, so for
     every row they sum to the parent value up to roundoff (Gaussian mass is
     additive over a partition of the parent region)."""
-    sigma = np.asarray(sigma, dtype=float)
     regions = tuple(regions)
-    left, right = regions[k].split(j, s)
-    lcol = membership_column(d.features, left, sigma)
-    rcol = membership_column(d.features, right, sigma)
-    V = np.column_stack([V[:, :k], lcol, rcol, V[:, k + 1 :]])
-    return V, regions[:k] + (left, right) + regions[k + 1 :]
+    children = regions[k].split(j, s)
+    cols = [membership_column(d.features, r, sigma) for r in children]
+    V = np.column_stack([V[:, :k], *cols, V[:, k + 1 :]])
+    return V, regions[:k] + children + regions[k + 1 :]
 
 
 class Leaf(NamedTuple):
@@ -474,9 +477,7 @@ def fit_prtree(
     fit and the candidate-variable ranking (used by boosting). Growth is
     deterministic.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (d.p,) or np.any(sigma < 0):
-        raise ValueError("sigma must be a non-negative vector of length p")
+    sigma = scales(sigma, d.p)
     if target is not None:
         d = Dataset(d.features, target, d.feature_names)
     y = d.target

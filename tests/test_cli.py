@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prtree
 from prtree.cli import main
 from prtree.data import RngSpec, load_csv
 from prtree.ensemble import BoostedEnsemble, Forest
@@ -167,6 +172,35 @@ def test_validation_errors_exit_1(tmp_path, data_csv):
     bad_cfg.write_text(json.dumps({"mystery_knob": 1}))
     assert main(["fit", "--data", str(data_csv), "--target", "y",
                  "--config", str(bad_cfg)]) == 1
+
+
+@pytest.mark.parametrize("model", ["tree", "pbart"])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "0.1,-inf"])
+def test_non_finite_sigma_exits_1(tmp_path, data_csv, capsys, model, sigma):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--model", model, "--trees", "2", "--iters", "3", "--burn", "1",
+                 "--data", str(data_csv), "--target", "y", "--sigma", sigma,
+                 "--out", str(out)]) == 1
+    assert "--sigma entries must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("folds", ["1", "2"])
+def test_cv_with_too_few_folds_says_why(tmp_path, data_csv, capsys, folds):
+    assert main(["cv", "--model", "tree", "--data", str(data_csv), "--target", "y",
+                 "--folds", folds, "--out", str(tmp_path / "cv.csv")]) == 1
+    assert "n_folds must be at least 3" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats alone took more than half of the import time of the CLI
+    code = "import sys, prtree.cli; print('scipy.stats' in sys.modules)"
+    source_root = str(Path(prtree.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_missing_data_flag():

@@ -54,6 +54,15 @@ def test_plan_too_small():
         make_cv_plan(random_dataset(rng, 5, 1))
 
 
+@pytest.mark.parametrize("n_folds", [0, 1, 2])
+def test_plan_needs_a_training_fold(n_folds):
+    # each round holds out two folds, so two or fewer leave nothing to train on
+    rng = np.random.default_rng(3)
+    with pytest.raises(ValueError, match="at least 3.*holds out two folds"):
+        make_cv_plan(random_dataset(rng, 50, 1), n_folds=n_folds)
+    assert make_cv_plan(random_dataset(rng, 50, 1), n_folds=3).n_folds == 3
+
+
 def test_tune_sigma_grid_structure(small_data):
     train = small_data.subset(np.arange(60))
     valid = small_data.subset(np.arange(60, 80))

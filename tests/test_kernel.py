@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from prtree import kernel
 from prtree.data import Dataset
 from prtree.kernel import (
     build_membership,
-    interval_mass,
     membership_column,
     membership_columns,
     normal_cdf,
     psi,
 )
+from prtree.pbart import SampledTree
 from prtree.regions import Region
-from prtree.tree import split_membership_column
+from prtree.tree import FlatTree, StoppingRule, split_membership_column
 
 
 def _normal_pdf(t):
@@ -33,27 +34,32 @@ def test_normal_cdf_tail_accuracy():
     assert float(normal_cdf(10.0)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_interval_mass_center_one_sigma():
+def _interval(a, b):
+    return Region(np.array([a]), np.array([b]))
+
+
+def test_membership_column_center_one_sigma():
     # mass of (x - s, x + s] around its center: Phi(1) - Phi(-1)
-    x = np.array([2.0])
-    got = interval_mass(x, 1.0, 3.0, 1.0)[0]
+    x = np.array([[2.0]])
+    got = membership_column(x, _interval(1.0, 3.0), np.array([1.0]))[0]
     ref, _ = quad(_normal_pdf, -1.0, 1.0)
     assert got == pytest.approx(ref, abs=1e-12)
     assert got == pytest.approx(0.6826894921, abs=1e-9)
 
 
-def test_interval_mass_hard_indicator():
-    x = np.array([0.0, 1.0, 1.5, 2.0, 2.5])
-    got = interval_mass(x, 1.0, 2.0, 0.0)
+def test_membership_column_hard_indicator():
+    x = np.array([[0.0], [1.0], [1.5], [2.0], [2.5]])
+    got = membership_column(x, _interval(1.0, 2.0), np.array([0.0]))
     # half-open (a, b]: boundary a excluded, boundary b included
     assert got.tolist() == [0.0, 0.0, 1.0, 1.0, 0.0]
 
 
-def test_interval_mass_infinite_bounds():
-    x = np.array([-50.0, 0.0, 50.0])
-    assert np.allclose(interval_mass(x, -np.inf, np.inf, 2.0), 1.0)
-    got = interval_mass(x, -np.inf, 0.0, 1.0)
+def test_membership_column_infinite_bounds():
+    x = np.array([[-50.0], [0.0], [50.0]])
+    assert np.array_equal(membership_column(x, Region.root(1), np.array([2.0])), np.ones(3))
+    got = membership_column(x, _interval(-np.inf, 0.0), np.array([1.0]))
     assert got[1] == pytest.approx(0.5)
+    assert got[0] == pytest.approx(1.0) and got[2] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_psi_product_over_coordinates():
@@ -118,9 +124,14 @@ def test_membership_equals_product_over_all_coordinates():
     for lower, upper in boxes:
         region = Region(np.array(lower), np.array(upper))
         for sigma in sigmas:
+            # F(b) - F(a) on every coordinate; Phi is exactly 1 at +inf and 0 at -inf
             full = np.ones(X.shape[0])
             for j in range(4):
-                full *= interval_mass(X[:, j], lower[j], upper[j], sigma[j])
+                x, a, b = X[:, j], lower[j], upper[j]
+                if sigma[j] == 0.0:
+                    full *= (x <= b).astype(float) - (x <= a).astype(float)
+                else:
+                    full *= normal_cdf((b - x) / sigma[j]) - normal_cdf((a - x) / sigma[j])
             assert np.array_equal(membership_column(X, region, sigma), full)
 
 
@@ -150,3 +161,61 @@ def test_membership_columns_equal_membership_column():
     # a single row and a single region
     [col] = membership_columns(X[0], [ll], sigmas[1])
     assert np.array_equal(col, membership_column(X[0], ll, sigmas[1]))
+
+
+@pytest.fixture
+def cdf_evals(monkeypatch):
+    """The number of values kernel.normal_cdf has been evaluated at."""
+    evals = [0]
+
+    def counted(t):
+        evals[0] += np.size(t)
+        return normal_cdf(t)
+
+    monkeypatch.setattr(kernel, "normal_cdf", counted)
+    return evals
+
+
+def test_shared_bounds_are_evaluated_once(cdf_evals):
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(60, 3))
+    sigma = np.array([0.3, 0.0, 0.5])
+    left, right = Region.root(3).split(0, 0.1)
+    ll, lr = left.split(2, -0.4)
+    rl, rr = right.split(1, 0.2)
+    lrl, lrr = lr.split(0, -0.7)
+    # soft finite bounds: (0, 0.1), (0, -0.7) and (2, -0.4); coordinate 1 is hard
+    regions = [ll, lrl, lrr, rl, rr]
+    got = list(membership_columns(X, regions, sigma))
+    assert cdf_evals[0] == 3 * X.shape[0]
+    cdf_evals[0] = 0
+    want = [membership_column(X, r, sigma) for r in regions]
+    assert cdf_evals[0] == (1 + 3 + 3 + 1 + 1) * X.shape[0]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    cdf_evals[0] = 0
+    list(membership_columns(X, regions, np.zeros(3)))
+    assert cdf_evals[0] == 0
+
+
+def test_pbart_grow_evaluates_shared_bounds_once(cdf_evals):
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(80, 2))
+    d = Dataset(X, X[:, 0] + rng.normal(size=80), ("a", "b"))
+    sigma = np.array([0.4, 0.6])
+    min_count = StoppingRule(min_leaf_fraction=0.05).min_count(d.n)
+    t = SampledTree(FlatTree.leaf(), (d.features, sigma))
+    assert t.refresh(d, min_count)
+    t.membership(d.features, sigma)
+    assert cdf_evals[0] == 0  # the root is bounded nowhere
+    # each grow's two new leaves share every bound: the first the split value,
+    # the second also the upper bound its parent has from the first split
+    for leaf, j, s, evals in ((0, 0, 0.0, 1), (1, 1, 0.1, 2)):
+        star = t.copy()
+        star.nodes.grow(leaf, j, s)
+        assert star.refresh(d, min_count)
+        cdf_evals[0] = 0
+        V = star.membership(d.features, sigma)
+        assert cdf_evals[0] == evals * d.n
+        want = np.column_stack([membership_column(X, r, sigma) for r in star.regions])
+        assert np.array_equal(V, want)
+        t = star

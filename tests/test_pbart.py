@@ -511,6 +511,27 @@ def test_fit_pbart_rejects_tiny_data():
         fit_pbart(d, PBartHyper(m=1, it_burn=1, it_max=2), np.zeros(1), RngSpec(0))
 
 
+@pytest.mark.parametrize("sigma", [[np.nan, 0.1], [np.inf, 0.1], [-1.0, 0.1], [0.1]])
+def test_fit_pbart_rejects_bad_sigma(sigma):
+    rng = np.random.default_rng(8)
+    d = random_dataset(rng, 30, 2)
+    with pytest.raises(ValueError, match="sigma must be 2 finite non-negative numbers"):
+        fit_pbart(d, PBartHyper(m=2, it_burn=1, it_max=3), sigma, RngSpec(0))
+
+
+def test_calibrated_lam_is_the_invgamma_quantile():
+    # lam puts prior mass 0.9 below the target variance: 2 s2 / (nu lam) is
+    # the 0.9 quantile of InvGamma(nu / 2, 1), checked by its CDF Q(nu / 2, 1 / x)
+    from scipy.special import gammaincc
+
+    y = np.random.default_rng(9).uniform(-0.5, 0.5, size=40)
+    s2 = float(np.var(y, ddof=1))
+    for nu in (0.5, 1.0, 3.0, 10.0):
+        lam = PBartHyper(nu=nu).calibrated(y).lam
+        q = 2.0 * s2 / (nu * lam)
+        assert gammaincc(nu / 2.0, 1.0 / q) == pytest.approx(0.9, abs=1e-12)
+
+
 def test_fit_pbart_single_leaf_posterior_mean():
     # growth disabled: the one tree stays a single leaf, and the gamma trace
     # is an iid sample from the conjugate normal posterior

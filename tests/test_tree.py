@@ -29,6 +29,12 @@ def test_stopping_rule_min_count():
         StoppingRule(min_leaf_fraction=0.0)
 
 
+@pytest.mark.parametrize("limits", [{"max_leaves": 0}, {"max_leaves": -3}, {"max_depth": -1}])
+def test_stopping_rule_rejects_impossible_limits(limits):
+    with pytest.raises(ValueError, match=next(iter(limits))):
+        StoppingRule(**limits)
+
+
 def test_fit_weights_hard_partition_gives_leaf_means():
     y = np.array([1.0, 2.0, 3.0, 10.0])
     V = np.array([[1.0, 0], [1, 0], [1, 0], [0, 1]])
@@ -307,6 +313,9 @@ def test_max_leaves_and_depth_respected():
     assert t.leaf_count <= 4
     t2 = fit_prtree(d, np.zeros(3), StoppingRule(max_depth=1))
     assert t2.leaf_count <= 2
+    # the smallest limits keep the root only
+    assert fit_prtree(d, np.zeros(3), StoppingRule(max_depth=0)).leaf_count == 1
+    assert fit_prtree(d, np.zeros(3), StoppingRule(max_leaves=1)).leaf_count == 1
 
 
 def test_min_leaf_rule_counts_hard_assignments():
@@ -393,7 +402,9 @@ def test_predict_dimension_mismatch(small_data):
 
 
 def test_invalid_sigma_rejected(small_data):
-    with pytest.raises(ValueError):
-        fit_prtree(small_data, -np.ones(3))
-    with pytest.raises(ValueError):
-        fit_prtree(small_data, np.zeros(2))
+    # one rule for every fitter: p finite non-negative numbers
+    bad = [-np.ones(3), np.zeros(2), [np.nan, 0.1, 0.1], [np.inf, 0.1, 0.1],
+           [0.1, -np.inf, 0.1], 0.1, [[0.1, 0.1, 0.1]]]
+    for sigma in bad:
+        with pytest.raises(ValueError, match="sigma must be 3 finite non-negative numbers"):
+            fit_prtree(small_data, sigma)
