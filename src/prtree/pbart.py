@@ -9,6 +9,7 @@ import math
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field, replace
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 from scipy.special import gammainccinv
@@ -16,9 +17,7 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 from .kernel import membership_column, membership_columns
 from .regions import Region
-from .tree import (
-    FlatTree, StoppingRule, model_json, model_value, read_model_json, scales, split_candidates,
-)
+from .tree import FlatTree, StoppingRule, model_json, model_value, read_model_json, scales
 
 log = logging.getLogger(__name__)
 
@@ -54,8 +53,15 @@ class PBartHyper:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not (0.0 < self.alpha < 1.0) or self.beta < 0.0:
-            raise ValueError("need alpha in (0, 1) and beta >= 0")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1)")
+        for name, zero_ok in (("nu", False), ("beta", True), ("lam", False),
+                              ("sigma_gamma", True), ("it_burn", True)):
+            v = getattr(self, name)
+            if v is None and name in ("lam", "sigma_gamma"):  # calibrated at fit time
+                continue
+            if not (math.isfinite(v) and (v > 0 or zero_ok and v == 0)):
+                raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0")
         if self.it_burn >= self.it_max:
             raise ValueError("it_burn must be < it_max")
         if abs(sum(self.move_probs) - 1.0) > 1e-9 or min(self.move_probs) < 0.0:
@@ -77,13 +83,14 @@ class PBartHyper:
 
 class _Node:
     """What a node's split path from the root fixes: its depth, region and hard
-    rows, and on demand its admissible coordinates, cuts and column at (X, sigma)."""
+    rows, and on demand its rows x p block sorted by column, admissible
+    coordinates, cuts and column at (X, sigma)."""
 
-    __slots__ = ("depth", "region", "rows", "adm", "cuts", "col")
+    __slots__ = ("depth", "region", "rows", "block", "adm", "cuts", "col")
 
     def __init__(self, depth: int, region: Region, rows: np.ndarray):
         self.depth, self.region, self.rows = depth, region, rows
-        self.adm, self.cuts, self.col = None, {}, None
+        self.block, self.adm, self.cuts, self.col = None, None, {}, None
 
     def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
         go_left = d.features[self.rows, j] <= s
@@ -91,16 +98,24 @@ class _Node:
         return (_Node(self.depth + 1, lo, self.rows[go_left]),
                 _Node(self.depth + 1, hi, self.rows[~go_left]))
 
+    def sorted_block(self, d: Dataset) -> np.ndarray:
+        if self.block is None:
+            self.block = np.sort(d.features[self.rows], axis=0)
+        return self.block
+
     def admissible(self, d: Dataset) -> list[int]:
         """Coordinates with at least two distinct values over the rows."""
         if self.adm is None:
-            X = np.sort(d.features[self.rows], axis=0)
+            X = self.sorted_block(d)
             self.adm = np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
         return self.adm
 
     def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
+        """`split_candidates` of coordinate j over the rows, from the sorted block."""
         if j not in self.cuts:
-            self.cuts[j] = split_candidates(d, self.rows, j)
+            v = self.sorted_block(d)[:, j]
+            v = v[np.concatenate(([True], v[1:] != v[:-1]))]
+            self.cuts[j] = (v[:-1] + v[1:]) / 2.0
         return self.cuts[j]
 
 
@@ -207,50 +222,46 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
 
 def marginal_log_likelihood(R, V, sigma_gamma: float, sigma_tilde: float) -> float:
     """Log density of residuals with leaf weights integrated out:
-    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T), for the n x K membership array V.
-
-    Evaluated by the K-step Sherman-Morrison recursion (one rank-one
-    update per membership column) applied to the vectors actually needed,
-    with the matrix-determinant lemma accumulating the log determinant.
-    """
-    logdet, quad = _sigma0_recursion(R, V, sigma_gamma, sigma_tilde)
+    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T), for the n x K membership array V,
+    evaluated from the K x K Gram statistics (see `_sigma0_terms`)."""
+    logdet, quad = _sigma0_terms(R, V, sigma_gamma, sigma_tilde)
     n = len(np.asarray(R))
     return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
 
 
 def sigma0_log_det(V, sigma_gamma: float, sigma_tilde: float) -> float:
-    """log det of the marginal residual covariance, from the same rank-one
-    recursion that the likelihood uses."""
+    """log det of the marginal residual covariance, by the likelihood's routine."""
     V = np.asarray(V, dtype=float)
-    logdet, _ = _sigma0_recursion(np.zeros(V.shape[0]), V, sigma_gamma, sigma_tilde)
-    return logdet
+    return _sigma0_terms(np.zeros(V.shape[0]), V, sigma_gamma, sigma_tilde)[0]
 
 
-def _sigma0_recursion(R, V, sigma_gamma: float, sigma_tilde: float):
-    """(log det Sigma0, R^T Sigma0^{-1} R) by K rank-one updates."""
+def _sigma0_terms(R, V, sigma_gamma: float, sigma_tilde: float):
+    """(log det Sigma0, R^T Sigma0^{-1} R) for Sigma0 = st2 I + sg2 V V^T.
+
+    From G = V^T V and b = V^T R alone: with r = sg2 / st2 and the Cholesky
+    factor I + r G = L L^T, taken on Python floats (K is small),
+    log det Sigma0 = n log st2 + 2 sum log L_ii (the determinant lemma) and
+    R^T Sigma0^{-1} R = (R^T R - r |L^{-1} b|^2) / st2 (Woodbury)."""
     if sigma_tilde <= 0.0:
         raise ValueError("sigma_tilde must be positive")
     V = np.asarray(V, dtype=float)
     R = np.asarray(R, dtype=float)
-    n, K = V.shape
+    n = V.shape[0]
     if R.shape != (n,):
         raise ValueError("residual length must match V's row count")
     st2 = sigma_tilde**2
-    if sigma_gamma == 0.0:
-        return n * math.log(st2), float(R @ R) / st2
-    sg2 = sigma_gamma**2
-    U = V / st2          # columns u_k = Sigma^{-1} c_k for the current Sigma
-    v = R / st2
-    logdet = n * math.log(st2)
-    for k in range(K):
-        c = V[:, k]
-        u = U[:, k].copy()
-        denom = float(c @ u) + 1.0 / sg2
-        logdet += math.log(sg2 * denom)
-        if k + 1 < K:
-            U[:, k + 1 :] -= np.outer(u, (c @ U[:, k + 1 :]) / denom)
-        v -= u * (float(c @ v) / denom)
-    return logdet, float(R @ v)
+    r = sigma_gamma**2 / st2
+    logdet, L, z = n * math.log(st2), [], []  # z = L^{-1} b
+    for Gi, bi in zip((V.T @ V).tolist(), (V.T @ R).tolist()):
+        Li = []
+        for Lj in L:
+            Li.append((r * Gi[len(Li)] - sum(map(mul, Li, Lj))) / Lj[-1])
+        pivot = 1.0 + r * Gi[len(Li)] - sum(map(mul, Li, Li))
+        logdet += math.log(pivot)
+        Li.append(math.sqrt(pivot))
+        L.append(Li)
+        z.append((bi - sum(map(mul, Li, z))) / Li[-1])
+    return logdet, (float(R @ R) - r * sum(map(mul, z, z))) / st2
 
 
 def propose_tree(
@@ -372,25 +383,21 @@ def draw_gammas(
     sigma_tilde: float,
 ) -> np.ndarray:
     """One full Gibbs sweep over leaf weights, in leaf order, each draw
-    conditioning on the freshest values of the other weights."""
+    conditioning on the freshest values of the other weights. Leaf k's
+    conditional needs A_k = G_kk and B_k = b_k - sum_{l != k} G_kl gamma_l
+    of G = V^T V and b = V^T R, so the sweep runs on Python floats."""
     V = np.asarray(V, dtype=float)
     R = np.asarray(R, dtype=float)
     sg2 = hyper.sigma_gamma**2
     st2 = sigma_tilde**2
-    gam = t.gammas()
-    total = V @ gam
-    A = np.einsum("ij,ij->j", V, V)
-    for k in range(gam.size):
-        partial = total - V[:, k] * gam[k]
-        B = float(V[:, k] @ (R - partial))
-        denom = st2 + sg2 * A[k]
-        mean = sg2 * B / denom
-        std = math.sqrt(st2 * sg2 / denom)
-        new = mean + std * rng.standard_normal()
-        total += V[:, k] * (new - gam[k])
-        gam[k] = new
+    gam = t.gammas().tolist()
+    for k, (Gk, bk) in enumerate(zip((V.T @ V).tolist(), (V.T @ R).tolist())):
+        gam[k] = 0.0  # so that B sums over the other leaves only
+        B = bk - sum(map(mul, Gk, gam))
+        denom = st2 + sg2 * Gk[k]
+        gam[k] = sg2 * B / denom + math.sqrt(st2 * sg2 / denom) * rng.standard_normal()
     t.set_gammas(gam)
-    return gam
+    return np.array(gam)
 
 
 def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -> float:

@@ -157,7 +157,7 @@ def test_criterion_3_membership_properties():
 
 
 # ---------------------------------------------------------------------------
-# 4. rank-one recursion vs dense linear algebra
+# 4. Gram/Cholesky likelihood vs dense linear algebra
 
 def test_criterion_4_recursion_vs_dense():
     rng = np.random.default_rng(13)
@@ -177,7 +177,7 @@ def test_criterion_4_recursion_vs_dense():
         worst_ll = max(worst_ll, abs(ll - ll_ref) / max(1.0, abs(ll_ref)))
         worst_det = max(worst_det, abs(ld - ld_ref) / max(1.0, abs(ld_ref)))
     ok = worst_ll <= 1e-8 and worst_det <= 1e-8
-    _report(4, "marginal likelihood recursion vs dense oracle", ok,
+    _report(4, "marginal likelihood vs dense oracle", ok,
             f"worst rel err: logdensity={worst_ll:.2e}, logdet={worst_det:.2e}")
 
 

@@ -185,6 +185,21 @@ def test_non_finite_sigma_exits_1(tmp_path, data_csv, capsys, model, sigma):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--nu", "0", "nu"), ("--nu", "nan", "nu"), ("--nu", "-1", "nu"),
+    ("--beta", "nan", "beta"), ("--beta", "-1", "beta"), ("--burn", "-1", "it_burn"),
+])
+def test_pbart_hyper_that_breaks_the_chain_exits_1(tmp_path, data_csv, capsys, flag, value, field):
+    # --nu 0 or nan used to write a model that predict rejects, and --beta nan
+    # a chain that rejects every move
+    out = tmp_path / "m.json"
+    assert main(["fit", "--model", "pbart", "--trees", "2", "--iters", "3", "--burn", "1",
+                 "--data", str(data_csv), "--target", "y", "--sigma", "0.5", flag, value,
+                 "--out", str(out)]) == 1
+    assert f"{field} must be finite and" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("folds", ["1", "2"])
 def test_cv_with_too_few_folds_says_why(tmp_path, data_csv, capsys, folds):
     assert main(["cv", "--model", "tree", "--data", str(data_csv), "--target", "y",
@@ -434,6 +449,9 @@ BAD_KEYS = {
     # a negative or NaN sigma would load and predict wrong numbers
     "tree with a negative sigma": ("tree", _set("sigma", [-0.2, 0.0]), "sigma"),
     "pbart with a NaN sigma_trace": ("pbart", _set("sigma_trace", [float("nan")]), "sigma_trace"),
+    "pbart with a zero nu": ("pbart", lambda obj: obj["hyper"].__setitem__("nu", 0.0), "hyper"),
+    "pbart with a negative sigma_gamma": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("sigma_gamma", -0.5), "hyper"),
 }
 LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
 

@@ -4,7 +4,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import dense_log_density, grown_tree, random_dataset, recursive_log_prior
+from conftest import (
+    dense_log_density, dense_log_det, grown_tree, random_dataset, recursive_log_prior,
+)
 from prtree.data import Dataset, RngSpec
 from prtree.kernel import membership_column
 from prtree.pbart import (
@@ -18,6 +20,7 @@ from prtree.pbart import (
     marginal_log_likelihood,
     mh_accept,
     propose_tree,
+    sigma0_log_det,
     tree_log_prior,
 )
 from prtree.regions import Region
@@ -92,6 +95,36 @@ def test_mll_matches_dense_oracle():
         got = marginal_log_likelihood(R, V, sg, st)
         want = dense_log_density(R, V, sg, st)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+def _hard_membership(rng, n, K):
+    """An n x K membership array with a duplicated column, an all-zero column
+    and 0/1 columns among soft ones, as K allows."""
+    V = rng.random((n, K))
+    hard = rng.random(K) < 0.4
+    V[:, hard] = (V[:, hard] < 0.5).astype(float)
+    if K >= 2:
+        V[:, int(rng.integers(K))] = V[:, int(rng.integers(K))]
+    if K >= 3:
+        V[:, int(rng.integers(K))] = 0.0
+    return V
+
+
+def test_mll_matches_dense_oracle_on_hard_cases():
+    # up to 15 leaves and 60 rows, rank-deficient V, weight priors from
+    # nearly flat to nearly fixed and noise scales down to 0.01
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        n = int(rng.integers(1, 61))
+        K = int(rng.integers(1, 16))
+        V = _hard_membership(rng, n, K)
+        R = rng.normal(size=n)
+        sg = float(np.exp(rng.uniform(np.log(0.01), np.log(30.0))))
+        st = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        ll, ll_ref = marginal_log_likelihood(R, V, sg, st), dense_log_density(R, V, sg, st)
+        ld, ld_ref = sigma0_log_det(V, sg, st), dense_log_det(V, sg, st)
+        assert abs(ll - ll_ref) <= 1e-8 * max(1.0, abs(ll_ref))
+        assert abs(ld - ld_ref) <= 1e-8 * max(1.0, abs(ld_ref))
 
 
 def test_mll_rejects_bad_sigma():
@@ -436,6 +469,32 @@ def test_draw_gammas_flat_prior_limit():
     assert np.mean(sub) == pytest.approx(B / A, abs=0.01)
 
 
+def test_draw_gammas_conditions_on_fresh_draws():
+    # within one sweep, leaf 2's draw is N(mean, sd^2) given leaves 0 and 1
+    # as drawn in that sweep, not as they stood before it
+    rng = np.random.default_rng(6)
+    V = rng.random((20, 3))
+    R = rng.normal(size=20)
+    d = _line_data(np.arange(20.0))
+    t = SampledTree(grown_tree((0, 0, 9.5), (2, 0, 14.5)))
+    assert t.refresh(d, 1)
+    assert t.k == 3
+    sg, st = 0.5, 0.4
+    hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=sg)
+    G, b = V.T @ V, V.T @ R
+    gen = np.random.default_rng(7)
+    n = 20000
+    z = np.empty(n)
+    for i in range(n):
+        t.set_gammas([3.0, -3.0, 0.0])
+        g = draw_gammas(t, R, V, hyper, gen, st)
+        denom = st**2 + sg**2 * G[2, 2]
+        mean = sg**2 * (b[2] - G[2, 0] * g[0] - G[2, 1] * g[1]) / denom
+        z[i] = (g[2] - mean) / math.sqrt(st**2 * sg**2 / denom)
+    assert abs(z.mean()) <= 3 / math.sqrt(n)
+    assert abs(z.var(ddof=1) - 1.0) <= 3 * math.sqrt(2.0 / (n - 1))
+
+
 def test_draw_sigma_tilde_moments():
     hyper = PBartHyper(m=1, nu=3.0, lam=1.0)
     y = np.zeros(4)
@@ -669,6 +728,25 @@ def test_predict_dimension_mismatch(small_data):
         chain.predict(np.ones((2, 5)))
     with pytest.raises(ValueError, match="non-finite"):
         chain.predict(np.array([[0.0, np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nu", 0.0), ("nu", -1.0), ("nu", np.nan), ("nu", np.inf),
+    ("beta", -1.0), ("beta", np.nan), ("beta", np.inf),
+    ("lam", 0.0), ("lam", -1.0), ("lam", np.nan), ("lam", np.inf),
+    ("sigma_gamma", -1.0), ("sigma_gamma", np.nan), ("sigma_gamma", np.inf),
+    ("it_burn", -1),
+])
+def test_hyper_rejects_values_that_break_the_chain(field, value):
+    # each gave NaN predictions, a chain that rejects every move, or a numpy
+    # error deep inside the fit
+    with pytest.raises(ValueError, match=f"^{field} must be finite and >=? 0$"):
+        PBartHyper(**{field: value})
+
+
+def test_hyper_accepts_boundary_values():
+    hyper = PBartHyper(beta=0.0, sigma_gamma=0.0, it_burn=0, lam=None)
+    assert (hyper.beta, hyper.sigma_gamma, hyper.it_burn, hyper.lam) == (0.0, 0.0, 0, None)
 
 
 def test_hyper_validation():
