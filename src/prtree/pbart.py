@@ -537,6 +537,7 @@ def fit_pbart(
     fits = np.zeros((hyper.m, d.n))
     for ell in range(hyper.m):
         t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))), fit_inputs)
+        t.data, t.paths = d, trees[0].paths if trees else {}  # all trees share one root _Node
         t.refresh(d, min_count)
         trees.append(t)
         V = t.membership(d.features, sigma)

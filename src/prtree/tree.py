@@ -12,7 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, check_features
-from .kernel import membership_column, membership_columns, normal_cdf
+# membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
+from .kernel import membership_column, membership_columns, normal_cdf  # noqa: F401
 from .regions import Region
 
 log = logging.getLogger(__name__)
@@ -244,34 +245,19 @@ def _split_sse_batch(ry, Q, other, F):
     """SSE of the full refit for each cut of one coordinate, from the leaf's
     table (other, F) over [a, cuts, b] (see `_leaf_cuts`).
 
-    ry is the target with the span of the untouched columns projected out,
-    Q an orthonormal basis of that span. Cut i adds the child columns
-    other * (F[:, i+1] - F[:, 0]) and other * (F[:, -1] - F[:, i+1]); the
-    explained quadratic is solved from the projected 2x2 Gram system.
+    Q is an orthonormal basis of the current columns V and ry the target with
+    their span projected out. Cut i replaces the leaf's column c by the
+    children L = other * (F[:, i+1] - F[:, 0]) and c - L, which span (V, L):
+    with L' = L projected off Q, the SSE is ry.ry - (L'.ry)^2 / (L'.L'), and
+    0 gain when L' keeps at most PINV_RCOND of L's norm (L lies in span V).
     """
     L = other[:, None] * (F[:, 1:-1] - F[:, :1])
-    R = other[:, None] * (F[:, -1:] - F[:, 1:-1])
-    if Q.shape[1] > 0:
-        L = L - Q @ (Q.T @ L)
-        R = R - Q @ (Q.T @ R)
-    base = float(ry @ ry)
+    norm = np.einsum("ij,ij->j", L, L)
+    L -= Q @ (Q.T @ L)
     a = np.einsum("ij,ij->j", L, L)
-    b = np.einsum("ij,ij->j", L, R)
-    c = np.einsum("ij,ij->j", R, R)
-    u, v = L.T @ ry, R.T @ ry
-    det = a * c - b * b
-    trace = a + c
-    safe = det > (PINV_RCOND**2) * trace**2
-    quad = np.zeros_like(det)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q_full = (c * u * u - 2.0 * b * u * v + a * v * v) / det
-    quad[safe] = q_full[safe]
-    for i in np.flatnonzero(~safe):
-        # (near) rank-deficient pair: fall back to a dense 2-column solve
-        A = np.column_stack([L[:, i], R[:, i]])
-        coef, *_ = np.linalg.lstsq(A, ry, rcond=PINV_RCOND)
-        quad[i] = float(ry @ (A @ coef))
-    return base - quad
+    u = L.T @ ry
+    gain = np.divide(u * u, a, out=np.zeros_like(a), where=a > PINV_RCOND**2 * norm)
+    return float(ry @ ry) - gain
 
 
 def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None):
@@ -330,14 +316,14 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
 
 
 def find_best_split(
-    d: Dataset, V: np.ndarray, region: Region, y, k: int, vars, sigma, rule: StoppingRule,
+    d: Dataset, V: np.ndarray, region: Region, y, vars, sigma, rule: StoppingRule,
     rows=None, cuts=None,
 ):
-    """Best (coordinate, cut) for leaf k, whose region is `region` and whose
-    membership is column k of V, by refit SSE over all admissible candidates,
-    as (j, s, sse), or None. Ties break toward the smaller (j, s).
+    """Best (coordinate, cut) for the leaf of region `region` among the leaves
+    whose membership columns are V, by refit SSE over all admissible
+    candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
 
-    Cuts are the midpoints between consecutive distinct values of leaf k's
+    Cuts are the midpoints between consecutive distinct values of the leaf's
     hard-assigned rows that leave at least rule.min_count(n) rows on each
     side; `rows`, when given, are their indices (else `Region.contains` finds
     them among all n rows). `cuts`, when given, is `_leaf_cuts` of this leaf,
@@ -346,8 +332,8 @@ def find_best_split(
 
     - every sigma is 0: the leaves are disjoint indicators, and a cut's SSE
       is the other leaves' SSE around their means (O(n K)) plus the children's;
-    - otherwise (soft or mixed sigma): dense child columns for every cut,
-      projected off a QR basis of the other leaves (O(n x #cuts)).
+    - otherwise (soft or mixed sigma): a rank-one update of the current fit
+      per cut, from a QR basis of V (O(n K x #cuts); see `_split_sse_batch`).
     """
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -364,8 +350,7 @@ def find_best_split(
         r = (y - V @ means)[~mask]
         base = float(r @ r)
     else:
-        # an orthonormal basis of the other leaves' columns (none for the root)
-        Q, _ = np.linalg.qr(np.delete(V, k, axis=1))
+        Q, _ = np.linalg.qr(V)
         ry = y - Q @ (Q.T @ y)
     best = None
     for j, s, table in entries:
@@ -380,12 +365,12 @@ def find_best_split(
 
 def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
     """(V, regions) with column k and regions[k] replaced by the two children
-    of a split at s on coordinate j. Child columns are evaluated fresh, so for
-    every row they sum to the parent value up to roundoff (Gaussian mass is
-    additive over a partition of the parent region)."""
+    of a split at s on coordinate j, evaluated fresh in one call; for every row
+    they sum to the parent value up to roundoff (Gaussian mass is additive over
+    a partition of the parent region)."""
     regions = tuple(regions)
     children = regions[k].split(j, s)
-    cols = [membership_column(d.features, r, sigma) for r in children]
+    cols = membership_columns(d.features, children, sigma)
     V = np.column_stack([V[:, :k], *cols, V[:, k + 1 :]])
     return V, regions[:k] + children + regions[k + 1 :]
 
@@ -511,8 +496,7 @@ def fit_prtree(
                                      orders)
             if not fl.vars:
                 continue
-            found = find_best_split(d, V, regions[idx], y, idx, fl.vars, sigma, rule, fl.rows,
-                                    fl.cuts)
+            found = find_best_split(d, V, regions[idx], y, fl.vars, sigma, rule, fl.rows, fl.cuts)
             if found is not None:
                 j, s, sse = found
                 options.append((sse, idx, j, s))

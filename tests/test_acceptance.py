@@ -99,7 +99,7 @@ def test_criterion_2_split_search_oracle():
             V = build_membership(d, regions, sigma)
         k = int(rng.integers(V.shape[1]))
         vars = list(range(p))
-        got = find_best_split(d, V, regions[k], d.target, k, vars, sigma, rule)
+        got = find_best_split(d, V, regions[k], d.target, vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None or got is None:
             if (want is None) != (got is None):

@@ -95,6 +95,22 @@ def test_child_columns_sum_to_parent():
     assert np.allclose(V2.sum(axis=1), V[:, 0], atol=1e-9)
 
 
+def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
+    # a root split's children share their one finite bound: n values of Phi, not 2n
+    rng = np.random.default_rng(3)
+    d = Dataset(rng.normal(size=(30, 3)), rng.normal(size=30), ("a", "b", "c"))
+    evals = []
+
+    def counting(t):
+        evals.append(np.size(t))
+        return normal_cdf(t)
+
+    monkeypatch.setattr(kernel, "normal_cdf", counting)
+    split_membership_column(np.ones((30, 1)), [Region.root(3)], 0, 2, 0.1, d,
+                            np.array([0.4, 0.0, 1.2]))
+    assert sum(evals) == d.n
+
+
 def test_hard_membership_is_exact_indicator():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(25, 2))

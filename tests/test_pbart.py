@@ -14,6 +14,7 @@ from prtree.pbart import (
     PBartChain,
     PBartHyper,
     SampledTree,
+    _Node,
     draw_gammas,
     draw_sigma_tilde,
     fit_pbart,
@@ -562,6 +563,19 @@ def test_fit_pbart_deterministic(small_data):
     b = fit_pbart(small_data, hyper, np.zeros(3), RngSpec(7))
     assert a.to_json() == b.to_json()
     assert np.array_equal(a.sigma_trace, b.sigma_trace)
+
+
+def test_fit_pbart_builds_one_root_node_for_all_trees(small_data, monkeypatch):
+    # the trees share the root's _Node, so its sorted rows x p block exists once
+    init, depths = _Node.__init__, []
+
+    def counting(self, depth, region, rows):
+        depths.append(depth)
+        init(self, depth, region, rows)
+
+    monkeypatch.setattr(_Node, "__init__", counting)
+    fit_pbart(small_data, PBartHyper(m=4, it_burn=2, it_max=4), np.zeros(3), RngSpec(3))
+    assert depths.count(0) == 1
 
 
 def test_fit_pbart_rejects_tiny_data():

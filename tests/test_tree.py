@@ -149,7 +149,7 @@ def _split_search_cases(rng):
         yield d, regions, k
 
 
-@pytest.mark.parametrize("sigma_scale", [0.0, 0.3])
+@pytest.mark.parametrize("sigma_scale", [0.0, 0.3, 1.0, 2.0])
 def test_find_best_split_matches_brute_force(sigma_scale):
     rng = np.random.default_rng(11)
     rule = StoppingRule()
@@ -157,7 +157,7 @@ def test_find_best_split_matches_brute_force(sigma_scale):
         sigma = sigma_scale * d.features.std(axis=0, ddof=1)
         V = build_membership(d, regions, sigma)
         vars = list(range(d.p))
-        got = find_best_split(d, V, regions[k], d.target, k, vars, sigma, rule)
+        got = find_best_split(d, V, regions[k], d.target, vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None:
             assert got is None
@@ -173,7 +173,7 @@ def test_find_best_split_exact_tie_goes_to_smaller_cut():
     d = Dataset(X, np.array([0.0, 5, 5, 5, 5, 10]), ("a",))
     rule = StoppingRule(min_leaf_fraction=0.1)
     V = build_membership(d, [Region.root(1)], np.zeros(1))
-    assert find_best_split(d, V, Region.root(1), d.target, 0, [0], np.zeros(1), rule) == (
+    assert find_best_split(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) == (
         0, 0.5, 20.0)
 
 
@@ -182,7 +182,7 @@ def test_find_best_split_none_when_no_admissible_cut():
     d = Dataset(X, np.array([1.0, 2.0, 3.0]), ("a",))
     V = build_membership(d, [Region.root(1)], np.zeros(1))
     rule = StoppingRule()
-    assert find_best_split(d, V, Region.root(1), d.target, 0, [0], np.zeros(1), rule) is None
+    assert find_best_split(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) is None
 
 
 def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
@@ -195,14 +195,14 @@ def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
     root = Region.root(3)
     V = build_membership(d, [root], sigma)
     rule = StoppingRule()
-    j, s, sse = find_best_split(d, V, root, d.target, 0, [1, 0], sigma, rule)
+    j, s, sse = find_best_split(d, V, root, d.target, [1, 0], sigma, rule)
     assert j == 0
-    assert find_best_split(d, V, root, d.target, 0, [1], sigma, rule) == (1, s, sse)
+    assert find_best_split(d, V, root, d.target, [1], sigma, rule) == (1, s, sse)
     # a zero target makes every candidate's SSE exactly 0: the smallest
     # admissible cut of coordinate 0 wins
     zero = Dataset(X, np.zeros(40), ("a", "b", "c"))
     first = np.sort(X[:, 0])[rule.min_count(40) - 1 : rule.min_count(40) + 1].mean()
-    assert find_best_split(zero, V, root, zero.target, 0, [2, 1, 0], sigma, rule) == (
+    assert find_best_split(zero, V, root, zero.target, [2, 1, 0], sigma, rule) == (
         0, first, 0.0)
 
 
@@ -226,7 +226,7 @@ def _regrow_without_cache(d, sigma, rule, features=None, target=None):
             vars = candidate_variables(d, rows, 3, features)
             if not vars:
                 continue
-            found = find_best_split(d, V, regions[idx], y, idx, vars, sigma, rule, rows)
+            found = find_best_split(d, V, regions[idx], y, vars, sigma, rule, rows)
             if found is not None:
                 options.append((found[2], idx, found[0], found[1]))
         if not options:
@@ -371,9 +371,9 @@ def test_split_search_with_given_rows_equals_region_rows():
         V = build_membership(d, regions, sigma)
         for k, region in enumerate(regions):
             rows = np.flatnonzero(region.contains(d.features))
-            want = find_best_split(d, V, region, d.target, k, [0, 1, 2], sigma, rule)
+            want = find_best_split(d, V, region, d.target, [0, 1, 2], sigma, rule)
             assert want is not None
-            assert find_best_split(d, V, region, d.target, k, [0, 1, 2], sigma, rule, rows) == want
+            assert find_best_split(d, V, region, d.target, [0, 1, 2], sigma, rule, rows) == want
 
 
 def test_json_roundtrip_bit_identical(small_data):
