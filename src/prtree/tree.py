@@ -194,44 +194,48 @@ def fit_weights(V, y: np.ndarray) -> np.ndarray:
 
 
 def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray):
-    """Children SSE of every hard cut of ys, given sorted by the values vs
-    (the CART prefix-sum formula; Breiman et al. 1984).
-
-    Cut i lies between the distinct values vs[after[i]] and vs[after[i] + 1],
-    so after[i] + 1 rows go left. Returns (after, sse_left, sse_right,
-    sse_total), where sse_total is the SSE of all of ys around its mean.
-    """
+    """Children SSE of every hard cut of each column of ys, given sorted by
+    the same column of vs (CART prefix sums, Breiman et al. 1984; a cumsum
+    along axis 0 adds each column in row order). Row i is the cut with i + 1
+    rows left, admissible where vs[i] != vs[i + 1]. Returns (admissible,
+    sse_left, sse_right), (n - 1) x columns, and each column's SSE around
+    its mean."""
     n = ys.shape[0]
-    after = np.flatnonzero(vs[:-1] != vs[1:])
-    c1 = np.cumsum(ys)
-    c2 = np.cumsum(ys * ys)
+    c1, c2 = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
     tot1, tot2 = c1[-1], c2[-1]
-    m = after + 1.0
-    sse_l = c2[after] - c1[after] ** 2 / m
-    sse_r = (tot2 - c2[after]) - (tot1 - c1[after]) ** 2 / (n - m)
-    return after, sse_l, sse_r, tot2 - tot1**2 / n
+    c1, c2, m = c1[:-1], c2[:-1], np.arange(1.0, n)[:, None]
+    sse_l = c2 - c1**2 / m
+    sse_r = (tot2 - c2) - (tot1 - c1) ** 2 / (n - m)
+    return vs[:-1] != vs[1:], sse_l, sse_r, tot2 - tot1**2 / n
 
 
-def candidate_variables(d: Dataset, rows, k: int = 3, features=None, orders=None) -> list[int]:
+def _partition_block(block: np.ndarray, go_left: np.ndarray):
+    """The children's order blocks when the leaf's rows go left where go_left:
+    each column filtered, which keeps it stable (SLIQ's presorting; Mehta et
+    al. 1996), and renumbered to the child's local positions."""
+    left = go_left[block].T
+    local = np.where(go_left, np.cumsum(go_left), np.cumsum(~go_left)) - 1
+    return tuple(local[block.T[side].reshape(block.shape[1], -1).T] for side in (left, ~left))
+
+
+def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None) -> list[int]:
     """The k coordinates whose best hard split over `rows` reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
-    fewer than two distinct values have no split and are dropped. `orders`,
-    when given, receives each ranked coordinate's stable argsort over rows."""
+    fewer than two distinct values have no split and are dropped. One pass
+    of `_hard_cut_sse` over the rows x features block ranks them all, a cut
+    between equal values scoring -inf. `block`, the leaf's order block (the
+    stable argsort of each column), is sorted here unless given."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("rows must be non-empty")
-    X = d.features[rows]
-    y = d.target[rows]
-    cols = range(d.p) if features is None else features
-    scored = []
-    for j in cols:
-        order = np.argsort(X[:, j], kind="stable")
-        if orders is not None:
-            orders[j] = order
-        after, sse_l, sse_r, sse_tot = _hard_cut_sse(X[order, j], y[order])
-        if after.size:
-            scored.append((-float(np.max(sse_tot - sse_l - sse_r)), j))
-    scored.sort()
+    cols = list(range(d.p) if features is None else features)
+    X = d.features[rows][:, cols]
+    if block is None:
+        block = np.argsort(X, axis=0, kind="stable")
+    vs = np.take_along_axis(X, block, axis=0)
+    admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(vs, d.target[rows][block])
+    best = np.where(admissible, sse_tot - sse_l - sse_r, -np.inf).max(axis=0, initial=-np.inf)
+    scored = sorted((-float(g), j) for g, j, ok in zip(best, cols, admissible.any(axis=0)) if ok)
     return [j for _, j in scored[:k]]
 
 
@@ -241,19 +245,16 @@ def split_candidates(d: Dataset, rows, j: int) -> np.ndarray:
     return (values[:-1] + values[1:]) / 2.0
 
 
-def _split_sse_batch(ry, Q, other, F):
+def _split_sse_batch(Q, ry, L, norm):
     """SSE of the full refit for each cut of one coordinate, from the leaf's
-    table (other, F) over [a, cuts, b] (see `_leaf_cuts`).
+    table (L, norm) (see `_leaf_cuts`).
 
     Q is an orthonormal basis of the current columns V and ry the target with
-    their span projected out. Cut i replaces the leaf's column c by the
-    children L = other * (F[:, i+1] - F[:, 0]) and c - L, which span (V, L):
-    with L' = L projected off Q, the SSE is ry.ry - (L'.ry)^2 / (L'.L'), and
-    0 gain when L' keeps at most PINV_RCOND of L's norm (L lies in span V).
-    """
-    L = other[:, None] * (F[:, 1:-1] - F[:, :1])
-    norm = np.einsum("ij,ij->j", L, L)
-    L -= Q @ (Q.T @ L)
+    their span projected out. Cut i replaces the leaf's column c by L[:, i]
+    and c - L[:, i], which span (V, L[:, i]): with L' = L projected off Q, the
+    SSE is ry.ry - (L'.ry)^2 / (L'.L'), and 0 gain when L' keeps at most
+    PINV_RCOND of L's norm (L lies in span V)."""
+    L = L - Q @ (Q.T @ L)
     a = np.einsum("ij,ij->j", L, L)
     u = L.T @ ry
     gain = np.divide(u * u, a, out=np.zeros_like(a), where=a > PINV_RCOND**2 * norm)
@@ -264,43 +265,41 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries). There is an
     entry (j, cuts, table) for each j of vars, ascending, with an admissible
-    cut. At sigma = 0 the table is the children's SSE at each cut, from one
-    sort and prefix sums over the leaf's centred target; otherwise it is
-    (other, F): the membership of the leaf's region with coordinate j freed,
-    from one membership_columns call over all j, and F over [a, cuts, b].
-    `orders` may hold each j's stable argsort over the ascending rows, as
-    candidate_variables gives it; otherwise it is computed here."""
-    X = d.features
+    cut. At sigma = 0 the table is the children's SSE at each cut, by
+    `_hard_cut_sse` of the leaf's centred target; otherwise it is (L, norm):
+    L[:, i] is the left child's membership at cut i, the leaf's region with j
+    freed (one membership_columns call for all j) times F(j, cut) - F(j, a),
+    and norm its squared column norms. `orders`, the leaf's order block over
+    ascending vars, is sorted here unless given."""
     mask = np.zeros(d.n, dtype=bool)
     mask[rows] = True
-    entries = []
-    if np.count_nonzero(mask) < 2 * min_count:
+    X, n, entries = d.features, np.count_nonzero(mask), []
+    if n < 2 * min_count:
         return mask, entries
-    xk = X[mask]
-    orders = orders or {j: np.argsort(xk[:, j], kind="stable") for j in vars}
+    vars = sorted(vars)
+    xk = X[mask][:, vars]
+    if orders is None:
+        orders = np.argsort(xk, axis=0, kind="stable")
+    vs = np.take_along_axis(xk, orders, axis=0)
+    # the split_candidates midpoints of the sorted values
+    mids = (vs[:-1] + vs[1:]) / 2.0
     if not sigma.any():
         # the children's SSE is shift-invariant; centring keeps the prefix sums small
         yk = y[mask] - y[mask].mean()
-        for j in sorted(vars):
-            order = orders[j]
-            vs = xk[order, j]
-            after, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[order])
-            ok = (after + 1 >= min_count) & (yk.size - after - 1 >= min_count)
-            if ok.any():
-                after = after[ok]
-                entries.append((j, (vs[after] + vs[after + 1]) / 2.0, sse_l[ok] + sse_r[ok]))
+        admissible, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders])
+        left = np.arange(1, n)[:, None]
+        ok = admissible & (left >= min_count) & (n - left >= min_count)
+        for i, j in enumerate(vars):
+            after = np.flatnonzero(ok[:, i])
+            if after.size:
+                entries.append((j, mids[after, i], sse_l[after, i] + sse_r[after, i]))
         return mask, entries
     found = []
-    for j in sorted(vars):
-        # the sorted values, and their split_candidates midpoints
-        vs = xk[orders[j], j]
-        after = np.flatnonzero(vs[:-1] != vs[1:])
-        cuts = (vs[after] + vs[after + 1]) / 2.0
-        left_cnt = np.searchsorted(vs, cuts, side="right")
-        cuts = cuts[(left_cnt >= min_count) & (vs.size - left_cnt >= min_count)]
+    for i, j in enumerate(vars):
+        cuts = mids[vs[:-1, i] != vs[1:, i], i]
+        left_cnt = np.searchsorted(vs[:, i], cuts, side="right")
+        cuts = cuts[(left_cnt >= min_count) & (n - left_cnt >= min_count)]
         if cuts.size:
-            # a child column is `other`, the membership of the region with j
-            # freed, times the j-th coordinate's mass over (a, s] resp. (s, b]
             lower, upper = region.lower.copy(), region.upper.copy()
             lower[j], upper[j] = -np.inf, np.inf
             found.append((j, cuts, Region(lower, upper)))
@@ -311,13 +310,26 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
         t = np.concatenate(([region.lower[j]], cuts, [region.upper[j]]))
         xj = X[:, j, None]
         F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        entries.append((j, cuts, (other, F)))
+        L = other[:, None] * (F[:, 1:-1] - F[:, :1])
+        entries.append((j, cuts, (L, np.einsum("ij,ij->j", L, L))))
     return mask, entries
+
+
+def _round_basis(V: np.ndarray, y: np.ndarray, sigma: np.ndarray):
+    """The half of find_best_split that a round's leaves share, from V alone:
+    at sigma = 0 the residual around the leaf means; otherwise (Q, ry), a QR
+    basis of V and the target with its span projected out."""
+    if not sigma.any():
+        counts = V.sum(axis=0)
+        means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
+        return y - V @ means
+    Q, _ = np.linalg.qr(V)
+    return Q, y - Q @ (Q.T @ y)
 
 
 def find_best_split(
     d: Dataset, V: np.ndarray, region: Region, y, vars, sigma, rule: StoppingRule,
-    rows=None, cuts=None,
+    rows=None, cuts=None, basis=None,
 ):
     """Best (coordinate, cut) for the leaf of region `region` among the leaves
     whose membership columns are V, by refit SSE over all admissible
@@ -326,14 +338,14 @@ def find_best_split(
     Cuts are the midpoints between consecutive distinct values of the leaf's
     hard-assigned rows that leave at least rule.min_count(n) rows on each
     side; `rows`, when given, are their indices (else `Region.contains` finds
-    them among all n rows). `cuts`, when given, is `_leaf_cuts` of this leaf,
-    which a fit keeps until the leaf is split; only the half of the search
-    that depends on the other leaves is then computed here:
+    them among all n rows). `cuts` (`_leaf_cuts` of the leaf, kept by a fit
+    until the leaf is split) and `basis` (`_round_basis` of V, formed by a fit
+    once per round) are computed here unless given. A cut's SSE is then:
 
-    - every sigma is 0: the leaves are disjoint indicators, and a cut's SSE
-      is the other leaves' SSE around their means (O(n K)) plus the children's;
+    - every sigma is 0: the other leaves' SSE around their means, the basis
+      residual outside the leaf (O(n)), plus the children's;
     - otherwise (soft or mixed sigma): a rank-one update of the current fit
-      per cut, from a QR basis of V (O(n K x #cuts); see `_split_sse_batch`).
+      per cut, from the basis (O(n K x #cuts); see `_split_sse_batch`).
     """
     sigma = np.asarray(sigma, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -344,17 +356,14 @@ def find_best_split(
     mask, entries = cuts
     if not entries:
         return None
+    if basis is None:
+        basis = _round_basis(V, y, sigma)
     if not sigma.any():
-        counts = V.sum(axis=0)
-        means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
-        r = (y - V @ means)[~mask]
+        r = basis[~mask]
         base = float(r @ r)
-    else:
-        Q, _ = np.linalg.qr(V)
-        ry = y - Q @ (Q.T @ y)
     best = None
     for j, s, table in entries:
-        sse = base + table if not sigma.any() else _split_sse_batch(ry, Q, *table)
+        sse = base + table if not sigma.any() else _split_sse_batch(*basis, *table)
         # argmin keeps the first (smallest) cut among exact ties, and the
         # strict < the smallest j: the order of min over (sse, j, s)
         i = int(np.argmin(sse))
@@ -442,6 +451,7 @@ class _FitLeaf:
     node: int
     rows: np.ndarray
     depth: int
+    block: np.ndarray  # the rows' stable order by each of the fit's coordinates
     vars: list[int] | None = None
     cuts: tuple | None = None  # _leaf_cuts of vars, kept until the leaf is split
 
@@ -465,14 +475,15 @@ def fit_prtree(
     sigma = scales(sigma, d.p)
     if target is not None:
         d = Dataset(d.features, target, d.feature_names)
-    y = d.target
-    n = d.n
+    y, n = d.target, d.n
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
 
-    # leaves[k], regions[k] and column k of V describe the same leaf
+    # leaves[k], regions[k] and column k of V describe the same leaf; the
+    # root's rows are sorted once, and every other leaf inherits its order
+    cols = list(range(d.p) if features is None else features)
     nodes = FlatTree.leaf()
-    leaves = [_FitLeaf(0, np.arange(n), 0)]
+    leaves = [_FitLeaf(0, np.arange(n), 0, np.argsort(d.features[:, cols], axis=0, kind="stable"))]
     regions = (Region.root(d.p),)
     V = np.ones((n, 1))
     gamma = fit_weights(V, y)
@@ -483,28 +494,27 @@ def fit_prtree(
     while True:
         if rule.max_leaves is not None and len(leaves) >= rule.max_leaves:
             break
-        options = []
+        options, basis = [], None
         for idx, fl in enumerate(leaves):
-            if rule.max_depth is not None and fl.depth >= rule.max_depth:
-                continue
-            if fl.rows.size < 2 * min_count:
+            if fl.rows.size < 2 * min_count or (rule.max_depth is not None
+                                                and fl.depth >= rule.max_depth):
                 continue
             if fl.vars is None:
-                orders = {}
-                fl.vars = candidate_variables(d, fl.rows, 3, features, orders)
+                fl.vars = candidate_variables(d, fl.rows, 3, features, fl.block)
                 fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count,
-                                     orders)
+                                     fl.block[:, [cols.index(j) for j in sorted(fl.vars)]])
             if not fl.vars:
                 continue
-            found = find_best_split(d, V, regions[idx], y, fl.vars, sigma, rule, fl.rows, fl.cuts)
+            if basis is None:
+                basis = _round_basis(V, y, sigma)
+            found = find_best_split(d, V, regions[idx], y, fl.vars, sigma, rule, fl.rows, fl.cuts,
+                                    basis)
             if found is not None:
-                j, s, sse = found
-                options.append((sse, idx, j, s))
-        # ties in sse go to the smaller leaf index, then j, then s
-        chosen = min(options, default=None)
-        if chosen is None:
+                options.append((found[2], idx, *found[:2]))
+        if not options:
             break
-        _, idx, j, s = chosen
+        # ties in sse go to the smaller leaf index, then j, then s
+        _, idx, j, s = min(options)
 
         fl = leaves[idx]
         V_new, regions_new = split_membership_column(V, regions, idx, j, s, d, sigma)
@@ -515,11 +525,10 @@ def fit_prtree(
             break
 
         go_left = d.features[fl.rows, j] <= s
-        lnode, rnode = nodes.grow(fl.node, int(j), float(s))
-        leaves[idx : idx + 1] = [
-            _FitLeaf(lnode, fl.rows[go_left], fl.depth + 1),
-            _FitLeaf(rnode, fl.rows[~go_left], fl.depth + 1),
-        ]
+        children = zip(nodes.grow(fl.node, int(j), float(s)), (go_left, ~go_left),
+                       _partition_block(fl.block, go_left))
+        leaves[idx : idx + 1] = [_FitLeaf(node, fl.rows[side], fl.depth + 1, block)
+                                 for node, side, block in children]
         V, regions, gamma, sse_cur = V_new, regions_new, gamma_new, sse_new
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_cur)
 

@@ -5,11 +5,13 @@ from conftest import brute_force_split, hard_tree_oracle, leafwise_predict, rand
 from prtree.data import Dataset
 from prtree.kernel import build_membership
 from prtree.regions import Region
+from prtree import tree
 from prtree.tree import (
     GAIN_TOL,
     FlatTree,
     PRTree,
     StoppingRule,
+    _partition_block,
     candidate_variables,
     find_best_split,
     fit_prtree,
@@ -99,6 +101,67 @@ def test_candidate_variables_constant_feature_dropped():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     d = Dataset(X, np.arange(10.0), ("a", "b"))
     assert candidate_variables(d, np.arange(10), 3) == [1]
+
+
+def _ranking_oracle(d, rows, k, features=None):
+    """candidate_variables one coordinate at a time: a stable argsort and the
+    CART prefix sums over the distinct-value cuts of each column."""
+    X, y = d.features[rows], d.target[rows]
+    scored = []
+    for j in range(d.p) if features is None else features:
+        order = np.argsort(X[:, j], kind="stable")
+        vs, ys = X[order, j], y[order]
+        after = np.flatnonzero(vs[:-1] != vs[1:])
+        if after.size:
+            c1, c2, m, n = np.cumsum(ys), np.cumsum(ys * ys), after + 1.0, ys.size
+            sse_l = c2[after] - c1[after] ** 2 / m
+            sse_r = (c2[-1] - c2[after]) - (c1[-1] - c1[after]) ** 2 / (n - m)
+            scored.append((-float(np.max(c2[-1] - c1[-1] ** 2 / n - sse_l - sse_r)), j))
+    return [j for _, j in sorted(scored)[:k]]
+
+
+def test_candidate_variables_matches_per_coordinate_oracle():
+    rng = np.random.default_rng(14)
+    for trial in range(20):
+        n, p = int(rng.integers(2, 60)), int(rng.integers(1, 7))
+        d = random_dataset(rng, n, p)
+        X = np.round(d.features, int(rng.integers(0, 3)))
+        X[:, int(rng.integers(p))] = 1.5  # a constant column has no cut
+        if p > 2:
+            # an order-preserving copy of column 0 ties it gain for gain
+            X[:, p - 1] = 2.0 * X[:, 0] + 1.0
+        d = Dataset(X, d.target, d.feature_names)
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        features = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        for k in (1, 3, p + 2):
+            for subset in (None, features, features[::-1]):
+                assert candidate_variables(d, rows, k, subset) == _ranking_oracle(
+                    d, rows, k, subset)
+        if p > 2 and X[rows, 0].min() < X[rows, 0].max():
+            ranked = candidate_variables(d, rows, p, [p - 1, 0])
+            assert ranked == [0, p - 1]
+
+
+def test_partitioned_blocks_equal_fresh_sorts():
+    # bootstrap rows repeat, and rounded values tie: a child's inherited order
+    # must still be the stable argsort of its own rows
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        n, p = int(rng.integers(20, 120)), int(rng.integers(2, 6))
+        base = random_dataset(rng, n, p)
+        X = np.round(base.features, 1)[rng.integers(n, size=n)]
+        cols = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        leaves = [(np.arange(n), np.argsort(X[:, cols], axis=0, kind="stable"))]
+        while leaves:
+            rows, block = leaves.pop()
+            assert np.array_equal(block, np.argsort(X[rows][:, cols], axis=0, kind="stable"))
+            j = int(rng.integers(p))
+            values = np.unique(X[rows, j])
+            if values.size < 2:
+                continue
+            go_left = X[rows, j] <= rng.choice(values[:-1])
+            left, right = _partition_block(block, go_left)
+            leaves += [(rows[go_left], left), (rows[~go_left], right)]
 
 
 def _three_leaves(d):
@@ -256,12 +319,39 @@ def test_cached_leaf_candidates_grow_the_uncached_tree(kind):
     std = d.features.std(axis=0, ddof=1)
     sigma = {"hard": np.zeros(4), "soft": 0.3 * std, "mixed": [0.3, 0.0, 0.2, 0.0] * std}[kind]
     rule = StoppingRule(min_leaf_fraction=0.05)
-    residual = d.target - np.sin(d.features[:, 1])
-    for features, target in ((None, None), ([0, 2, 3], None), (None, residual)):
-        want = _regrow_without_cache(d, sigma, rule, features, target)
-        got = fit_prtree(d, sigma, rule, features=features, target=target)
-        assert want.leaf_count >= 8
-        assert got.to_json() == want.to_json()
+    # a bootstrap sample, as a forest fits it, repeats rows
+    boot = d.subset(rng.integers(d.n, size=d.n))
+    for data in (d, boot):
+        residual = data.target - np.sin(data.features[:, 1])
+        for features, target in ((None, None), ([0, 2, 3], None), (None, residual)):
+            want = _regrow_without_cache(data, sigma, rule, features, target)
+            got = fit_prtree(data, sigma, rule, features=features, target=target)
+            assert want.leaf_count >= 8
+            assert got.to_json() == want.to_json()
+
+
+def test_soft_tree_takes_one_qr_per_searched_round(monkeypatch):
+    # every leaf searched in a round shares one basis of the round's columns
+    rng = np.random.default_rng(22)
+    d = random_dataset(rng, 150, 4)
+    sigma = 0.3 * d.features.std(axis=0, ddof=1)
+    qr, search = np.linalg.qr, tree.find_best_split
+    qr_calls, rounds = [], []
+
+    def counted_qr(*args, **kwargs):
+        qr_calls.append(1)
+        return qr(*args, **kwargs)
+
+    def searched(d, V, *args):
+        rounds.append(V.shape[1])  # a round's V has one column per leaf
+        return search(d, V, *args)
+
+    monkeypatch.setattr(tree.np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(tree, "find_best_split", searched)
+    t = fit_prtree(d, sigma, StoppingRule(min_leaf_fraction=0.05))
+    assert t.leaf_count >= 8
+    assert max(rounds.count(k) for k in set(rounds)) > 1
+    assert len(qr_calls) == len(set(rounds))
 
 
 def test_hard_tree_equals_cart_oracle():
