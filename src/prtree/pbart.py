@@ -17,7 +17,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 from .kernel import membership_column, membership_columns
 from .regions import Region
-from .tree import FlatTree, StoppingRule, model_json, model_value, read_model_json, scales
+from .tree import (FlatTree, StoppingRule, cut_points, model_json, model_value,
+                   read_model_json, scales)
 
 log = logging.getLogger(__name__)
 
@@ -111,11 +112,9 @@ class _Node:
         return self.adm
 
     def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
-        """`split_candidates` of coordinate j over the rows, from the sorted block."""
+        """The `cut_points` of coordinate j over the rows, from the sorted block."""
         if j not in self.cuts:
-            v = self.sorted_block(d)[:, j]
-            v = v[np.concatenate(([True], v[1:] != v[:-1]))]
-            self.cuts[j] = (v[:-1] + v[1:]) / 2.0
+            self.cuts[j] = cut_points(self.sorted_block(d)[:, j])[1]
         return self.cuts[j]
 
 

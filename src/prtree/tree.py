@@ -18,7 +18,7 @@ from .regions import Region
 
 log = logging.getLogger(__name__)
 
-# Growth stops at a split that lowers the training SSE by <= GAIN_TOL * (1 + SSE).
+# Growth stops once the split search's best refit lowers the SSE by <= GAIN_TOL * (1 + SSE).
 GAIN_TOL = 1e-12
 # Singular values below PINV_RCOND * largest are treated as zero.
 PINV_RCOND = 1e-10
@@ -239,10 +239,21 @@ def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None)
     return [j for _, j in scored[:k]]
 
 
+def cut_points(v: np.ndarray):
+    """(left, cuts) of a sorted column v: a cut between each pair of consecutive
+    distinct values lo < hi, left[i] values of v lying at or below cuts[i]. The
+    cut is their midpoint (CART; Breiman et al. 1984), or lo where rounding or
+    overflow puts it outside [lo, hi), so x <= cut sends exactly v[:left] left."""
+    left = np.flatnonzero(v[:-1] != v[1:]) + 1
+    lo, hi = v[left - 1], v[left]
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return left, np.where((lo <= mid) & (mid < hi), mid, lo)
+
+
 def split_candidates(d: Dataset, rows, j: int) -> np.ndarray:
-    """Midpoints between consecutive distinct values of feature j over rows."""
-    values = np.unique(d.features[rows, j])
-    return (values[:-1] + values[1:]) / 2.0
+    """The `cut_points` of feature j over rows."""
+    return cut_points(np.sort(d.features[rows, j]))[1]
 
 
 def _split_sse_batch(Q, ry, L, norm):
@@ -264,16 +275,17 @@ def _split_sse_batch(Q, ry, L, norm):
 def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries). There is an
-    entry (j, cuts, table) for each j of vars, ascending, with an admissible
-    cut. At sigma = 0 the table is the children's SSE at each cut, by
-    `_hard_cut_sse` of the leaf's centred target; otherwise it is (L, norm):
-    L[:, i] is the left child's membership at cut i, the leaf's region with j
-    freed (one membership_columns call for all j) times F(j, cut) - F(j, a),
-    and norm its squared column norms. `orders`, the leaf's order block over
-    ascending vars, is sorted here unless given."""
+    entry (j, cuts, table) for each j of vars, ascending, whose cuts are the
+    `cut_points` leaving min_count rows on each side. At sigma = 0 the table
+    is the children's SSE at each cut, by `_hard_cut_sse` of the leaf's
+    centred target; otherwise it is (L, norm): L[:, i] is the left child's
+    membership at cut i, the leaf's region with j freed (one
+    membership_columns call for all j) times F(j, cut) - F(j, a), and norm
+    its squared column norms. `orders`, the leaf's order block over ascending
+    vars, is sorted here unless given."""
     mask = np.zeros(d.n, dtype=bool)
     mask[rows] = True
-    X, n, entries = d.features, np.count_nonzero(mask), []
+    X, n, entries, found = d.features, np.count_nonzero(mask), [], []
     if n < 2 * min_count:
         return mask, entries
     vars = sorted(vars)
@@ -281,36 +293,31 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     if orders is None:
         orders = np.argsort(xk, axis=0, kind="stable")
     vs = np.take_along_axis(xk, orders, axis=0)
-    # the split_candidates midpoints of the sorted values
-    mids = (vs[:-1] + vs[1:]) / 2.0
-    if not sigma.any():
+    hard = not sigma.any()
+    if hard:
         # the children's SSE is shift-invariant; centring keeps the prefix sums small
         yk = y[mask] - y[mask].mean()
-        admissible, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders])
-        left = np.arange(1, n)[:, None]
-        ok = admissible & (left >= min_count) & (n - left >= min_count)
-        for i, j in enumerate(vars):
-            after = np.flatnonzero(ok[:, i])
-            if after.size:
-                entries.append((j, mids[after, i], sse_l[after, i] + sse_r[after, i]))
-        return mask, entries
-    found = []
+        _, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders])
     for i, j in enumerate(vars):
-        cuts = mids[vs[:-1, i] != vs[1:, i], i]
-        left_cnt = np.searchsorted(vs[:, i], cuts, side="right")
-        cuts = cuts[(left_cnt >= min_count) & (n - left_cnt >= min_count)]
-        if cuts.size:
+        left, cuts = cut_points(vs[:, i])
+        keep = (left >= min_count) & (n - left >= min_count)
+        left, cuts = left[keep], cuts[keep]
+        if not cuts.size:
+            continue
+        if hard:
+            entries.append((j, cuts, sse_l[left - 1, i] + sse_r[left - 1, i]))
+        else:
             lower, upper = region.lower.copy(), region.upper.copy()
             lower[j], upper[j] = -np.inf, np.inf
             found.append((j, cuts, Region(lower, upper)))
     others = membership_columns(X, [freed for *_, freed in found], sigma)
     for (j, cuts, _), other in zip(found, others):
-        # F at a, every cut and b: the indicator 1{x_j <= t} at sigma_j = 0,
-        # else Phi; exactly 0 and 1 at infinite a and b
-        t = np.concatenate(([region.lower[j]], cuts, [region.upper[j]]))
+        # F at a and every cut: the indicator 1{x_j <= t} at sigma_j = 0,
+        # else Phi; exactly 0 at an infinite a
+        t = np.concatenate(([region.lower[j]], cuts))
         xj = X[:, j, None]
         F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        L = other[:, None] * (F[:, 1:-1] - F[:, :1])
+        L = other[:, None] * (F[:, 1:] - F[:, :1])
         entries.append((j, cuts, (L, np.einsum("ij,ij->j", L, L))))
     return mask, entries
 
@@ -335,12 +342,12 @@ def find_best_split(
     whose membership columns are V, by refit SSE over all admissible
     candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
 
-    Cuts are the midpoints between consecutive distinct values of the leaf's
-    hard-assigned rows that leave at least rule.min_count(n) rows on each
-    side; `rows`, when given, are their indices (else `Region.contains` finds
-    them among all n rows). `cuts` (`_leaf_cuts` of the leaf, kept by a fit
-    until the leaf is split) and `basis` (`_round_basis` of V, formed by a fit
-    once per round) are computed here unless given. A cut's SSE is then:
+    Cuts are the `cut_points` of the leaf's hard-assigned rows that leave at
+    least rule.min_count(n) rows on each side; `rows`, when given, are their
+    indices (else `Region.contains` finds them among all n rows). `cuts`
+    (`_leaf_cuts` of the leaf, kept by a fit until the leaf is split) and
+    `basis` (`_round_basis` of V, formed by a fit once per round) are computed
+    here unless given. A cut's SSE is then:
 
     - every sigma is 0: the other leaves' SSE around their means, the basis
       residual outside the leaf (O(n)), plus the children's;
@@ -465,7 +472,8 @@ def fit_prtree(
 ) -> PRTree:
     """Grow a PR tree greedily: each iteration applies the single best
     admissible split across all current leaves (full weight refit per
-    candidate), until no split reduces the training SSE.
+    candidate, scored by `find_best_split`) until it lowers the training SSE
+    by no more than GAIN_TOL; `fit_weights` then solves the leaf weights once.
 
     `features`, when given, restricts splits to that coordinate subset
     (used by forests). `target`, when given, replaces d.target for both the
@@ -486,14 +494,9 @@ def fit_prtree(
     leaves = [_FitLeaf(0, np.arange(n), 0, np.argsort(d.features[:, cols], axis=0, kind="stable"))]
     regions = (Region.root(d.p),)
     V = np.ones((n, 1))
-    gamma = fit_weights(V, y)
-    resid = y - V @ gamma
-    sse_cur = float(resid @ resid)
     min_count = rule.min_count(n)
 
-    while True:
-        if rule.max_leaves is not None and len(leaves) >= rule.max_leaves:
-            break
+    while rule.max_leaves is None or len(leaves) < rule.max_leaves:
         options, basis = [], None
         for idx, fl in enumerate(leaves):
             if fl.rows.size < 2 * min_count or (rule.max_depth is not None
@@ -514,24 +517,21 @@ def fit_prtree(
         if not options:
             break
         # ties in sse go to the smaller leaf index, then j, then s
-        _, idx, j, s = min(options)
-
-        fl = leaves[idx]
-        V_new, regions_new = split_membership_column(V, regions, idx, j, s, d, sigma)
-        gamma_new = fit_weights(V_new, y)
-        resid = y - V_new @ gamma_new
-        sse_new = float(resid @ resid)
+        sse_new, idx, j, s = min(options)
+        r = basis if not sigma.any() else basis[1]  # the current fit's residual
+        sse_cur = float(r @ r)
         if sse_cur - sse_new <= GAIN_TOL * (1.0 + sse_cur):
             break
 
+        fl = leaves[idx]
+        V, regions = split_membership_column(V, regions, idx, j, s, d, sigma)
         go_left = d.features[fl.rows, j] <= s
         children = zip(nodes.grow(fl.node, int(j), float(s)), (go_left, ~go_left),
                        _partition_block(fl.block, go_left))
         leaves[idx : idx + 1] = [_FitLeaf(node, fl.rows[side], fl.depth + 1, block)
                                  for node, side, block in children]
-        V, regions, gamma, sse_cur = V_new, regions_new, gamma_new, sse_new
-        log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_cur)
+        log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_new)
 
-    for fl, g in zip(leaves, gamma):
+    for fl, g in zip(leaves, fit_weights(V, y)):
         nodes.value[fl.node] = float(g)
     return PRTree(nodes, sigma, d.feature_names)

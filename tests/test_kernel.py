@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from prtree import kernel
+from prtree import kernel, tree
 from prtree.data import Dataset
 from prtree.kernel import (
     build_membership,
@@ -13,7 +13,7 @@ from prtree.kernel import (
 )
 from prtree.pbart import SampledTree
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, split_membership_column
+from prtree.tree import FlatTree, StoppingRule, _leaf_cuts, split_membership_column
 
 
 def _normal_pdf(t):
@@ -109,6 +109,31 @@ def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
     split_membership_column(np.ones((30, 1)), [Region.root(3)], 0, 2, 0.1, d,
                             np.array([0.4, 0.0, 1.2]))
     assert sum(evals) == d.n
+
+
+def test_leaf_cuts_evaluate_phi_at_the_lower_bound_and_the_cuts(monkeypatch):
+    # a soft leaf with finite bounds on coordinates 0 and 1: per candidate soft
+    # coordinate, n values of Phi at its lower bound and n per cut, none at
+    # its upper bound; the hard coordinate 2 takes none
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(80, 3))
+    d = Dataset(X, X[:, 0] + rng.normal(size=80), ("a", "b", "c"))
+    sigma = np.array([0.4, 0.6, 0.0])
+    _, leaf = Region.root(3).split(0, -1.0)
+    leaf, _ = leaf.split(0, 1.0)
+    _, leaf = leaf.split(1, -1.2)
+    leaf, _ = leaf.split(1, 1.2)
+    rows = np.flatnonzero(leaf.contains(X))
+    evals = []
+
+    def counting(t):
+        evals.append(np.size(t))
+        return normal_cdf(t)
+
+    monkeypatch.setattr(tree, "normal_cdf", counting)
+    _, entries = _leaf_cuts(d, leaf, d.target, rows, [0, 1, 2], sigma, 3)
+    assert [j for j, *_ in entries] == [0, 1, 2]
+    assert sum(evals) == sum(d.n * (1 + cuts.size) for j, cuts, _ in entries if sigma[j] > 0)
 
 
 def test_hard_membership_is_exact_indicator():

@@ -245,19 +245,27 @@ def _check_node_caches(t, d, sigma):
             assert node.adm == [j for j in range(d.p) if distinct[j] > 1]
         for j, cuts in node.cuts.items():
             assert cuts.tobytes() == split_candidates(d, rows, j).tobytes()
+            # every cut leaves rows on both sides, and no two cuts partition alike
+            left = np.count_nonzero(d.features[rows, j, None] <= cuts, axis=0)
+            assert np.all(np.diff(np.concatenate(([0], left, [rows.size]))) > 0)
         if node.col is not None:
             want = membership_column(d.features, regions[i], sigma)
             assert node.col.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("seed", range(4))
 def test_proposal_bookkeeping_matches_region_oracle(seed):
-    # rounded features give tied values; rows, regions, cut counts, admissible
-    # sets, cut arrays and membership columns carried across proposals must
-    # equal those Region.split and Region.contains derive afresh, and a
-    # proposal must leave the current tree untouched
+    # rounded features give tied values, and at seed 3 column b holds adjacent
+    # doubles, half of whose midpoints round onto the upper value; rows,
+    # regions, cut counts, admissible sets, cut arrays and membership columns
+    # carried across proposals must equal those Region.split and
+    # Region.contains derive afresh, and a proposal must leave the current
+    # tree untouched
     rng = np.random.default_rng(seed)
-    d = Dataset(np.round(rng.normal(size=(60, 3)), 1), rng.normal(size=60), ("a", "b", "c"))
+    X = np.round(rng.normal(size=(60, 3)), 1)
+    if seed == 3:
+        X[:, 1] = 1.0 + rng.integers(8, size=60) * 2.0**-52
+    d = Dataset(X, rng.normal(size=60), ("a", "b", "c"))
     sigma = np.array([0.3, 0.0, 0.2])
     rule = StoppingRule(min_leaf_fraction=0.05)
     gen = np.random.default_rng(100 + seed)

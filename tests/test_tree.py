@@ -13,6 +13,7 @@ from prtree.tree import (
     StoppingRule,
     _partition_block,
     candidate_variables,
+    cut_points,
     find_best_split,
     fit_prtree,
     fit_weights,
@@ -82,6 +83,25 @@ def test_split_candidates_midpoints():
     rows = np.flatnonzero(Region(np.array([1.5]), np.array([5.0])).contains(X))
     assert rows.tolist() == [1, 2, 3]
     assert split_candidates(d, rows, 0).tolist() == [3.0]
+
+
+def test_cut_points_send_exactly_the_lower_values_left():
+    # ties, adjacent doubles, signed zeros, subnormals and values near
+    # overflow, where the midpoint rounds onto the upper value or to +-inf
+    rng = np.random.default_rng(17)
+    big, tiny = np.finfo(float).max, np.finfo(float).smallest_subnormal
+    pool = np.array([0.0, -0.0, tiny, -tiny, 1.0, np.nextafter(1.0, 2.0),
+                     np.nextafter(np.nextafter(1.0, 2.0), 2.0), np.nextafter(1.0, 0.0), -1.0,
+                     1e308, 1.5e308, big, np.nextafter(big, 0.0), -1e308, -1.5e308, -big])
+    for _ in range(300):
+        size = int(rng.integers(1, 40))
+        v = np.sort(np.where(rng.random(size) < 0.7, rng.choice(pool, size),
+                             np.round(rng.normal(size=size), 1)))
+        left, cuts = cut_points(v)
+        assert cuts.size == left.size == np.unique(v).size - 1
+        for k, c in zip(left.tolist(), cuts.tolist()):
+            assert v[k - 1] <= c < v[k]
+            assert np.count_nonzero(v <= c) == k
 
 
 def test_candidate_variables_ranks_by_reduction():
@@ -352,6 +372,44 @@ def test_soft_tree_takes_one_qr_per_searched_round(monkeypatch):
     assert t.leaf_count >= 8
     assert max(rounds.count(k) for k in set(rounds)) > 1
     assert len(qr_calls) == len(set(rounds))
+
+
+@pytest.mark.parametrize("x, y", [
+    # the midpoint of 1 + 2^-52 and 1 + 2^-51 rounds onto the upper value
+    ([0.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 2.0], [0.0, 0.0, 10.0, 10.0]),
+    # the midpoint of 1e308 and 1.5e308 overflows to inf
+    ([1e308, 1.5e308], [0.0, 10.0]),
+], ids=["adjacent", "overflow"])
+def test_hard_split_where_the_midpoint_is_not_below_the_upper_value(x, y):
+    X, target = np.repeat(x, 5)[:, None], np.repeat(y, 5)
+    d = Dataset(X, target, ("a",))
+    rule = StoppingRule(min_leaf_fraction=0.25)
+    V = build_membership(d, [Region.root(1)], np.zeros(1))
+    _, s, sse = find_best_split(d, V, Region.root(1), target, [0], np.zeros(1), rule)
+    # the reported SSE is that of the partition x <= s makes
+    assert sse == sum(float(((part - part.mean()) ** 2).sum())
+                      for part in (target[X[:, 0] <= s], target[X[:, 0] > s]))
+    t = fit_prtree(d, [0.0], rule)
+    assert np.array_equal(t.predict(X), target)
+
+
+@pytest.mark.parametrize("sigma_scale", [0.0, 0.3])
+def test_fit_solves_the_weights_once(monkeypatch, sigma_scale):
+    # growth stops on the split search's own SSE; the weights are solved on
+    # the final columns only
+    rng = np.random.default_rng(23)
+    d = random_dataset(rng, 150, 4)
+    calls = []
+
+    def counted(V, y):
+        calls.append(V.shape[1])
+        return fit_weights(V, y)
+
+    monkeypatch.setattr(tree, "fit_weights", counted)
+    t = fit_prtree(d, sigma_scale * d.features.std(axis=0, ddof=1),
+                   StoppingRule(min_leaf_fraction=0.05))
+    assert t.leaf_count >= 8
+    assert calls == [t.leaf_count]
 
 
 def test_hard_tree_equals_cart_oracle():
