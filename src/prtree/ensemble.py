@@ -105,9 +105,10 @@ def fit_prrf(
     vars_per_tree: int | None = None,
 ) -> Forest:
     """Fit m PR trees on bootstrap resamples, each restricted to a uniformly
-    drawn variable subset (default: all variables). Every tree consumes its
-    own named rng stream, so the forest is reproducible and trees could be
-    fitted in parallel."""
+    drawn variable subset (default: all variables). A resample's repeated
+    rows are fitted once each with their multiplicity as an integer weight
+    (see `fit_prtree`). Every tree consumes its own named rng stream, so the
+    forest is reproducible and trees could be fitted in parallel."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if vars_per_tree is None:

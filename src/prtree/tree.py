@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import index
 from typing import NamedTuple
@@ -193,17 +194,22 @@ def fit_weights(V, y: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(V, rcond=PINV_RCOND) @ y
 
 
-def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray):
+def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray, ws=None):
     """Children SSE of every hard cut of each column of ys, given sorted by
     the same column of vs (CART prefix sums, Breiman et al. 1984; a cumsum
     along axis 0 adds each column in row order). Row i is the cut with i + 1
     rows left, admissible where vs[i] != vs[i + 1]. Returns (admissible,
     sse_left, sse_right), (n - 1) x columns, and each column's SSE around
-    its mean."""
-    n = ys.shape[0]
-    c1, c2 = np.cumsum(ys, axis=0), np.cumsum(ys * ys, axis=0)
-    tot1, tot2 = c1[-1], c2[-1]
-    c1, c2, m = c1[:-1], c2[:-1], np.arange(1.0, n)[:, None]
+    its mean. `ws`, given in the order of ys, weights each row's squared
+    error by its multiplicity: the count, sum and square sums become
+    weighted ones."""
+    if ws is None:
+        wy, m = ys, np.arange(1.0, ys.shape[0] + 1)[:, None]
+    else:
+        wy, m = ws * ys, np.cumsum(ws, axis=0)
+    c1, c2 = np.cumsum(wy, axis=0), np.cumsum(wy * ys, axis=0)
+    tot1, tot2, n = c1[-1], c2[-1], m[-1]
+    c1, c2, m = c1[:-1], c2[:-1], m[:-1]
     sse_l = c2 - c1**2 / m
     sse_r = (tot2 - c2) - (tot1 - c1) ** 2 / (n - m)
     return vs[:-1] != vs[1:], sse_l, sse_r, tot2 - tot1**2 / n
@@ -218,13 +224,16 @@ def _partition_block(block: np.ndarray, go_left: np.ndarray):
     return tuple(local[block.T[side].reshape(block.shape[1], -1).T] for side in (left, ~left))
 
 
-def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None) -> list[int]:
+def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None,
+                        w=None) -> list[int]:
     """The k coordinates whose best hard split over `rows` reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
     fewer than two distinct values have no split and are dropped. One pass
     of `_hard_cut_sse` over the rows x features block ranks them all, a cut
     between equal values scoring -inf. `block`, the leaf's order block (the
-    stable argsort of each column), is sorted here unless given."""
+    stable argsort of each column), is sorted here unless given. `w`, when
+    given, is the integer multiplicity of each of d's rows (a weighted fit's
+    repeated rows, see `fit_prtree`); by default each row counts once."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("rows must be non-empty")
@@ -233,7 +242,8 @@ def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None)
     if block is None:
         block = np.argsort(X, axis=0, kind="stable")
     vs = np.take_along_axis(X, block, axis=0)
-    admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(vs, d.target[rows][block])
+    ws = None if w is None else w[rows][block]
+    admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(vs, d.target[rows][block], ws)
     best = np.where(admissible, sse_tot - sse_l - sse_r, -np.inf).max(axis=0, initial=-np.inf)
     scored = sorted((-float(g), j) for g, j, ok in zip(best, cols, admissible.any(axis=0)) if ok)
     return [j for _, j in scored[:k]]
@@ -272,7 +282,8 @@ def _split_sse_batch(Q, ry, L, norm):
     return float(ry @ ry) - gain
 
 
-def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None):
+def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None,
+               w=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries). There is an
     entry (j, cuts, table) for each j of vars, ascending, whose cuts are the
@@ -282,10 +293,12 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     membership at cut i, the leaf's region with j freed (one
     membership_columns call for all j) times F(j, cut) - F(j, a), and norm
     its squared column norms. `orders`, the leaf's order block over ascending
-    vars, is sorted here unless given."""
+    vars, is sorted here unless given. `w`, the rows' multiplicities in a
+    weighted fit, makes the counts and SSE weighted and scales L by sqrt(w)."""
     mask = np.zeros(d.n, dtype=bool)
     mask[rows] = True
-    X, n, entries, found = d.features, np.count_nonzero(mask), [], []
+    X, wk, entries, found = d.features, None if w is None else w[mask], [], []
+    n = np.count_nonzero(mask) if wk is None else wk.sum()
     if n < 2 * min_count:
         return mask, entries
     vars = sorted(vars)
@@ -293,14 +306,17 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     if orders is None:
         orders = np.argsort(xk, axis=0, kind="stable")
     vs = np.take_along_axis(xk, orders, axis=0)
+    wo = None if wk is None else wk[orders]  # the sorted rows' multiplicities
     hard = not sigma.any()
     if hard:
         # the children's SSE is shift-invariant; centring keeps the prefix sums small
-        yk = y[mask] - y[mask].mean()
-        _, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders])
+        yk = y[mask]
+        yk = yk - (yk.mean() if wk is None else wk @ yk / n)
+        _, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders], wo)
     for i, j in enumerate(vars):
         left, cuts = cut_points(vs[:, i])
-        keep = (left >= min_count) & (n - left >= min_count)
+        count = left if wo is None else np.cumsum(wo[:, i])[left - 1]
+        keep = (count >= min_count) & (n - count >= min_count)
         left, cuts = left[keep], cuts[keep]
         if not cuts.size:
             continue
@@ -312,12 +328,17 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
             found.append((j, cuts, Region(lower, upper)))
     others = membership_columns(X, [freed for *_, freed in found], sigma)
     for (j, cuts, _), other in zip(found, others):
-        # F at a and every cut: the indicator 1{x_j <= t} at sigma_j = 0,
-        # else Phi; exactly 0 at an infinite a
-        t = np.concatenate(([region.lower[j]], cuts))
+        # F at every cut, less F at a unless a = -inf, where F is exactly 0:
+        # the indicator 1{x_j <= t} at sigma_j = 0, else Phi
+        a = region.lower[j]
+        t = cuts if a == -np.inf else np.concatenate(([a], cuts))
         xj = X[:, j, None]
         F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        L = other[:, None] * (F[:, 1:] - F[:, :1])
+        if a > -np.inf:
+            F = F[:, 1:] - F[:, :1]
+        if w is not None:
+            other = np.sqrt(w) * other
+        L = other[:, None] * F
         entries.append((j, cuts, (L, np.einsum("ij,ij->j", L, L))))
     return mask, entries
 
@@ -325,9 +346,11 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
 def _round_basis(V: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     """The half of find_best_split that a round's leaves share, from V alone:
     at sigma = 0 the residual around the leaf means; otherwise (Q, ry), a QR
-    basis of V and the target with its span projected out."""
+    basis of V and the target with its span projected out. A weighted fit
+    passes V and y scaled by sqrt(w): the hard means are then weighted, as
+    each column's squared norm is its leaf's weighted count."""
     if not sigma.any():
-        counts = V.sum(axis=0)
+        counts = np.einsum("ij,ij->j", V, V)
         means = np.divide(V.T @ y, counts, out=np.zeros_like(counts), where=counts > 0)
         return y - V @ means
     Q, _ = np.linalg.qr(V)
@@ -463,6 +486,26 @@ class _FitLeaf:
     cuts: tuple | None = None  # _leaf_cuts of vars, kept until the leaf is split
 
 
+def _repeated_rows(d: Dataset, order: np.ndarray, j: int):
+    """(first, w) when some rows of d repeat exactly, in features and target:
+    first marks each distinct row's first occurrence, and w holds, in row
+    order, how often each marked row occurs. None when every row is distinct,
+    which `order`, the stable argsort of feature j, shows in O(n) unless
+    feature j has ties."""
+    v = d.features[order, j]
+    if not np.any(v[1:] == v[:-1]):
+        return None
+    table = np.column_stack([d.features, d.target])
+    keys = table.view(np.dtype((np.void, table.itemsize * table.shape[1]))).ravel()
+    _, firsts, inverse, counts = np.unique(keys, return_index=True, return_inverse=True,
+                                           return_counts=True)
+    if firsts.size == d.n:
+        return None
+    first = np.zeros(d.n, dtype=bool)
+    first[firsts] = True
+    return first, counts[inverse[first]]
+
+
 def fit_prtree(
     d: Dataset,
     sigma,
@@ -479,37 +522,63 @@ def fit_prtree(
     (used by forests). `target`, when given, replaces d.target for both the
     fit and the candidate-variable ranking (used by boosting). Growth is
     deterministic.
+
+    Rows that repeat exactly (features and target), as in a bootstrap sample,
+    are fitted once each with their multiplicity w as an integer weight: the
+    split search's counts, prefix sums and least-squares problems are
+    weighted, and the final weight solve takes each row w times, so the fit
+    minimises the SSE of the repeated rows (bagging; Breiman 1996).
     """
     sigma = scales(sigma, d.p)
     if target is not None:
         d = Dataset(d.features, target, d.feature_names)
-    y, n = d.target, d.n
+    n = d.n
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
+    # sums of y reach n max|y|, and their squares overflow past 2^512: beyond
+    # 2^500 the fit is of y * 2^-e (exact) and the leaf weights are scaled
+    # back by 2^e
+    top = np.abs(d.target).max()
+    e = int(np.frexp(top)[1]) if n * top > 2.0**500 else 0
+    if e:
+        d = Dataset(d.features, np.ldexp(d.target, -e), d.feature_names)
 
-    # leaves[k], regions[k] and column k of V describe the same leaf; the
-    # root's rows are sorted once, and every other leaf inherits its order
+    # the root's rows are sorted once, and every other leaf inherits its order
     cols = list(range(d.p) if features is None else features)
+    block = np.argsort(d.features[:, cols], axis=0, kind="stable")
+    w = sw = None
+    repeated = _repeated_rows(d, block[:, 0], cols[0])
+    if repeated is not None:
+        first, w = repeated
+        d = Dataset(d.features[first], d.target[first], d.feature_names)
+        block, _ = _partition_block(block, first)
+        sw = np.sqrt(w)[:, None]
+
+    # leaves[k], regions[k] and column k of V describe the same leaf; a
+    # weighted round's basis is that of the rows scaled by sqrt(w)
+    y = d.target
+    ys = y if w is None else sw[:, 0] * y
     nodes = FlatTree.leaf()
-    leaves = [_FitLeaf(0, np.arange(n), 0, np.argsort(d.features[:, cols], axis=0, kind="stable"))]
+    leaves = [_FitLeaf(0, np.arange(d.n), 0, block)]
     regions = (Region.root(d.p),)
-    V = np.ones((n, 1))
+    V = np.ones((d.n, 1))
     min_count = rule.min_count(n)
 
     while rule.max_leaves is None or len(leaves) < rule.max_leaves:
         options, basis = [], None
         for idx, fl in enumerate(leaves):
-            if fl.rows.size < 2 * min_count or (rule.max_depth is not None
-                                                and fl.depth >= rule.max_depth):
+            size = fl.rows.size if w is None else w[fl.rows].sum()
+            if size < 2 * min_count or (rule.max_depth is not None
+                                        and fl.depth >= rule.max_depth):
                 continue
             if fl.vars is None:
-                fl.vars = candidate_variables(d, fl.rows, 3, features, fl.block)
+                fl.vars = candidate_variables(d, fl.rows, 3, features, fl.block, w)
                 fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count,
-                                     fl.block[:, [cols.index(j) for j in sorted(fl.vars)]])
+                                     fl.block[:, [cols.index(j) for j in sorted(fl.vars)]], w)
             if not fl.vars:
                 continue
             if basis is None:
-                basis = _round_basis(V, y, sigma)
+                basis = _round_basis(V if w is None else sw * V, ys, sigma)
             found = find_best_split(d, V, regions[idx], y, fl.vars, sigma, rule, fl.rows, fl.cuts,
                                     basis)
             if found is not None:
@@ -532,6 +601,10 @@ def fit_prtree(
                                  for node, side, block in children]
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_new)
 
+    # the weights solve the repeated rows' own problem, once per fit, so the
+    # hard leaf means stay exact sums over their members
+    if w is not None:
+        V, y = np.repeat(V, w, axis=0), np.repeat(y, w)
     for fl, g in zip(leaves, fit_weights(V, y)):
-        nodes.value[fl.node] = float(g)
+        nodes.value[fl.node] = math.ldexp(float(g), e)
     return PRTree(nodes, sigma, d.feature_names)

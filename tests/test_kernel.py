@@ -136,6 +136,23 @@ def test_leaf_cuts_evaluate_phi_at_the_lower_bound_and_the_cuts(monkeypatch):
     assert sum(evals) == sum(d.n * (1 + cuts.size) for j, cuts, _ in entries if sigma[j] > 0)
 
 
+def test_leaf_cuts_skip_phi_at_an_infinite_lower_bound(monkeypatch):
+    # F is exactly 0 at a = -inf, so L is F at the cuts alone
+    rng = np.random.default_rng(32)
+    X = rng.normal(size=(80, 3))
+    d = Dataset(X, X[:, 0] + rng.normal(size=80), ("a", "b", "c"))
+    arguments = []
+
+    def recorded(t):
+        arguments.append(np.asarray(t))
+        return normal_cdf(t)
+
+    monkeypatch.setattr(tree, "normal_cdf", recorded)
+    t = tree.fit_prtree(d, [0.4, 0.6, 0.3], StoppingRule(min_leaf_fraction=0.1))
+    assert t.leaf_count >= 4 and arguments
+    assert not any(np.isneginf(a).any() for a in arguments)
+
+
 def test_hard_membership_is_exact_indicator():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(25, 2))

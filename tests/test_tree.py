@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_split, hard_tree_oracle, leafwise_predict, random_dataset
-from prtree.data import Dataset
-from prtree.kernel import build_membership
+from prtree.data import Dataset, RngSpec
+from prtree.ensemble import fit_prgbt, fit_prrf
+from prtree.kernel import build_membership, membership_columns
 from prtree.regions import Region
 from prtree import tree
 from prtree.tree import (
@@ -339,7 +342,9 @@ def test_cached_leaf_candidates_grow_the_uncached_tree(kind):
     std = d.features.std(axis=0, ddof=1)
     sigma = {"hard": np.zeros(4), "soft": 0.3 * std, "mixed": [0.3, 0.0, 0.2, 0.0] * std}[kind]
     rule = StoppingRule(min_leaf_fraction=0.05)
-    # a bootstrap sample, as a forest fits it, repeats rows
+    # a bootstrap sample, as a forest fits it, repeats rows: the fit weights
+    # its distinct rows by multiplicity, which sums the same errors in
+    # another order
     boot = d.subset(rng.integers(d.n, size=d.n))
     for data in (d, boot):
         residual = data.target - np.sin(data.features[:, 1])
@@ -347,7 +352,69 @@ def test_cached_leaf_candidates_grow_the_uncached_tree(kind):
             want = _regrow_without_cache(data, sigma, rule, features, target)
             got = fit_prtree(data, sigma, rule, features=features, target=target)
             assert want.leaf_count >= 8
-            assert got.to_json() == want.to_json()
+            if data is d:
+                assert got.to_json() == want.to_json()
+            else:
+                _assert_same_tree(got, want, 1e-12)
+
+
+def _assert_same_tree(got, want, rtol):
+    """The same node arrays, but leaf values equal only within rtol."""
+    for key, value in asdict(want.nodes).items():
+        if key == "value":
+            assert np.allclose(getattr(got.nodes, key), value, rtol=rtol, atol=0.0)
+        else:
+            assert getattr(got.nodes, key) == value, key
+
+
+def test_repeating_every_row_fits_the_same_tree():
+    # twice the rows with min_leaf_fraction * n an integer: every count and
+    # SSE of the weighted fit doubles, and the tree stays
+    rng = np.random.default_rng(24)
+    d = random_dataset(rng, 100, 4)
+    twice = d.subset(np.repeat(np.arange(d.n), 2))
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    for sigma in (np.zeros(4), 0.3 * d.features.std(axis=0, ddof=1), [0.3, 0.0, 0.2, 0.0]):
+        want = fit_prtree(d, sigma, rule)
+        assert want.leaf_count >= 8
+        _assert_same_tree(fit_prtree(twice, sigma, rule), want, 1e-12)
+
+
+def test_forest_searches_each_repeated_row_once(monkeypatch):
+    # a bootstrap sample's repeated rows reach the split search's membership
+    # columns once each
+    rng = np.random.default_rng(25)
+    d = random_dataset(rng, 80, 3)
+    seen = []
+
+    def recorded(X, *args):
+        seen.append(np.unique(X, axis=0).shape[0] == X.shape[0])
+        return membership_columns(X, *args)
+
+    monkeypatch.setattr(tree, "membership_columns", recorded)
+    for sigma in (np.zeros(3), 0.3 * d.features.std(axis=0, ddof=1)):
+        fit_prrf(d, 3, sigma, StoppingRule(min_leaf_fraction=0.1), RngSpec(4))
+    assert seen and all(seen)
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+def test_a_target_past_2_to_the_500_grows_the_same_trees(kind):
+    # squares of y * 2^540 overflow; fitting y * 2^-e and scaling the weights
+    # back by 2^e is exact
+    rng = np.random.default_rng(26)
+    d = random_dataset(rng, 60, 3)
+    big = Dataset(d.features, np.ldexp(d.target, 540), d.feature_names)
+    sigma = np.zeros(3) if kind == "hard" else 0.3 * d.features.std(axis=0, ddof=1)
+    fits = (lambda data: fit_prtree(data, sigma),
+            lambda data: fit_prrf(data, 3, sigma, rng=RngSpec(2)),
+            lambda data: fit_prgbt(data, 3, sigma, shrinkage=0.5))
+    for fit in fits:
+        want, got = fit(d), fit(big)
+        for w, g in zip(getattr(want, "trees", [want]), getattr(got, "trees", [got])):
+            assert w.leaf_count >= 4
+            assert asdict(g.nodes) == {**asdict(w.nodes),
+                                       "value": [v * 2.0**540 for v in w.nodes.value]}
+        assert np.array_equal(got.predict(d.features), np.ldexp(want.predict(d.features), 540))
 
 
 def test_soft_tree_takes_one_qr_per_searched_round(monkeypatch):
