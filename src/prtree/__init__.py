@@ -9,7 +9,7 @@ the query point. On top of the single tree, this package provides bagging
 
 from .data import Dataset, RngSpec, StandardScaler, load_csv, standard_scale
 from .regions import Region
-from .kernel import build_membership, psi
+from .kernel import build_membership
 from .tree import (
     PRTree,
     StoppingRule,
@@ -17,7 +17,6 @@ from .tree import (
     find_best_split,
     fit_prtree,
     fit_weights,
-    split_candidates,
     split_membership_column,
 )
 from .ensemble import (
@@ -59,14 +58,12 @@ __all__ = [
     "load_csv",
     "standard_scale",
     "Region",
-    "psi",
     "build_membership",
     "split_membership_column",
     "PRTree",
     "StoppingRule",
     "fit_weights",
     "candidate_variables",
-    "split_candidates",
     "find_best_split",
     "fit_prtree",
     "Forest",

@@ -150,5 +150,6 @@ def fit_prgbt(
         t = fit_prtree(d, sigma, rule, target=resid)
         trees.append(t)
         resid = resid - shrinkage * t.predict(d.features)
-        log.debug("stage %d training rmse %.6g", ell + 1, np.sqrt(np.mean(resid**2)))
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("stage %d training rmse %.6g", ell + 1, np.sqrt(np.mean(resid**2)))
     return BoostedEnsemble(trees=trees, shrinkage=shrinkage, feature_names=d.feature_names)

@@ -61,16 +61,6 @@ def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
         yield col
 
 
-def psi(x: np.ndarray, r: Region, sigma: np.ndarray) -> float:
-    """Soft membership of a single point in a region; a value in [0, 1]."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (r.p,):
-        raise ValueError("point dimension does not match the region")
-    if not np.isfinite(x).all():
-        raise ValueError("point contains non-finite values")
-    return float(membership_column(x[None, :], r, sigma)[0])
-
-
 def build_membership(d: Dataset, regions, sigma) -> np.ndarray:
     """The n x K membership array of a dataset over K regions: column k
     holds every row's soft membership in regions[k]. Rows sum to 1 whenever

@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import gammainccinv
 
 from .data import Dataset, RngSpec, check_features
-from .kernel import membership_column, membership_columns
+# membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
+from .kernel import membership_column, membership_columns  # noqa: F401
 from .regions import Region
 from .tree import (FlatTree, StoppingRule, cut_points, model_json, model_value,
                    read_model_json, scales)
@@ -83,9 +84,10 @@ class PBartHyper:
 
 
 class _Node:
-    """What a node's split path from the root fixes: its depth, region and hard
-    rows, and on demand its rows x p block sorted by column, admissible
-    coordinates, cuts and column at (X, sigma)."""
+    """What a node's split path from the root fixes, for one dataset d and one
+    sigma: its depth, region and hard rows, and on demand its rows x p block
+    sorted by column, admissible coordinates, cuts and, as a leaf, its
+    membership column at (d.features, sigma)."""
 
     __slots__ = ("depth", "region", "rows", "block", "adm", "cuts", "col")
 
@@ -119,26 +121,28 @@ class _Node:
 
 
 class SampledTree:
-    """One tree of the additive model: node arrays plus caches keyed by node
-    index, so a move edits a copy of the arrays at the indices the caches give.
+    """One tree of the additive model at one sigma, for its whole life: node
+    arrays plus caches keyed by node index, so a move edits a copy of the
+    arrays at the indices the caches give.
 
-    `refresh` recomputes the caches from the arrays and reports whether the
-    tree is structurally valid (every split value strictly inside its
-    region, every leaf at least `min_count` hard rows). Leaves and internal
-    nodes are listed in preorder; `at` maps a node index to its `_Node`.
-    Copies share the `_Node`s by split path, so a refresh builds only those
-    whose path a move changed, rows carried down from the parent (x_j <= s
-    going left, exactly `Region.contains`). `membership` keeps leaf columns
-    only at `fit_inputs`, the fit's own (X, sigma) arrays."""
+    `refresh` binds the tree to a dataset d, recomputes the caches from the
+    arrays and reports whether the tree is structurally valid (every split
+    value strictly inside its region, every leaf at least `min_count` hard
+    rows). Leaves and internal nodes are listed in preorder; `at` maps a node
+    index to its `_Node`. Copies keep the sigma and share the `_Node`s by
+    split path, so a refresh builds only those whose path a move changed,
+    rows carried down from the parent (x_j <= s going left, exactly
+    `Region.contains`), and `membership` evaluates only their columns."""
 
-    def __init__(self, nodes: FlatTree, fit_inputs: tuple | None = None):
-        self.nodes, self.fit_inputs, self.data, self.paths = nodes, fit_inputs, None, {}
+    def __init__(self, nodes: FlatTree, sigma: np.ndarray):
+        self.nodes, self.sigma, self.data, self.paths = nodes, sigma, None, {}
         self.at, self.leaves, self.internals, self.pairs = {}, [], [], []
 
     def copy(self) -> "SampledTree":
-        """A tree on copies of the arrays, sharing the `_Node`s: node indices
-        of this tree locate the same nodes in the copy until it is edited."""
-        t = SampledTree(self.nodes.copy(), self.fit_inputs)
+        """A tree on copies of the arrays at the same sigma, sharing the
+        `_Node`s: node indices of this tree locate the same nodes in the copy
+        until it is edited."""
+        t = SampledTree(self.nodes.copy(), self.sigma)
         t.data, t.paths = self.data, self.paths
         return t
 
@@ -174,7 +178,7 @@ class SampledTree:
         return [self.at[i].region for i in self.leaves]
 
     def n_cuts(self, i: int) -> int:
-        """split_candidates count of internal node i's coordinate over its rows."""
+        """The number of `cut_points` of internal node i's coordinate over its rows."""
         return self.at[i].cuts_on(self.data, self.nodes.feature[i]).size
 
     @property
@@ -188,12 +192,12 @@ class SampledTree:
         for i, g in zip(self.leaves, gam):
             self.nodes.value[i] = float(g)
 
-    def membership(self, X: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        fit = self.fit_inputs
-        if fit is None or X is not fit[0] or sigma is not fit[1]:
-            return np.column_stack([membership_column(X, r, sigma) for r in self.regions])
+    def membership(self) -> np.ndarray:
+        """The n x K leaf membership columns at (d.features, sigma), each kept
+        on its `_Node` once evaluated."""
         new = [self.at[i] for i in self.leaves if self.at[i].col is None]
-        for node, col in zip(new, membership_columns(X, [node.region for node in new], sigma)):
+        regions = [node.region for node in new]
+        for node, col in zip(new, membership_columns(self.data.features, regions, self.sigma)):
             node.col = col
         return np.column_stack([self.at[i].col for i in self.leaves])
 
@@ -226,12 +230,6 @@ def marginal_log_likelihood(R, V, sigma_gamma: float, sigma_tilde: float) -> flo
     logdet, quad = _sigma0_terms(R, V, sigma_gamma, sigma_tilde)
     n = len(np.asarray(R))
     return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
-
-
-def sigma0_log_det(V, sigma_gamma: float, sigma_tilde: float) -> float:
-    """log det of the marginal residual covariance, by the likelihood's routine."""
-    V = np.asarray(V, dtype=float)
-    return _sigma0_terms(np.zeros(V.shape[0]), V, sigma_gamma, sigma_tilde)[0]
 
 
 def _sigma0_terms(R, V, sigma_gamma: float, sigma_tilde: float):
@@ -529,19 +527,14 @@ def fit_pbart(
     gen = rng.generator()
     min_count = rule.min_count(d.n)
 
-    # the trees keep their leaves' membership columns at these arrays only
-    fit_inputs = (d.features, sigma)
     trees = []
-    mats = []
     fits = np.zeros((hyper.m, d.n))
     for ell in range(hyper.m):
-        t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))), fit_inputs)
+        t = SampledTree(FlatTree.leaf(float(gen.normal(0.0, hyper.sigma_gamma))), sigma)
         t.data, t.paths = d, trees[0].paths if trees else {}  # all trees share one root _Node
         t.refresh(d, min_count)
         trees.append(t)
-        V = t.membership(d.features, sigma)
-        mats.append(V)
-        fits[ell] = V @ t.gammas()
+        fits[ell] = t.membership() @ t.gammas()
     total_fit = fits.sum(axis=0)
 
     if sigma_tilde_fixed is not None:
@@ -560,14 +553,14 @@ def fit_pbart(
             R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
-            V_star = None if star is None else star.membership(d.features, sigma)
-            accepted = mh_accept(t, star, R, mats[ell], V_star, hyper, gen, sigma_tilde, log_q)
+            V = t.membership()
+            V_star = None if star is None else star.membership()
+            accepted = mh_accept(t, star, R, V, V_star, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star
-                mats[ell] = V_star
-            gam = draw_gammas(t, R, mats[ell], hyper, gen, sigma_tilde)
-            new_fit = mats[ell] @ gam
+                V = V_star
+            new_fit = V @ draw_gammas(t, R, V, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         if sigma_tilde_fixed is None:

@@ -1,5 +1,6 @@
-"""Single probabilistic regression tree: greedy split search with a full
-least-squares weight refit at every candidate, and soft prediction."""
+"""Single probabilistic regression tree: greedy split search scoring every
+candidate by the least-squares refit of all leaf weights (a rank-one update
+of the current fit), and soft prediction."""
 
 from __future__ import annotations
 
@@ -224,24 +225,20 @@ def _partition_block(block: np.ndarray, go_left: np.ndarray):
     return tuple(local[block.T[side].reshape(block.shape[1], -1).T] for side in (left, ~left))
 
 
-def candidate_variables(d: Dataset, rows, k: int = 3, features=None, block=None,
-                        w=None) -> list[int]:
+def candidate_variables(d: Dataset, rows, k: int, features, block, w=None) -> list[int]:
     """The k coordinates whose best hard split over `rows` reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
     fewer than two distinct values have no split and are dropped. One pass
     of `_hard_cut_sse` over the rows x features block ranks them all, a cut
-    between equal values scoring -inf. `block`, the leaf's order block (the
-    stable argsort of each column), is sorted here unless given. `w`, when
-    given, is the integer multiplicity of each of d's rows (a weighted fit's
-    repeated rows, see `fit_prtree`); by default each row counts once."""
+    between equal values scoring -inf. `block` is the leaf's order block: the
+    stable argsort of each of the rows x features columns. `w`, when given, is
+    the integer multiplicity of each of d's rows (a weighted fit's repeated
+    rows, see `fit_prtree`); by default each row counts once."""
     rows = np.asarray(rows)
     if rows.size == 0:
         raise ValueError("rows must be non-empty")
     cols = list(range(d.p) if features is None else features)
-    X = d.features[rows][:, cols]
-    if block is None:
-        block = np.argsort(X, axis=0, kind="stable")
-    vs = np.take_along_axis(X, block, axis=0)
+    vs = np.take_along_axis(d.features[rows][:, cols], block, axis=0)
     ws = None if w is None else w[rows][block]
     admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(vs, d.target[rows][block], ws)
     best = np.where(admissible, sse_tot - sse_l - sse_r, -np.inf).max(axis=0, initial=-np.inf)
@@ -261,11 +258,6 @@ def cut_points(v: np.ndarray):
     return left, np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def split_candidates(d: Dataset, rows, j: int) -> np.ndarray:
-    """The `cut_points` of feature j over rows."""
-    return cut_points(np.sort(d.features[rows, j]))[1]
-
-
 def _split_sse_batch(Q, ry, L, norm):
     """SSE of the full refit for each cut of one coordinate, from the leaf's
     table (L, norm) (see `_leaf_cuts`).
@@ -282,7 +274,7 @@ def _split_sse_batch(Q, ry, L, norm):
     return float(ry @ ry) - gain
 
 
-def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders=None,
+def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders,
                w=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries). There is an
@@ -292,9 +284,10 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     centred target; otherwise it is (L, norm): L[:, i] is the left child's
     membership at cut i, the leaf's region with j freed (one
     membership_columns call for all j) times F(j, cut) - F(j, a), and norm
-    its squared column norms. `orders`, the leaf's order block over ascending
-    vars, is sorted here unless given. `w`, the rows' multiplicities in a
-    weighted fit, makes the counts and SSE weighted and scales L by sqrt(w)."""
+    its squared column norms. `orders` is the leaf's order block over ascending
+    vars: the stable argsort of each column of its rows, in ascending row
+    order. `w`, the rows' multiplicities in a weighted fit, makes the counts
+    and SSE weighted and scales L by sqrt(w)."""
     mask = np.zeros(d.n, dtype=bool)
     mask[rows] = True
     X, wk, entries, found = d.features, None if w is None else w[mask], [], []
@@ -302,10 +295,7 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
     if n < 2 * min_count:
         return mask, entries
     vars = sorted(vars)
-    xk = X[mask][:, vars]
-    if orders is None:
-        orders = np.argsort(xk, axis=0, kind="stable")
-    vs = np.take_along_axis(xk, orders, axis=0)
+    vs = np.take_along_axis(X[mask][:, vars], orders, axis=0)
     wo = None if wk is None else wk[orders]  # the sorted rows' multiplicities
     hard = not sigma.any()
     if hard:
@@ -357,37 +347,24 @@ def _round_basis(V: np.ndarray, y: np.ndarray, sigma: np.ndarray):
     return Q, y - Q @ (Q.T @ y)
 
 
-def find_best_split(
-    d: Dataset, V: np.ndarray, region: Region, y, vars, sigma, rule: StoppingRule,
-    rows=None, cuts=None, basis=None,
-):
-    """Best (coordinate, cut) for the leaf of region `region` among the leaves
-    whose membership columns are V, by refit SSE over all admissible
-    candidates, as (j, s, sse), or None. Ties break toward the smaller (j, s).
+def find_best_split(cuts, basis, sigma):
+    """Best (coordinate, cut) for one leaf of a round, by the SSE of the refit
+    of every leaf weight, over the leaf's admissible candidates, as (j, s,
+    sse), or None. Ties break toward the smaller (j, s).
 
-    Cuts are the `cut_points` of the leaf's hard-assigned rows that leave at
-    least rule.min_count(n) rows on each side; `rows`, when given, are their
-    indices (else `Region.contains` finds them among all n rows). `cuts`
-    (`_leaf_cuts` of the leaf, kept by a fit until the leaf is split) and
-    `basis` (`_round_basis` of V, formed by a fit once per round) are computed
-    here unless given. A cut's SSE is then:
+    `cuts` is `_leaf_cuts` of the leaf (kept by a fit until the leaf is
+    split), `basis` is `_round_basis` of the round's membership columns V
+    (formed once per round) and `sigma` the fit's scale vector. A cut's SSE
+    is then:
 
     - every sigma is 0: the other leaves' SSE around their means, the basis
       residual outside the leaf (O(n)), plus the children's;
     - otherwise (soft or mixed sigma): a rank-one update of the current fit
       per cut, from the basis (O(n K x #cuts); see `_split_sse_batch`).
     """
-    sigma = np.asarray(sigma, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if cuts is None:
-        if rows is None:
-            rows = np.flatnonzero(region.contains(d.features))
-        cuts = _leaf_cuts(d, region, y, rows, vars, sigma, rule.min_count(V.shape[0]))
     mask, entries = cuts
     if not entries:
         return None
-    if basis is None:
-        basis = _round_basis(V, y, sigma)
     if not sigma.any():
         r = basis[~mask]
         base = float(r @ r)
@@ -579,8 +556,7 @@ def fit_prtree(
                 continue
             if basis is None:
                 basis = _round_basis(V if w is None else sw * V, ys, sigma)
-            found = find_best_split(d, V, regions[idx], y, fl.vars, sigma, rule, fl.rows, fl.cuts,
-                                    basis)
+            found = find_best_split(fl.cuts, basis, sigma)
             if found is not None:
                 options.append((found[2], idx, *found[:2]))
         if not options:

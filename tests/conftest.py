@@ -15,7 +15,7 @@ import pytest
 
 from prtree.data import Dataset
 from prtree.kernel import membership_column
-from prtree.tree import FlatTree
+from prtree.tree import FlatTree, _leaf_cuts, _round_basis, find_best_split
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +133,30 @@ def brute_force_split(d: Dataset, V, region, y, k, vars, sigma, rule):
     best = min(c[0] for c in candidates)
     tol = 1e-12 * (1.0 + abs(best))
     return min(c for c in candidates if c[0] <= best + tol)
+
+
+# ---------------------------------------------------------------------------
+# the library's split search on one leaf, everything it takes built afresh
+
+def order_block(d: Dataset, rows, cols=None):
+    """The stable argsort of each column `cols` (default: all) over d's rows,
+    the order block a fit presorts once and its leaves inherit."""
+    cols = list(range(d.p) if cols is None else cols)
+    return np.argsort(d.features[rows][:, cols], axis=0, kind="stable")
+
+
+def search_leaf(d: Dataset, V, region, y, vars, sigma, rule, rows=None):
+    """`find_best_split` of the leaf `region` among the leaves whose columns
+    are V: its cuts from `_leaf_cuts` over the leaf's hard rows (`rows`,
+    ascending, else those `Region.contains` finds) and the basis from
+    `_round_basis` of V."""
+    sigma = np.asarray(sigma, dtype=float)
+    if rows is None:
+        rows = np.flatnonzero(region.contains(d.features))
+    vars = sorted(vars)
+    cuts = _leaf_cuts(d, region, y, rows, vars, sigma, rule.min_count(d.n),
+                      order_block(d, rows, vars))
+    return find_best_split(cuts, _round_basis(V, y, sigma), sigma)
 
 
 # ---------------------------------------------------------------------------

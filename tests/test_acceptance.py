@@ -25,6 +25,7 @@ from conftest import (
     hard_tree_oracle,
     random_dataset,
     recursive_log_prior,
+    search_leaf,
 )
 from prtree.data import Dataset, RngSpec, load_csv
 from prtree.evaluate import LearnerSpec, bias_variance, cross_validate, make_cv_plan
@@ -32,16 +33,16 @@ from prtree.kernel import build_membership
 from prtree.pbart import (
     PBartHyper,
     SampledTree,
+    _sigma0_terms,
     draw_gammas,
     draw_sigma_tilde,
     marginal_log_likelihood,
     mh_accept,
     propose_tree,
-    sigma0_log_det,
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, find_best_split, fit_prtree, split_membership_column
+from prtree.tree import FlatTree, StoppingRule, fit_prtree, split_membership_column
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -99,7 +100,7 @@ def test_criterion_2_split_search_oracle():
             V = build_membership(d, regions, sigma)
         k = int(rng.integers(V.shape[1]))
         vars = list(range(p))
-        got = find_best_split(d, V, regions[k], d.target, vars, sigma, rule)
+        got = search_leaf(d, V, regions[k], d.target, vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None or got is None:
             if (want is None) != (got is None):
@@ -172,7 +173,7 @@ def test_criterion_4_recursion_vs_dense():
         st = float(rng.uniform(0.05, 3.0))
         ll = marginal_log_likelihood(R, V, sg, st)
         ll_ref = dense_log_density(R, V, sg, st)
-        ld = sigma0_log_det(V, sg, st)
+        ld = _sigma0_terms(np.zeros(n), V, sg, st)[0]
         ld_ref = dense_log_det(V, sg, st)
         worst_ll = max(worst_ll, abs(ll - ll_ref) / max(1.0, abs(ll_ref)))
         worst_det = max(worst_det, abs(ld - ld_ref) / max(1.0, abs(ld_ref)))
@@ -206,7 +207,7 @@ def test_criterion_5_posterior_draw_calibration():
     V = rng_d.random((12, 2))
     R = rng_d.normal(size=12)
     data = Dataset(np.arange(12.0)[:, None], np.zeros(12), ("a",))
-    t = SampledTree(grown_tree((0, 0, 5.5)))
+    t = SampledTree(grown_tree((0, 0, 5.5)), np.zeros(1))
     assert t.refresh(data, 1)
     sg, st, frozen = 0.4, 0.7, 0.3
     A1 = float(V[:, 0] @ V[:, 0])
@@ -242,15 +243,15 @@ def test_criterion_6_micro_chain_exactness():
 
     # enumerate: single leaf, stump at 0.5, stump at 1.5
     def stump(s):
-        t = SampledTree(grown_tree((0, 0, s)))
+        t = SampledTree(grown_tree((0, 0, s)), sigma)
         assert t.refresh(d, 1)
         return t
 
-    states = [SampledTree(FlatTree.leaf()), stump(0.5), stump(1.5)]
+    states = [SampledTree(FlatTree.leaf(), sigma), stump(0.5), stump(1.5)]
     states[0].refresh(d, 1)
     log_post = []
     for t in states:
-        P = t.membership(d.features, sigma)
+        P = t.membership()
         lp = recursive_log_prior(t.nodes, Region.root(1), d, alpha, beta)
         log_post.append(lp + dense_log_density(y, P, sg, st))
     log_post = np.array(log_post)
@@ -264,14 +265,14 @@ def test_criterion_6_micro_chain_exactness():
 
     gen = np.random.default_rng(23)
     t = states[0]
-    P = t.membership(d.features, sigma)
+    P = t.membership()
     counts = np.zeros(3)
     iters = 1_000_000
     start = time.time()
     for _ in range(iters):
         star, logq, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
         if star is not None:
-            Ps = star.membership(d.features, sigma)
+            Ps = star.membership()
             if mh_accept(t, star, y, P, Ps, hyper, gen, st, logq):
                 t, P = star, Ps
         counts[classify(t)] += 1

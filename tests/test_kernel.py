@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import order_block
 from prtree import kernel, tree
-from prtree.data import Dataset
+from prtree.data import Dataset, check_features
 from prtree.kernel import (
     build_membership,
     membership_column,
     membership_columns,
     normal_cdf,
-    psi,
 )
 from prtree.pbart import SampledTree
 from prtree.regions import Region
@@ -67,11 +67,12 @@ def test_psi_product_over_coordinates():
     sigma = np.array([1.0, 1.0])
     x = np.array([0.0, 0.0])
     expected = (normal_cdf(1.0) - normal_cdf(-1.0)) * 0.5
-    assert psi(x, r, sigma) == pytest.approx(float(expected), abs=1e-12)
+    assert membership_column(x[None], r, sigma)[0] == pytest.approx(float(expected), abs=1e-12)
+    # a point is checked, as every predictor checks its rows, before its membership
     with pytest.raises(ValueError):
-        psi(np.array([0.0]), r, sigma)
+        check_features(np.array([0.0])[None], r.p)
     with pytest.raises(ValueError, match="non-finite"):
-        psi(np.array([0.0, np.nan]), r, sigma)
+        check_features(np.array([0.0, np.nan])[None], r.p)
 
 
 def test_membership_rows_sum_to_one_over_partition():
@@ -131,7 +132,7 @@ def test_leaf_cuts_evaluate_phi_at_the_lower_bound_and_the_cuts(monkeypatch):
         return normal_cdf(t)
 
     monkeypatch.setattr(tree, "normal_cdf", counting)
-    _, entries = _leaf_cuts(d, leaf, d.target, rows, [0, 1, 2], sigma, 3)
+    _, entries = _leaf_cuts(d, leaf, d.target, rows, [0, 1, 2], sigma, 3, order_block(d, rows))
     assert [j for j, *_ in entries] == [0, 1, 2]
     assert sum(evals) == sum(d.n * (1 + cuts.size) for j, cuts, _ in entries if sigma[j] > 0)
 
@@ -261,9 +262,9 @@ def test_pbart_grow_evaluates_shared_bounds_once(cdf_evals):
     d = Dataset(X, X[:, 0] + rng.normal(size=80), ("a", "b"))
     sigma = np.array([0.4, 0.6])
     min_count = StoppingRule(min_leaf_fraction=0.05).min_count(d.n)
-    t = SampledTree(FlatTree.leaf(), (d.features, sigma))
+    t = SampledTree(FlatTree.leaf(), sigma)
     assert t.refresh(d, min_count)
-    t.membership(d.features, sigma)
+    t.membership()
     assert cdf_evals[0] == 0  # the root is bounded nowhere
     # each grow's two new leaves share every bound: the first the split value,
     # the second also the upper bound its parent has from the first split
@@ -272,7 +273,7 @@ def test_pbart_grow_evaluates_shared_bounds_once(cdf_evals):
         star.nodes.grow(leaf, j, s)
         assert star.refresh(d, min_count)
         cdf_evals[0] = 0
-        V = star.membership(d.features, sigma)
+        V = star.membership()
         assert cdf_evals[0] == evals * d.n
         want = np.column_stack([membership_column(X, r, sigma) for r in star.regions])
         assert np.array_equal(V, want)

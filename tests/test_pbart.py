@@ -15,17 +15,17 @@ from prtree.pbart import (
     PBartHyper,
     SampledTree,
     _Node,
+    _sigma0_terms,
     draw_gammas,
     draw_sigma_tilde,
     fit_pbart,
     marginal_log_likelihood,
     mh_accept,
     propose_tree,
-    sigma0_log_det,
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, split_candidates
+from prtree.tree import FlatTree, StoppingRule, cut_points
 
 
 def _line_data(values, y=None):
@@ -35,7 +35,7 @@ def _line_data(values, y=None):
 
 
 def _refreshed(nodes, d, min_count=1):
-    t = SampledTree(nodes)
+    t = SampledTree(nodes, np.zeros(d.p))
     assert t.refresh(d, min_count)
     return t
 
@@ -123,7 +123,7 @@ def test_mll_matches_dense_oracle_on_hard_cases():
         sg = float(np.exp(rng.uniform(np.log(0.01), np.log(30.0))))
         st = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
         ll, ll_ref = marginal_log_likelihood(R, V, sg, st), dense_log_density(R, V, sg, st)
-        ld, ld_ref = sigma0_log_det(V, sg, st), dense_log_det(V, sg, st)
+        ld, ld_ref = _sigma0_terms(np.zeros(n), V, sg, st)[0], dense_log_det(V, sg, st)
         assert abs(ll - ll_ref) <= 1e-8 * max(1.0, abs(ll_ref))
         assert abs(ld - ld_ref) <= 1e-8 * max(1.0, abs(ld_ref))
 
@@ -244,7 +244,7 @@ def _check_node_caches(t, d, sigma):
             distinct = [np.unique(d.features[rows, j]).size for j in range(d.p)]
             assert node.adm == [j for j in range(d.p) if distinct[j] > 1]
         for j, cuts in node.cuts.items():
-            assert cuts.tobytes() == split_candidates(d, rows, j).tobytes()
+            assert cuts.tobytes() == cut_points(np.sort(d.features[rows, j]))[1].tobytes()
             # every cut leaves rows on both sides, and no two cuts partition alike
             left = np.count_nonzero(d.features[rows, j, None] <= cuts, axis=0)
             assert np.all(np.diff(np.concatenate(([0], left, [rows.size]))) > 0)
@@ -269,7 +269,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
     sigma = np.array([0.3, 0.0, 0.2])
     rule = StoppingRule(min_leaf_fraction=0.05)
     gen = np.random.default_rng(100 + seed)
-    t = SampledTree(FlatTree.leaf(0.1), (d.features, sigma))
+    t = SampledTree(FlatTree.leaf(0.1), sigma)
     assert t.refresh(d, rule.min_count(d.n))
     seen = set()
     for _ in range(400):
@@ -277,7 +277,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
         star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
         if star is not None:
             seen.add(kind)
-            star.membership(d.features, sigma)
+            star.membership()
             regions = dict(_oracle_regions(star.nodes, 0, Region.root(d.p)))
             # every array entry is reachable from the root: a prune leaves no orphans
             assert sorted(regions) == list(range(len(star.nodes.feature)))
@@ -304,7 +304,7 @@ def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
     min_count = rule.min_count(d.n)
 
     def fresh(nodes):
-        t = SampledTree(nodes.copy())
+        t = SampledTree(nodes.copy(), sigma)
         assert t.refresh(d, min_count)
         return t
 
@@ -359,36 +359,6 @@ def test_carried_caches_sample_the_uncached_chain(kind, max_depth):
     got = fit_pbart(d, hyper, sigma, RngSpec(8), rule)
     assert all(want.acceptance_log[move]["accepted"] > 0 for move in MOVES)
     assert got.to_json() == want.to_json()
-
-
-def test_membership_at_other_inputs_is_evaluated_fresh():
-    # once the caches hold columns at the fit's (X, sigma), any other X or
-    # sigma, including an equal copy of X, gets columns evaluated afresh, and
-    # the fit's own columns stay as they were
-    rng = np.random.default_rng(12)
-    d = random_dataset(rng, 50, 3)
-    sigma = 0.3 * d.features.std(axis=0, ddof=1)
-    others = [(rng.normal(size=(25, 3)), 2.0 * sigma), (rng.normal(size=(25, 3)), sigma),
-              (d.features.copy(), sigma), (d.features, sigma.copy()), (d.features, np.zeros(3)),
-              (d.features, sigma)]
-    rule = StoppingRule(min_leaf_fraction=0.05)
-    gen = np.random.default_rng(13)
-    t = SampledTree(FlatTree.leaf(), (d.features, sigma))
-    assert t.refresh(d, rule.min_count(d.n))
-    t.membership(d.features, sigma)
-    largest = 1
-    for _ in range(200):
-        star, _, _ = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
-        if star is None:
-            continue
-        star.membership(d.features, sigma)
-        for X, s in others:
-            want = np.column_stack([membership_column(X, r, s) for r in star.regions])
-            assert star.membership(X, s).tobytes() == want.tobytes()
-        largest = max(largest, star.k)
-        if gen.random() < 0.6:
-            t = star
-    assert largest > 3
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +433,7 @@ def test_draw_gammas_flat_prior_limit():
     V = rng.random((30, 2))
     R = rng.normal(size=30)
     d = _line_data(np.arange(30.0))
-    t = SampledTree(grown_tree((0, 0, 14.5)))
+    t = SampledTree(grown_tree((0, 0, 14.5)), np.zeros(1))
     assert t.refresh(d, 1)
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=1e6)
     # with a flat prior, the first draw of a sweep concentrates near the
@@ -485,7 +455,7 @@ def test_draw_gammas_conditions_on_fresh_draws():
     V = rng.random((20, 3))
     R = rng.normal(size=20)
     d = _line_data(np.arange(20.0))
-    t = SampledTree(grown_tree((0, 0, 9.5), (2, 0, 14.5)))
+    t = SampledTree(grown_tree((0, 0, 9.5), (2, 0, 14.5)), np.zeros(1))
     assert t.refresh(d, 1)
     assert t.k == 3
     sg, st = 0.5, 0.4

@@ -3,7 +3,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import brute_force_split, hard_tree_oracle, leafwise_predict, random_dataset
+from conftest import (
+    brute_force_split, hard_tree_oracle, leafwise_predict, order_block, random_dataset, search_leaf,
+)
 from prtree.data import Dataset, RngSpec
 from prtree.ensemble import fit_prgbt, fit_prrf
 from prtree.kernel import build_membership, membership_columns
@@ -17,10 +19,8 @@ from prtree.tree import (
     _partition_block,
     candidate_variables,
     cut_points,
-    find_best_split,
     fit_prtree,
     fit_weights,
-    split_candidates,
     split_membership_column,
 )
 
@@ -80,12 +80,12 @@ def test_fit_weights_shape_mismatch():
 def test_split_candidates_midpoints():
     X = np.array([[1.0], [2.0], [2.0], [4.0], [9.0]])
     d = Dataset(X, np.zeros(5), ("a",))
-    cuts = split_candidates(d, np.arange(5), 0)
+    cuts = cut_points(np.sort(d.features[np.arange(5), 0]))[1]
     assert cuts.tolist() == [1.5, 3.0, 6.5]
     # the rows of the region (1.5, 5.0]
     rows = np.flatnonzero(Region(np.array([1.5]), np.array([5.0])).contains(X))
     assert rows.tolist() == [1, 2, 3]
-    assert split_candidates(d, rows, 0).tolist() == [3.0]
+    assert cut_points(np.sort(d.features[rows, 0]))[1].tolist() == [3.0]
 
 
 def test_cut_points_send_exactly_the_lower_values_left():
@@ -112,18 +112,19 @@ def test_candidate_variables_ranks_by_reduction():
     X = rng.normal(size=(60, 4))
     y = 5.0 * np.sign(X[:, 2]) + 0.01 * rng.normal(size=60)
     d = Dataset(X, y, tuple("abcd"))
-    vars3 = candidate_variables(d, np.arange(60), 3)
+    rows = np.arange(60)
+    vars3 = candidate_variables(d, rows, 3, None, order_block(d, rows))
     assert len(vars3) == 3
     assert vars3[0] == 2
-    assert candidate_variables(d, np.arange(60), 10) == sorted(
-        candidate_variables(d, np.arange(60), 10)
-    ) or len(candidate_variables(d, np.arange(60), 10)) == 4
+    ranked = candidate_variables(d, rows, 10, None, order_block(d, rows))
+    assert ranked == sorted(ranked) or len(ranked) == 4
 
 
 def test_candidate_variables_constant_feature_dropped():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     d = Dataset(X, np.arange(10.0), ("a", "b"))
-    assert candidate_variables(d, np.arange(10), 3) == [1]
+    rows = np.arange(10)
+    assert candidate_variables(d, rows, 3, None, order_block(d, rows)) == [1]
 
 
 def _ranking_oracle(d, rows, k, features=None):
@@ -158,10 +159,11 @@ def test_candidate_variables_matches_per_coordinate_oracle():
         features = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
         for k in (1, 3, p + 2):
             for subset in (None, features, features[::-1]):
-                assert candidate_variables(d, rows, k, subset) == _ranking_oracle(
+                block = order_block(d, rows, subset)
+                assert candidate_variables(d, rows, k, subset, block) == _ranking_oracle(
                     d, rows, k, subset)
         if p > 2 and X[rows, 0].min() < X[rows, 0].max():
-            ranked = candidate_variables(d, rows, p, [p - 1, 0])
+            ranked = candidate_variables(d, rows, p, [p - 1, 0], order_block(d, rows, [p - 1, 0]))
             assert ranked == [0, p - 1]
 
 
@@ -243,7 +245,7 @@ def test_find_best_split_matches_brute_force(sigma_scale):
         sigma = sigma_scale * d.features.std(axis=0, ddof=1)
         V = build_membership(d, regions, sigma)
         vars = list(range(d.p))
-        got = find_best_split(d, V, regions[k], d.target, vars, sigma, rule)
+        got = search_leaf(d, V, regions[k], d.target, vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None:
             assert got is None
@@ -259,7 +261,7 @@ def test_find_best_split_exact_tie_goes_to_smaller_cut():
     d = Dataset(X, np.array([0.0, 5, 5, 5, 5, 10]), ("a",))
     rule = StoppingRule(min_leaf_fraction=0.1)
     V = build_membership(d, [Region.root(1)], np.zeros(1))
-    assert find_best_split(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) == (
+    assert search_leaf(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) == (
         0, 0.5, 20.0)
 
 
@@ -268,7 +270,7 @@ def test_find_best_split_none_when_no_admissible_cut():
     d = Dataset(X, np.array([1.0, 2.0, 3.0]), ("a",))
     V = build_membership(d, [Region.root(1)], np.zeros(1))
     rule = StoppingRule()
-    assert find_best_split(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) is None
+    assert search_leaf(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) is None
 
 
 def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
@@ -281,20 +283,20 @@ def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
     root = Region.root(3)
     V = build_membership(d, [root], sigma)
     rule = StoppingRule()
-    j, s, sse = find_best_split(d, V, root, d.target, [1, 0], sigma, rule)
+    j, s, sse = search_leaf(d, V, root, d.target, [1, 0], sigma, rule)
     assert j == 0
-    assert find_best_split(d, V, root, d.target, [1], sigma, rule) == (1, s, sse)
+    assert search_leaf(d, V, root, d.target, [1], sigma, rule) == (1, s, sse)
     # a zero target makes every candidate's SSE exactly 0: the smallest
     # admissible cut of coordinate 0 wins
     zero = Dataset(X, np.zeros(40), ("a", "b", "c"))
     first = np.sort(X[:, 0])[rule.min_count(40) - 1 : rule.min_count(40) + 1].mean()
-    assert find_best_split(zero, V, root, zero.target, [2, 1, 0], sigma, rule) == (
+    assert search_leaf(zero, V, root, zero.target, [2, 1, 0], sigma, rule) == (
         0, first, 0.0)
 
 
 def _regrow_without_cache(d, sigma, rule, features=None, target=None):
-    """fit_prtree's greedy growth, but with find_best_split computing every
-    leaf's candidates afresh in every round."""
+    """fit_prtree's greedy growth, but with every leaf's candidates, cuts and
+    basis computed afresh in every round."""
     if target is not None:
         d = Dataset(d.features, target, d.feature_names)
     y, n = d.target, d.n
@@ -309,10 +311,10 @@ def _regrow_without_cache(d, sigma, rule, features=None, target=None):
             if rows.size < 2 * min_count or (rule.max_depth is not None
                                              and depth >= rule.max_depth):
                 continue
-            vars = candidate_variables(d, rows, 3, features)
+            vars = candidate_variables(d, rows, 3, features, order_block(d, rows, features))
             if not vars:
                 continue
-            found = find_best_split(d, V, regions[idx], y, vars, sigma, rule, rows)
+            found = search_leaf(d, V, regions[idx], y, vars, sigma, rule, rows)
             if found is not None:
                 options.append((found[2], idx, found[0], found[1]))
         if not options:
@@ -429,9 +431,9 @@ def test_soft_tree_takes_one_qr_per_searched_round(monkeypatch):
         qr_calls.append(1)
         return qr(*args, **kwargs)
 
-    def searched(d, V, *args):
-        rounds.append(V.shape[1])  # a round's V has one column per leaf
-        return search(d, V, *args)
+    def searched(cuts, basis, sigma):
+        rounds.append(basis[0].shape[1])  # a round's basis has one column per leaf
+        return search(cuts, basis, sigma)
 
     monkeypatch.setattr(tree.np.linalg, "qr", counted_qr)
     monkeypatch.setattr(tree, "find_best_split", searched)
@@ -452,7 +454,7 @@ def test_hard_split_where_the_midpoint_is_not_below_the_upper_value(x, y):
     d = Dataset(X, target, ("a",))
     rule = StoppingRule(min_leaf_fraction=0.25)
     V = build_membership(d, [Region.root(1)], np.zeros(1))
-    _, s, sse = find_best_split(d, V, Region.root(1), target, [0], np.zeros(1), rule)
+    _, s, sse = search_leaf(d, V, Region.root(1), target, [0], np.zeros(1), rule)
     # the reported SSE is that of the partition x <= s makes
     assert sse == sum(float(((part - part.mean()) ** 2).sum())
                       for part in (target[X[:, 0] <= s], target[X[:, 0] > s]))
@@ -581,14 +583,17 @@ def test_split_search_with_given_rows_equals_region_rows():
     root = Region.root(3)
     left, right = root.split(0, 0.05)
     regions = [*left.split(1, -0.25), right]
+    # the rows a fit carries down its splits, x_j <= s going left
+    x0, x1 = d.features[:, 0], d.features[:, 1]
+    low = np.flatnonzero(x0 <= 0.05)
+    carried = [low[x1[low] <= -0.25], low[x1[low] > -0.25], np.flatnonzero(x0 > 0.05)]
     rule = StoppingRule(min_leaf_fraction=0.05)
     for sigma in (np.zeros(3), np.array([0.3, 0.0, 0.2])):
         V = build_membership(d, regions, sigma)
-        for k, region in enumerate(regions):
-            rows = np.flatnonzero(region.contains(d.features))
-            want = find_best_split(d, V, region, d.target, [0, 1, 2], sigma, rule)
+        for region, rows in zip(regions, carried):
+            want = search_leaf(d, V, region, d.target, [0, 1, 2], sigma, rule)
             assert want is not None
-            assert find_best_split(d, V, region, d.target, [0, 1, 2], sigma, rule, rows) == want
+            assert search_leaf(d, V, region, d.target, [0, 1, 2], sigma, rule, rows) == want
 
 
 def test_json_roundtrip_bit_identical(small_data):
