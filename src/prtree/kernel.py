@@ -28,7 +28,8 @@ def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.nd
 
 
 def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
-    """Yield the soft membership column of every row of X in each region: the
+    """Yield the soft membership column of every row of X in each region (a
+    `Region`, or anything else with `lower` and `upper` bound arrays): the
     product, over the region's bounded coordinates in ascending j, of the
     mass F(j, upper) - F(j, lower) of its interval (lower, upper].
 

@@ -85,21 +85,33 @@ class PBartHyper:
 
 class _Node:
     """What a node's split path from the root fixes, for one dataset d and one
-    sigma: its depth, region and hard rows, and on demand its rows x p block
-    sorted by column, admissible coordinates, cuts and, as a leaf, its
-    membership column at (d.features, sigma)."""
+    sigma: its depth, its region's read-only `lower` and `upper` bounds and
+    its hard rows, and on demand its rows x p block sorted by column,
+    admissible coordinates, cuts and, as a leaf, its membership column at
+    (d.features, sigma). The bounds are not validated again: `refresh` has
+    checked the one coordinate a split changes."""
 
-    __slots__ = ("depth", "region", "rows", "block", "adm", "cuts", "col")
+    __slots__ = ("depth", "lower", "upper", "rows", "block", "adm", "cuts", "col")
 
-    def __init__(self, depth: int, region: Region, rows: np.ndarray):
-        self.depth, self.region, self.rows = depth, region, rows
+    def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray):
+        self.depth, self.lower, self.upper, self.rows = depth, lower, upper, rows
         self.block, self.adm, self.cuts, self.col = None, None, {}, None
 
     def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
+        """The children at x_j <= s and x_j > s, each with one bound replaced."""
         go_left = d.features[self.rows, j] <= s
-        lo, hi = self.region.split(j, s)
-        return (_Node(self.depth + 1, lo, self.rows[go_left]),
-                _Node(self.depth + 1, hi, self.rows[~go_left]))
+        left_hi, right_lo = self.upper.copy(), self.lower.copy()
+        left_hi[j] = right_lo[j] = s
+        left_hi.setflags(write=False)
+        right_lo.setflags(write=False)
+        return (_Node(self.depth + 1, self.lower, left_hi, self.rows[go_left]),
+                _Node(self.depth + 1, right_lo, self.upper, self.rows[~go_left]))
+
+    @classmethod
+    def root(cls, d: Dataset) -> "_Node":
+        """All of R^p, holding every row of d."""
+        bounds = Region.root(d.p)
+        return cls(0, bounds.lower, bounds.upper, np.arange(d.n))
 
     def sorted_block(self, d: Dataset) -> np.ndarray:
         if self.block is None:
@@ -132,11 +144,16 @@ class SampledTree:
     index to its `_Node`. Copies keep the sigma and share the `_Node`s by
     split path, so a refresh builds only those whose path a move changed,
     rows carried down from the parent (x_j <= s going left, exactly
-    `Region.contains`), and `membership` evaluates only their columns."""
+    `Region.contains`), and `membership` evaluates only their columns.
+
+    A refreshed tree's structure does not change, since moves edit copies,
+    so the tree keeps what depends on the structure alone: its membership
+    array V and Gram matrix G = V^T V, each formed on first use."""
 
     def __init__(self, nodes: FlatTree, sigma: np.ndarray):
         self.nodes, self.sigma, self.data, self.paths = nodes, sigma, None, {}
         self.at, self.leaves, self.internals, self.pairs = {}, [], [], []
+        self.V = self.G = None
 
     def copy(self) -> "SampledTree":
         """A tree on copies of the arrays at the same sigma, sharing the
@@ -152,9 +169,10 @@ class SampledTree:
         old = self.paths if self.data is d else {}
         self.data, self.paths, self.at = d, {}, {}
         self.leaves, self.internals, self.pairs = [], [], []
+        self.V = self.G = None
         feature, threshold = self.nodes.feature, self.nodes.threshold
         left, right = self.nodes.left, self.nodes.right
-        self.paths[()] = root = old.get(()) or _Node(0, Region.root(d.p), np.arange(d.n))
+        self.paths[()] = root = old.get(()) or _Node.root(d)
         stack = [(0, (), root)]
         while stack:
             i, path, node = stack.pop()
@@ -164,7 +182,7 @@ class SampledTree:
                 if node.rows.size < min_count:
                     return False
                 continue
-            if not (node.region.lower[j] < s < node.region.upper[j]):
+            if not (node.lower[j] < s < node.upper[j]):
                 return False
             self.internals.append(i)
             self.pairs += [(i, c) for c in (left[i], right[i]) if feature[c] >= 0]
@@ -175,7 +193,8 @@ class SampledTree:
 
     @property
     def regions(self) -> list[Region]:
-        return [self.at[i].region for i in self.leaves]
+        """The leaves' regions, validated."""
+        return [Region(self.at[i].lower, self.at[i].upper) for i in self.leaves]
 
     def n_cuts(self, i: int) -> int:
         """The number of `cut_points` of internal node i's coordinate over its rows."""
@@ -193,13 +212,22 @@ class SampledTree:
             self.nodes.value[i] = float(g)
 
     def membership(self) -> np.ndarray:
-        """The n x K leaf membership columns at (d.features, sigma), each kept
-        on its `_Node` once evaluated."""
-        new = [self.at[i] for i in self.leaves if self.at[i].col is None]
-        regions = [node.region for node in new]
-        for node, col in zip(new, membership_columns(self.data.features, regions, self.sigma)):
-            node.col = col
-        return np.column_stack([self.at[i].col for i in self.leaves])
+        """The read-only n x K leaf membership array V at (d.features, sigma),
+        stacked once per tree from the columns kept on each `_Node`."""
+        if self.V is None:
+            new = [self.at[i] for i in self.leaves if self.at[i].col is None]
+            for node, col in zip(new, membership_columns(self.data.features, new, self.sigma)):
+                node.col = col
+            self.V = np.column_stack([self.at[i].col for i in self.leaves])
+            self.V.setflags(write=False)
+        return self.V
+
+    def gram(self) -> np.ndarray:
+        """The K x K Gram matrix G = V^T V of `membership`, formed once per tree."""
+        if self.G is None:
+            V = self.membership()
+            self.G = V.T @ V
+        return self.G
 
     def prunable(self) -> list[int]:
         """The internal nodes whose children are both leaves."""
@@ -211,7 +239,7 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     """Log prior of a tree topology: depth-decaying split probabilities
     plus uniform split-variable and cut-point factors."""
     total = 0.0
-    p = t.at[0].region.p
+    p = t.data.p
     for node in t.internals:
         total += math.log(alpha / (1.0 + t.at[node].depth) ** beta)
         n_cuts = t.n_cuts(node)
@@ -223,33 +251,31 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     return total
 
 
-def marginal_log_likelihood(R, V, sigma_gamma: float, sigma_tilde: float) -> float:
-    """Log density of residuals with leaf weights integrated out:
-    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T), for the n x K membership array V,
-    evaluated from the K x K Gram statistics (see `_sigma0_terms`)."""
-    logdet, quad = _sigma0_terms(R, V, sigma_gamma, sigma_tilde)
-    n = len(np.asarray(R))
+def marginal_log_likelihood(G, b, RR: float, n: int, sigma_gamma: float,
+                            sigma_tilde: float) -> float:
+    """Log density of n residuals R with leaf weights integrated out:
+    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T) for the n x K membership
+    array V, evaluated from G = V^T V, b = V^T R and RR = R^T R alone (see
+    `_sigma0_terms`)."""
+    logdet, quad = _sigma0_terms(G, b, RR, n, sigma_gamma, sigma_tilde)
     return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
 
 
-def _sigma0_terms(R, V, sigma_gamma: float, sigma_tilde: float):
+def _sigma0_terms(G, b, RR: float, n: int, sigma_gamma: float, sigma_tilde: float):
     """(log det Sigma0, R^T Sigma0^{-1} R) for Sigma0 = st2 I + sg2 V V^T.
 
-    From G = V^T V and b = V^T R alone: with r = sg2 / st2 and the Cholesky
-    factor I + r G = L L^T, taken on Python floats (K is small),
+    From G = V^T V, b = V^T R and RR = R^T R: with r = sg2 / st2 and the
+    Cholesky factor I + r G = L L^T, taken on Python floats (K is small),
     log det Sigma0 = n log st2 + 2 sum log L_ii (the determinant lemma) and
-    R^T Sigma0^{-1} R = (R^T R - r |L^{-1} b|^2) / st2 (Woodbury)."""
+    R^T Sigma0^{-1} R = (RR - r |L^{-1} b|^2) / st2 (Woodbury)."""
     if sigma_tilde <= 0.0:
         raise ValueError("sigma_tilde must be positive")
-    V = np.asarray(V, dtype=float)
-    R = np.asarray(R, dtype=float)
-    n = V.shape[0]
-    if R.shape != (n,):
-        raise ValueError("residual length must match V's row count")
+    if np.shape(G) != (len(b), len(b)):
+        raise ValueError("G must be K x K for the K entries of b")
     st2 = sigma_tilde**2
     r = sigma_gamma**2 / st2
     logdet, L, z = n * math.log(st2), [], []  # z = L^{-1} b
-    for Gi, bi in zip((V.T @ V).tolist(), (V.T @ R).tolist()):
+    for Gi, bi in zip(G.tolist(), b.tolist()):
         Li = []
         for Lj in L:
             Li.append((r * Gi[len(Li)] - sum(map(mul, Li, Lj))) / Lj[-1])
@@ -258,7 +284,7 @@ def _sigma0_terms(R, V, sigma_gamma: float, sigma_tilde: float):
         Li.append(math.sqrt(pivot))
         L.append(Li)
         z.append((bi - sum(map(mul, Li, z))) / Li[-1])
-    return logdet, (float(R @ R) - r * sum(map(mul, z, z))) / st2
+    return logdet, (RR - r * sum(map(mul, z, z))) / st2
 
 
 def propose_tree(
@@ -344,25 +370,21 @@ def propose_tree(
     return star, 0.0, kind
 
 
-def mh_accept(
-    t: SampledTree,
-    t_star: SampledTree | None,
-    R,
-    V,
-    V_star,
-    hyper: PBartHyper,
-    rng: np.random.Generator,
-    sigma_tilde: float,
-    log_q_ratio: float = 0.0,
-) -> bool:
+def mh_accept(t: SampledTree, t_star: SampledTree | None, R, hyper: PBartHyper,
+              rng: np.random.Generator, sigma_tilde: float, log_q_ratio: float = 0.0) -> bool:
     """Metropolis-Hastings accept/reject for a proposed tree, using the
-    weight-marginalized residual likelihood; a None proposal is rejected."""
+    weight-marginalized residual likelihood; a None proposal is rejected.
+    Each tree's V and G are its own (`membership`, `gram`); this forms
+    b = V^T R for both trees and R^T R once."""
     if t_star is None or log_q_ratio == -np.inf:
         return False
+    R = np.asarray(R, dtype=float)
+    RR, sg = float(R @ R), hyper.sigma_gamma
     delta = (
         log_q_ratio
-        + marginal_log_likelihood(R, V_star, hyper.sigma_gamma, sigma_tilde)
-        - marginal_log_likelihood(R, V, hyper.sigma_gamma, sigma_tilde)
+        + marginal_log_likelihood(t_star.gram(), t_star.membership().T @ R, RR, R.size,
+                                  sg, sigma_tilde)
+        - marginal_log_likelihood(t.gram(), t.membership().T @ R, RR, R.size, sg, sigma_tilde)
         + tree_log_prior(t_star, hyper.alpha, hyper.beta)
         - tree_log_prior(t, hyper.alpha, hyper.beta)
     )
@@ -371,24 +393,17 @@ def mh_accept(
     return bool(rng.random() < math.exp(delta))
 
 
-def draw_gammas(
-    t: SampledTree,
-    R,
-    V,
-    hyper: PBartHyper,
-    rng: np.random.Generator,
-    sigma_tilde: float,
-) -> np.ndarray:
-    """One full Gibbs sweep over leaf weights, in leaf order, each draw
+def draw_gammas(t: SampledTree, G, b, hyper: PBartHyper, rng: np.random.Generator,
+                sigma_tilde: float) -> np.ndarray:
+    """One full Gibbs sweep over t's leaf weights, in leaf order, each draw
     conditioning on the freshest values of the other weights. Leaf k's
     conditional needs A_k = G_kk and B_k = b_k - sum_{l != k} G_kl gamma_l
-    of G = V^T V and b = V^T R, so the sweep runs on Python floats."""
-    V = np.asarray(V, dtype=float)
-    R = np.asarray(R, dtype=float)
+    of the Gram matrix G = V^T V and b = V^T R, so the sweep runs on Python
+    floats."""
     sg2 = hyper.sigma_gamma**2
     st2 = sigma_tilde**2
     gam = t.gammas().tolist()
-    for k, (Gk, bk) in enumerate(zip((V.T @ V).tolist(), (V.T @ R).tolist())):
+    for k, (Gk, bk) in enumerate(zip(G.tolist(), b.tolist())):
         gam[k] = 0.0  # so that B sums over the other leaves only
         B = bk - sum(map(mul, Gk, gam))
         denom = st2 + sg2 * Gk[k]
@@ -514,9 +529,13 @@ def fit_pbart(
 
     The target is internally shifted and scaled to [-0.5, 0.5]; prediction
     undoes the transform. `sigma_tilde_fixed` pins the noise scale instead
-    of resampling it (diagnostics and exactness tests)."""
+    of resampling it (diagnostics and exactness tests). Of `rule`, proposals
+    keep `min_leaf_fraction` and `max_depth`; `max_leaves` is rejected."""
     if d.n < 2:
         raise ValueError("need at least 2 rows")
+    if rule.max_leaves is not None:
+        raise ValueError("max_leaves does not apply to pbart: the tree prior (alpha, beta) "
+                         "sets the tree sizes")
     sigma = scales(sigma, d.p)
     y = d.target
     y_min, y_max = float(y.min()), float(y.max())
@@ -553,14 +572,12 @@ def fit_pbart(
             R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
-            V = t.membership()
-            V_star = None if star is None else star.membership()
-            accepted = mh_accept(t, star, R, V, V_star, hyper, gen, sigma_tilde, log_q)
+            accepted = mh_accept(t, star, R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star
-                V = V_star
-            new_fit = V @ draw_gammas(t, R, V, hyper, gen, sigma_tilde)
+            V = t.membership()
+            new_fit = V @ draw_gammas(t, t.gram(), V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         if sigma_tilde_fixed is None:

@@ -171,9 +171,9 @@ def test_criterion_4_recursion_vs_dense():
         R = rng.normal(size=n)
         sg = float(rng.uniform(0.05, 3.0))
         st = float(rng.uniform(0.05, 3.0))
-        ll = marginal_log_likelihood(R, V, sg, st)
+        ll = marginal_log_likelihood(V.T @ V, V.T @ R, R @ R, n, sg, st)
         ll_ref = dense_log_density(R, V, sg, st)
-        ld = _sigma0_terms(np.zeros(n), V, sg, st)[0]
+        ld = _sigma0_terms(V.T @ V, np.zeros(K), 0.0, n, sg, st)[0]
         ld_ref = dense_log_det(V, sg, st)
         worst_ll = max(worst_ll, abs(ll - ll_ref) / max(1.0, abs(ll_ref)))
         worst_det = max(worst_det, abs(ld - ld_ref) / max(1.0, abs(ld_ref)))
@@ -218,7 +218,7 @@ def test_criterion_5_posterior_draw_calibration():
     samples = np.empty(n_draws)
     for i in range(n_draws):
         t.set_gammas([0.0, frozen])
-        samples[i] = draw_gammas(t, R, V, hyper2, gen, st)[0]
+        samples[i] = draw_gammas(t, V.T @ V, V.T @ R, hyper2, gen, st)[0]
     se_mean = math.sqrt(v1 / n_draws)
     se_var = v1 * math.sqrt(2.0 / (n_draws - 1))
     if abs(samples.mean() - m1) > 3 * se_mean:
@@ -265,16 +265,13 @@ def test_criterion_6_micro_chain_exactness():
 
     gen = np.random.default_rng(23)
     t = states[0]
-    P = t.membership()
     counts = np.zeros(3)
     iters = 1_000_000
     start = time.time()
     for _ in range(iters):
         star, logq, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
-        if star is not None:
-            Ps = star.membership()
-            if mh_accept(t, star, y, P, Ps, hyper, gen, st, logq):
-                t, P = star, Ps
+        if mh_accept(t, star, y, hyper, gen, st, logq):
+            t = star
         counts[classify(t)] += 1
     elapsed = time.time() - start
     empirical = counts / iters

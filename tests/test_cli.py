@@ -222,6 +222,15 @@ def test_missing_data_flag():
     assert main(["fit", "--target", "y"]) == 1
 
 
+def test_pbart_with_a_leaf_cap_exits_1(tmp_path, data_csv, capsys):
+    out = tmp_path / "m.json"
+    assert main(["fit", "--model", "pbart", "--trees", "2", "--iters", "3", "--burn", "1",
+                 "--data", str(data_csv), "--target", "y", "--sigma", "0.5", "--max-leaves", "4",
+                 "--out", str(out)]) == 1
+    assert "max_leaves" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pbart_cli_fit(tmp_path, data_csv):
     out = tmp_path / "chain.json"
     rc = main(["fit", "--model", "pbart", "--data", str(data_csv), "--target", "y",

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     dense_log_density, dense_log_det, grown_tree, random_dataset, recursive_log_prior,
 )
+from prtree import pbart
 from prtree.data import Dataset, RngSpec
 from prtree.kernel import membership_column
 from prtree.pbart import (
@@ -70,7 +71,7 @@ def test_prior_matches_recursive_oracle():
 # marginal likelihood
 
 def test_mll_scalar_case():
-    got = marginal_log_likelihood(np.array([0.0]), np.ones((1, 1)), 1.0, 1.0)
+    got = marginal_log_likelihood(np.ones((1, 1)), np.zeros(1), 0.0, 1, 1.0, 1.0)
     assert got == pytest.approx(-0.5 * math.log(4.0 * math.pi))
 
 
@@ -80,8 +81,9 @@ def test_mll_vanishing_weight_prior():
     V = rng.random((5, 2))
     st = 0.8
     iid = float(np.sum(-0.5 * np.log(2 * np.pi * st**2) - 0.5 * R**2 / st**2))
-    assert marginal_log_likelihood(R, V, 0.0, st) == pytest.approx(iid)
-    assert marginal_log_likelihood(R, V, 1e-9, st) == pytest.approx(iid, abs=1e-6)
+    G, b, RR = V.T @ V, V.T @ R, R @ R
+    assert marginal_log_likelihood(G, b, RR, 5, 0.0, st) == pytest.approx(iid)
+    assert marginal_log_likelihood(G, b, RR, 5, 1e-9, st) == pytest.approx(iid, abs=1e-6)
 
 
 def test_mll_matches_dense_oracle():
@@ -93,7 +95,7 @@ def test_mll_matches_dense_oracle():
         R = rng.normal(size=n)
         sg = float(rng.uniform(0.05, 2.0))
         st = float(rng.uniform(0.05, 2.0))
-        got = marginal_log_likelihood(R, V, sg, st)
+        got = marginal_log_likelihood(V.T @ V, V.T @ R, R @ R, n, sg, st)
         want = dense_log_density(R, V, sg, st)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -122,17 +124,19 @@ def test_mll_matches_dense_oracle_on_hard_cases():
         R = rng.normal(size=n)
         sg = float(np.exp(rng.uniform(np.log(0.01), np.log(30.0))))
         st = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
-        ll, ll_ref = marginal_log_likelihood(R, V, sg, st), dense_log_density(R, V, sg, st)
-        ld, ld_ref = _sigma0_terms(np.zeros(n), V, sg, st)[0], dense_log_det(V, sg, st)
+        ll = marginal_log_likelihood(V.T @ V, V.T @ R, R @ R, n, sg, st)
+        ll_ref = dense_log_density(R, V, sg, st)
+        ld, ld_ref = _sigma0_terms(V.T @ V, np.zeros(K), 0.0, n, sg, st)[0], dense_log_det(V, sg, st)
         assert abs(ll - ll_ref) <= 1e-8 * max(1.0, abs(ll_ref))
         assert abs(ld - ld_ref) <= 1e-8 * max(1.0, abs(ld_ref))
 
 
 def test_mll_rejects_bad_sigma():
     with pytest.raises(ValueError):
-        marginal_log_likelihood(np.zeros(2), np.ones((2, 1)), 1.0, 0.0)
+        marginal_log_likelihood(np.full((1, 1), 2.0), np.zeros(1), 0.0, 2, 1.0, 0.0)
+    # a Gram matrix whose size does not match b's
     with pytest.raises(ValueError):
-        marginal_log_likelihood(np.zeros(3), np.ones((2, 1)), 1.0, 1.0)
+        marginal_log_likelihood(np.full((1, 1), 2.0), np.zeros(2), 0.0, 2, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,8 @@ def _state(t):
 
 def _check_node_caches(t, d, sigma):
     """Every node cache of t, carried across proposals, equals its value
-    computed afresh from the region that Region.split derives."""
+    computed afresh from the region that Region.split derives, and the tree's
+    kept V and G equal those stacked and multiplied from fresh columns."""
     regions = dict(_oracle_regions(t.nodes, 0, Region.root(d.p)))
     # the cache holds the root and each split's children, of this tree only
     assert len(t.paths) == 1 + len(t.internals)
@@ -237,8 +242,9 @@ def _check_node_caches(t, d, sigma):
     assert {i: node.depth for i, node in t.at.items()} == dict(_oracle_depths(t.nodes))
     for i, node in t.at.items():
         rows = np.flatnonzero(regions[i].contains(d.features))
-        assert np.array_equal(node.region.lower, regions[i].lower)
-        assert np.array_equal(node.region.upper, regions[i].upper)
+        assert node.lower.tobytes() == regions[i].lower.tobytes()
+        assert node.upper.tobytes() == regions[i].upper.tobytes()
+        assert not (node.lower.flags.writeable or node.upper.flags.writeable)
         assert np.array_equal(node.rows, rows)
         if node.adm is not None:
             distinct = [np.unique(d.features[rows, j]).size for j in range(d.p)]
@@ -251,6 +257,12 @@ def _check_node_caches(t, d, sigma):
         if node.col is not None:
             want = membership_column(d.features, regions[i], sigma)
             assert node.col.tobytes() == want.tobytes()
+    if t.V is not None:
+        V = np.column_stack([membership_column(d.features, regions[i], sigma) for i in t.leaves])
+        assert t.V.tobytes() == V.tobytes() and t.V.shape == V.shape
+        assert not t.V.flags.writeable
+    if t.G is not None:
+        assert t.G.tobytes() == (V.T @ V).tobytes()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -277,7 +289,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
         star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
         if star is not None:
             seen.add(kind)
-            star.membership()
+            star.gram()
             regions = dict(_oracle_regions(star.nodes, 0, Region.root(d.p)))
             # every array entry is reachable from the root: a prune leaves no orphans
             assert sorted(regions) == list(range(len(star.nodes.feature)))
@@ -311,6 +323,13 @@ def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
     def columns(t):
         return np.column_stack([membership_column(d.features, r, sigma) for r in t.regions])
 
+    def fresh_v(nodes):
+        # a refreshed tree whose V and G are formed here, from fresh columns
+        t = fresh(nodes)
+        t.V = columns(t)
+        t.G = t.V.T @ t.V
+        return t
+
     y_min, y_max = float(d.target.min()), float(d.target.max())
     y_norm = (d.target - y_min) / (y_max - y_min) - 0.5
     hyper = hyper.calibrated(y_norm)
@@ -328,12 +347,11 @@ def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
             t = fresh(trees[ell].nodes)
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
             accepted = star is not None and mh_accept(
-                t, fresh(star.nodes), R, columns(t), columns(fresh(star.nodes)), hyper, gen,
-                sigma_tilde, log_q)
+                fresh_v(t.nodes), fresh_v(star.nodes), R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             trees[ell] = t = fresh(star.nodes) if accepted else t
             V = columns(t)
-            new_fit = V @ draw_gammas(t, R, V, hyper, gen, sigma_tilde)
+            new_fit = V @ draw_gammas(t, V.T @ V, V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
@@ -367,20 +385,18 @@ def test_carried_caches_sample_the_uncached_chain(kind, max_depth):
 def test_mh_identity_always_accepts():
     d = _line_data([0.0, 1.0, 2.0], y=[1.0, -1.0, 0.5])
     t = _refreshed(FlatTree.leaf(), d)
-    P = np.ones((3, 1))
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.5)
     gen = np.random.default_rng(0)
     for _ in range(20):
-        assert mh_accept(t, t, d.target, P, P, hyper, gen, sigma_tilde=0.7)
+        assert mh_accept(t, t, d.target, hyper, gen, sigma_tilde=0.7)
 
 
 def test_mh_invalid_always_rejects():
     d = _line_data([0.0, 1.0, 2.0])
     t = _refreshed(FlatTree.leaf(), d)
-    P = np.ones((3, 1))
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.5)
     gen = np.random.default_rng(0)
-    assert not mh_accept(t, None, d.target, P, P, hyper, gen, 0.7, -np.inf)
+    assert not mh_accept(t, None, d.target, hyper, gen, 0.7, -np.inf)
 
 
 def test_mh_acceptance_frequency_matches_delta():
@@ -393,8 +409,8 @@ def test_mh_acceptance_frequency_matches_delta():
     st, logq = 0.3, -2.0
     delta = (
         logq
-        + marginal_log_likelihood(d.target, Ps, 0.4, st)
-        - marginal_log_likelihood(d.target, P, 0.4, st)
+        + marginal_log_likelihood(Ps.T @ Ps, Ps.T @ d.target, d.target @ d.target, 3, 0.4, st)
+        - marginal_log_likelihood(P.T @ P, P.T @ d.target, d.target @ d.target, 3, 0.4, st)
         + tree_log_prior(star, 0.95, 2.0)
         - tree_log_prior(t, 0.95, 2.0)
     )
@@ -403,7 +419,7 @@ def test_mh_acceptance_frequency_matches_delta():
     gen = np.random.default_rng(42)
     n = 40000
     hits = sum(
-        mh_accept(t, star, d.target, P, Ps, hyper, gen, st, logq) for _ in range(n)
+        mh_accept(t, star, d.target, hyper, gen, st, logq) for _ in range(n)
     )
     se = math.sqrt(prob * (1 - prob) / n)
     assert abs(hits / n - prob) <= 3 * se
@@ -419,7 +435,7 @@ def test_draw_gammas_simple_posterior():
     gen = np.random.default_rng(0)
     draws = np.array(
         [
-            draw_gammas(t, np.zeros(1), np.ones((1, 1)), hyper, gen, sigma_tilde=1.0)[0]
+            draw_gammas(t, np.ones((1, 1)), np.zeros(1), hyper, gen, sigma_tilde=1.0)[0]
             for _ in range(30000)
         ]
     )
@@ -444,7 +460,7 @@ def test_draw_gammas_flat_prior_limit():
     gen = np.random.default_rng(2)
     for _ in range(2000):
         t.set_gammas([0.0, 0.0])
-        sub.append(draw_gammas(t, R, V, hyper, gen, sigma_tilde=0.01)[0])
+        sub.append(draw_gammas(t, V.T @ V, V.T @ R, hyper, gen, sigma_tilde=0.01)[0])
     assert np.mean(sub) == pytest.approx(B / A, abs=0.01)
 
 
@@ -466,7 +482,7 @@ def test_draw_gammas_conditions_on_fresh_draws():
     z = np.empty(n)
     for i in range(n):
         t.set_gammas([3.0, -3.0, 0.0])
-        g = draw_gammas(t, R, V, hyper, gen, st)
+        g = draw_gammas(t, G, b, hyper, gen, st)
         denom = st**2 + sg**2 * G[2, 2]
         mean = sg**2 * (b[2] - G[2, 0] * g[0] - G[2, 1] * g[1]) / denom
         z[i] = (g[2] - mean) / math.sqrt(st**2 * sg**2 / denom)
@@ -547,13 +563,45 @@ def test_fit_pbart_builds_one_root_node_for_all_trees(small_data, monkeypatch):
     # the trees share the root's _Node, so its sorted rows x p block exists once
     init, depths = _Node.__init__, []
 
-    def counting(self, depth, region, rows):
+    def counting(self, depth, *bounds_and_rows):
         depths.append(depth)
-        init(self, depth, region, rows)
+        init(self, depth, *bounds_and_rows)
 
     monkeypatch.setattr(_Node, "__init__", counting)
     fit_pbart(small_data, PBartHyper(m=4, it_burn=2, it_max=4), np.zeros(3), RngSpec(3))
     assert depths.count(0) == 1
+
+
+def test_fit_pbart_forms_one_gram_matrix_per_tree(small_data, monkeypatch):
+    # each tree keeps its G = V^T V: the m initial trees and each valid
+    # proposal form one, a rejection or an invalid proposal none
+    gram, formed = SampledTree.gram, []
+    propose, valid = pbart.propose_tree, []
+
+    def counting_gram(self):
+        formed.append(self.G is None)
+        return gram(self)
+
+    def counting_proposals(*args):
+        star = propose(*args)
+        valid.append(star[0] is not None)
+        return star
+
+    monkeypatch.setattr(SampledTree, "gram", counting_gram)
+    monkeypatch.setattr(pbart, "propose_tree", counting_proposals)
+    hyper = PBartHyper(m=4, it_burn=10, it_max=40)
+    sigma = 0.3 * small_data.features.std(axis=0, ddof=1)
+    chain = fit_pbart(small_data, hyper, sigma, RngSpec(5), StoppingRule(min_leaf_fraction=0.05))
+    rejected = sum(v["rejected"] for v in chain.acceptance_log.values())
+    assert len(valid) == hyper.m * hyper.it_max and 0 < sum(valid) < rejected
+    assert sum(formed) == hyper.m + sum(valid)
+
+
+def test_fit_pbart_rejects_max_leaves(small_data):
+    # the tree sizes come from the prior; a leaf cap was silently ignored
+    rule = StoppingRule(min_leaf_fraction=0.05, max_leaves=2)
+    with pytest.raises(ValueError, match="max_leaves"):
+        fit_pbart(small_data, PBartHyper(m=3, it_burn=10, it_max=40), np.zeros(3), RngSpec(0), rule)
 
 
 def test_fit_pbart_rejects_tiny_data():
