@@ -17,7 +17,6 @@ from .tree import (
     find_best_split,
     fit_prtree,
     fit_weights,
-    split_membership_column,
 )
 from .ensemble import (
     BoostedEnsemble,
@@ -59,7 +58,6 @@ __all__ = [
     "standard_scale",
     "Region",
     "build_membership",
-    "split_membership_column",
     "PRTree",
     "StoppingRule",
     "fit_weights",

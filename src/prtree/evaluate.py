@@ -105,8 +105,8 @@ class LearnerSpec:
     """What to fit inside the harness: model kind plus its knobs.
 
     sigma=None requests per-fold grid tuning; an explicit vector skips it.
-    custom_fit overrides everything with a (train, sigma, rng) -> predictor
-    closure (used for oracle/constant baselines)."""
+    For pbart, hyper defaults to PBartHyper(m=n_trees); a hyper.m other than
+    n_trees, or a leaf cap, is rejected here, before any tuning fit."""
 
     kind: str = "tree"
     n_trees: int = 100
@@ -114,33 +114,38 @@ class LearnerSpec:
     rule: StoppingRule = field(default_factory=StoppingRule)
     hyper: PBartHyper | None = None
     sigma: np.ndarray | None = None
-    custom_fit: Callable | None = None
 
     def __post_init__(self):
-        if self.custom_fit is None and self.kind not in ("tree", "rf", "gbt", "pbart"):
+        if self.kind not in ("tree", "rf", "gbt", "pbart"):
             raise ValueError(f"unknown learner kind {self.kind!r}")
+        if self.kind == "pbart":
+            if self.hyper is None:
+                self.hyper = PBartHyper(m=self.n_trees)
+            if self.hyper.m != self.n_trees:
+                raise ValueError(f"hyper.m = {self.hyper.m} differs from n_trees = "
+                                 f"{self.n_trees}")
+            if self.rule.max_leaves is not None:
+                raise ValueError("max_leaves does not apply to pbart: the tree prior (alpha, "
+                                 "beta) sets the tree sizes")
 
 
 def fit_model(spec: LearnerSpec, train: Dataset, sigma, rng: RngSpec):
     """Fit the learner `spec` names on `train` at noise scale `sigma`; the
     forest and the Bayesian model draw from `rng`."""
-    if spec.custom_fit is not None:
-        return spec.custom_fit(train, sigma, rng)
     if spec.kind == "tree":
         return fit_prtree(train, sigma, spec.rule)
     if spec.kind == "rf":
         return fit_prrf(train, spec.n_trees, sigma, spec.rule, rng=rng)
     if spec.kind == "gbt":
         return fit_prgbt(train, spec.n_trees, sigma, spec.rule, shrinkage=spec.shrinkage)
-    hyper = spec.hyper if spec.hyper is not None else PBartHyper()
-    return fit_pbart(train, hyper, sigma, rng, rule=spec.rule)
+    return fit_pbart(train, spec.hyper, sigma, rng, rule=spec.rule)
 
 
 def _tuning_learner(spec: LearnerSpec, rng: RngSpec) -> Callable:
     """Learner used on the validation split. The single tree and the boosted
     model tune with themselves; the forest and the Bayesian model reuse the
     noise scale tuned for a single tree."""
-    if spec.custom_fit is None and spec.kind in ("rf", "pbart"):
+    if spec.kind in ("rf", "pbart"):
         spec = LearnerSpec(kind="tree", rule=spec.rule)
     return lambda tr, sigma: fit_model(spec, tr, sigma, rng)
 

@@ -17,9 +17,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import membership_column, membership_columns  # noqa: F401
-from .regions import Region
-from .tree import (FlatTree, StoppingRule, cut_points, model_json, model_value,
-                   read_model_json, scales)
+from .tree import (FlatTree, StoppingRule, _Node, model_json, model_value, read_model_json,
+                   scales)
 
 log = logging.getLogger(__name__)
 
@@ -83,55 +82,6 @@ class PBartHyper:
         return replace(self, lam=lam, sigma_gamma=sg)
 
 
-class _Node:
-    """What a node's split path from the root fixes, for one dataset d and one
-    sigma: its depth, its region's read-only `lower` and `upper` bounds and
-    its hard rows, and on demand its rows x p block sorted by column,
-    admissible coordinates, cuts and, as a leaf, its membership column at
-    (d.features, sigma). The bounds are not validated again: `refresh` has
-    checked the one coordinate a split changes."""
-
-    __slots__ = ("depth", "lower", "upper", "rows", "block", "adm", "cuts", "col")
-
-    def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray):
-        self.depth, self.lower, self.upper, self.rows = depth, lower, upper, rows
-        self.block, self.adm, self.cuts, self.col = None, None, {}, None
-
-    def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
-        """The children at x_j <= s and x_j > s, each with one bound replaced."""
-        go_left = d.features[self.rows, j] <= s
-        left_hi, right_lo = self.upper.copy(), self.lower.copy()
-        left_hi[j] = right_lo[j] = s
-        left_hi.setflags(write=False)
-        right_lo.setflags(write=False)
-        return (_Node(self.depth + 1, self.lower, left_hi, self.rows[go_left]),
-                _Node(self.depth + 1, right_lo, self.upper, self.rows[~go_left]))
-
-    @classmethod
-    def root(cls, d: Dataset) -> "_Node":
-        """All of R^p, holding every row of d."""
-        bounds = Region.root(d.p)
-        return cls(0, bounds.lower, bounds.upper, np.arange(d.n))
-
-    def sorted_block(self, d: Dataset) -> np.ndarray:
-        if self.block is None:
-            self.block = np.sort(d.features[self.rows], axis=0)
-        return self.block
-
-    def admissible(self, d: Dataset) -> list[int]:
-        """Coordinates with at least two distinct values over the rows."""
-        if self.adm is None:
-            X = self.sorted_block(d)
-            self.adm = np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
-        return self.adm
-
-    def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
-        """The `cut_points` of coordinate j over the rows, from the sorted block."""
-        if j not in self.cuts:
-            self.cuts[j] = cut_points(self.sorted_block(d)[:, j])[1]
-        return self.cuts[j]
-
-
 class SampledTree:
     """One tree of the additive model at one sigma, for its whole life: node
     arrays plus caches keyed by node index, so a move edits a copy of the
@@ -190,11 +140,6 @@ class SampledTree:
             self.paths[key] = lo, hi = old.get(key) or node.split(d, j, s)
             stack += [(right[i], (key, 1), hi), (left[i], (key, 0), lo)]
         return True
-
-    @property
-    def regions(self) -> list[Region]:
-        """The leaves' regions, validated."""
-        return [Region(self.at[i].lower, self.at[i].upper) for i in self.leaves]
 
     def n_cuts(self, i: int) -> int:
         """The number of `cut_points` of internal node i's coordinate over its rows."""
@@ -452,7 +397,7 @@ class PBartChain:
         # across snapshots; their weights are summed once here, in first-seen
         # order, so that predict evaluates each distinct region's column once
         p = self.sigma.shape[0]
-        walked: dict[tuple, tuple[list[int], tuple[Region, ...]]] = {}
+        walked: dict[tuple, tuple[list[int], tuple]] = {}
         groups: dict[bytes, list] = {}
         self.snapshots = []
         for snap in self.trees:
@@ -460,7 +405,7 @@ class PBartChain:
             for t in snap:
                 key = (tuple(t.feature), tuple(t.threshold), tuple(t.left), tuple(t.right))
                 if key not in walked:
-                    found = [(i, r) for i, _, r in t.walk(p) if t.feature[i] < 0]
+                    found = t.leaf_regions(p)
                     walked[key] = [i for i, _ in found], tuple(r for _, r in found)
                 leaves, regions = walked[key]
                 gammas = np.array([t.value[i] for i in leaves])
@@ -523,14 +468,13 @@ def fit_pbart(
     sigma,
     rng: RngSpec,
     rule: StoppingRule = StoppingRule(),
-    sigma_tilde_fixed: float | None = None,
 ) -> PBartChain:
     """Run the Gibbs/MH sampler and retain post-burn-in snapshots.
 
     The target is internally shifted and scaled to [-0.5, 0.5]; prediction
-    undoes the transform. `sigma_tilde_fixed` pins the noise scale instead
-    of resampling it (diagnostics and exactness tests). Of `rule`, proposals
-    keep `min_leaf_fraction` and `max_depth`; `max_leaves` is rejected."""
+    undoes the transform. The first noise scale is drawn from its prior. Of
+    `rule`, proposals keep `min_leaf_fraction` and `max_depth`; `max_leaves`
+    is rejected."""
     if d.n < 2:
         raise ValueError("need at least 2 rows")
     if rule.max_leaves is not None:
@@ -556,12 +500,7 @@ def fit_pbart(
         fits[ell] = t.membership() @ t.gammas()
     total_fit = fits.sum(axis=0)
 
-    if sigma_tilde_fixed is not None:
-        sigma_tilde = float(sigma_tilde_fixed)
-    else:
-        sigma_tilde = math.sqrt(
-            (hyper.nu * hyper.lam / 2.0) / gen.gamma(hyper.nu / 2.0)
-        )
+    sigma_tilde = draw_sigma_tilde(np.zeros(0), np.zeros(0), hyper, gen)
 
     accept_log = {kind: {"accepted": 0, "rejected": 0} for kind in MOVES}
     sigma_trace = np.empty(hyper.it_max)
@@ -580,8 +519,7 @@ def fit_pbart(
             new_fit = V @ draw_gammas(t, t.gram(), V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
-        if sigma_tilde_fixed is None:
-            sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
+        sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
         sigma_trace[it - 1] = sigma_tilde
         if it > hyper.it_burn:
             snapshots.append([t.nodes.copy() for t in trees])

@@ -9,6 +9,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import index
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -76,7 +77,7 @@ class FlatTree:
     al. 2011). Node 0 is the root. Split node i sends x with
     x[feature[i]] <= threshold[i] to node left[i] and the rest to right[i]. A
     leaf has feature -1, threshold 0 and children -1; value holds its weight
-    (0 at a split). Leaf regions are derived by `walk`, never stored."""
+    (0 at a split). Leaf regions are derived by `leaf_regions`, never stored."""
 
     feature: list[int]
     threshold: list[float]
@@ -142,17 +143,19 @@ class FlatTree:
         )
         self.left, self.right = ([index[a[k]] for k in keep] for a in (self.left, self.right))
 
-    def walk(self, p: int):
-        """(node, depth, region) of every node in preorder, a child's region
-        being its parent's Region.split; a threshold outside its node's
-        region raises ValueError."""
-        stack = [(0, 0, Region.root(p))]
+    def leaf_regions(self, p: int) -> list[tuple[int, Region]]:
+        """(node, region) of every leaf in preorder, a child's region being
+        its parent's Region.split; a threshold outside its node's region
+        raises ValueError."""
+        stack, found = [(0, Region.root(p))], []
         while stack:
-            i, depth, region = stack.pop()
-            yield i, depth, region
-            if self.feature[i] >= 0:
+            i, region = stack.pop()
+            if self.feature[i] < 0:
+                found.append((i, region))
+            else:
                 lo, hi = region.split(self.feature[i], self.threshold[i])
-                stack += [(self.right[i], depth + 1, hi), (self.left[i], depth + 1, lo)]
+                stack += [(self.right[i], hi), (self.left[i], lo)]
+        return found
 
 
 @dataclass(frozen=True)
@@ -258,6 +261,71 @@ def cut_points(v: np.ndarray):
     return left, np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class _Node:
+    """One node of a tree grown on a dataset d, greedily (`fit_prtree`) or by
+    MH moves (`pbart.SampledTree`): what its split path from the root fixes.
+    That is its depth, its region's read-only `lower` and `upper` bounds, its
+    hard rows and, as a leaf, its membership column `col` at (d.features,
+    sigma). `split` alone derives a child's rows and bounds; it does not
+    validate them again, since the split value lies strictly inside the
+    node's interval (a `cut_points` cut of its rows, or a bound `refresh`
+    checked).
+
+    The greedy fit keeps a leaf's `order` block (its rows' stable order by
+    each of the fit's coordinates, which the children inherit) and its split
+    `search` (`_leaf_cuts`); the sampler builds on demand the rows x p
+    `block` sorted by column, the admissible coordinates and their cuts."""
+
+    __slots__ = ("depth", "lower", "upper", "rows", "col", "order", "search", "block", "adm",
+                 "cuts")
+
+    def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray):
+        self.depth, self.lower, self.upper, self.rows = depth, lower, upper, rows
+        self.col = self.order = self.search = self.block = self.adm = None
+        self.cuts = {}
+
+    @classmethod
+    def root(cls, d: Dataset) -> "_Node":
+        """All of R^p, holding every row of d."""
+        return cls(0, _read_only(np.full(d.p, -np.inf)), _read_only(np.full(d.p, np.inf)),
+                   np.arange(d.n))
+
+    def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
+        """The children at x_j <= s and x_j > s, each with one bound replaced
+        and, if this node has an order block, its part of it."""
+        go_left = d.features[self.rows, j] <= s
+        left_hi, right_lo = self.upper.copy(), self.lower.copy()
+        left_hi[j] = right_lo[j] = s
+        left = _Node(self.depth + 1, self.lower, _read_only(left_hi), self.rows[go_left])
+        right = _Node(self.depth + 1, _read_only(right_lo), self.upper, self.rows[~go_left])
+        if self.order is not None:
+            left.order, right.order = _partition_block(self.order, go_left)
+        return left, right
+
+    def sorted_block(self, d: Dataset) -> np.ndarray:
+        if self.block is None:
+            self.block = np.sort(d.features[self.rows], axis=0)
+        return self.block
+
+    def admissible(self, d: Dataset) -> list[int]:
+        """Coordinates with at least two distinct values over the rows."""
+        if self.adm is None:
+            X = self.sorted_block(d)
+            self.adm = np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
+        return self.adm
+
+    def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
+        """The `cut_points` of coordinate j over the rows, from the sorted block."""
+        if j not in self.cuts:
+            self.cuts[j] = cut_points(self.sorted_block(d)[:, j])[1]
+        return self.cuts[j]
+
+
 def _split_sse_batch(Q, ry, L, norm):
     """SSE of the full refit for each cut of one coordinate, from the leaf's
     table (L, norm) (see `_leaf_cuts`).
@@ -274,22 +342,21 @@ def _split_sse_batch(Q, ry, L, norm):
     return float(ry @ ry) - gain
 
 
-def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int, orders,
-               w=None):
+def _leaf_cuts(d: Dataset, leaf: _Node, y, vars, sigma, min_count: int, orders, w=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
-    until the leaf is split: (rows_mask, per-coordinate entries). There is an
-    entry (j, cuts, table) for each j of vars, ascending, whose cuts are the
-    `cut_points` leaving min_count rows on each side. At sigma = 0 the table
-    is the children's SSE at each cut, by `_hard_cut_sse` of the leaf's
-    centred target; otherwise it is (L, norm): L[:, i] is the left child's
-    membership at cut i, the leaf's region with j freed (one
-    membership_columns call for all j) times F(j, cut) - F(j, a), and norm
-    its squared column norms. `orders` is the leaf's order block over ascending
-    vars: the stable argsort of each column of its rows, in ascending row
-    order. `w`, the rows' multiplicities in a weighted fit, makes the counts
-    and SSE weighted and scales L by sqrt(w)."""
+    until the leaf is split: (rows_mask, per-coordinate entries), from the
+    leaf's hard rows and bounds. There is an entry (j, cuts, table) for each
+    j of vars, ascending, whose cuts are the `cut_points` leaving min_count
+    rows on each side. At sigma = 0 the table is the children's SSE at each
+    cut, by `_hard_cut_sse` of the leaf's centred target; otherwise it is (L,
+    norm): L[:, i] is the left child's membership at cut i, the leaf's box
+    with j freed (one membership_columns call for all j) times F(j, cut) -
+    F(j, a), and norm its squared column norms. `orders` is the leaf's order
+    block over ascending vars: the stable argsort of each column of its rows,
+    in ascending row order. `w`, the rows' multiplicities in a weighted fit,
+    makes the counts and SSE weighted and scales L by sqrt(w)."""
     mask = np.zeros(d.n, dtype=bool)
-    mask[rows] = True
+    mask[leaf.rows] = True
     X, wk, entries, found = d.features, None if w is None else w[mask], [], []
     n = np.count_nonzero(mask) if wk is None else wk.sum()
     if n < 2 * min_count:
@@ -313,14 +380,14 @@ def _leaf_cuts(d: Dataset, region: Region, y, rows, vars, sigma, min_count: int,
         if hard:
             entries.append((j, cuts, sse_l[left - 1, i] + sse_r[left - 1, i]))
         else:
-            lower, upper = region.lower.copy(), region.upper.copy()
+            lower, upper = leaf.lower.copy(), leaf.upper.copy()
             lower[j], upper[j] = -np.inf, np.inf
-            found.append((j, cuts, Region(lower, upper)))
+            found.append((j, cuts, SimpleNamespace(lower=lower, upper=upper)))
     others = membership_columns(X, [freed for *_, freed in found], sigma)
     for (j, cuts, _), other in zip(found, others):
         # F at every cut, less F at a unless a = -inf, where F is exactly 0:
         # the indicator 1{x_j <= t} at sigma_j = 0, else Phi
-        a = region.lower[j]
+        a = leaf.lower[j]
         t = cuts if a == -np.inf else np.concatenate(([a], cuts))
         xj = X[:, j, None]
         F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
@@ -379,18 +446,6 @@ def find_best_split(cuts, basis, sigma):
     return best
 
 
-def split_membership_column(V: np.ndarray, regions, k: int, j: int, s: float, d: Dataset, sigma):
-    """(V, regions) with column k and regions[k] replaced by the two children
-    of a split at s on coordinate j, evaluated fresh in one call; for every row
-    they sum to the parent value up to roundoff (Gaussian mass is additive over
-    a partition of the parent region)."""
-    regions = tuple(regions)
-    children = regions[k].split(j, s)
-    cols = membership_columns(d.features, children, sigma)
-    V = np.column_stack([V[:, :k], *cols, V[:, k + 1 :]])
-    return V, regions[:k] + children + regions[k + 1 :]
-
-
 class Leaf(NamedTuple):
     region: Region
     gamma: float
@@ -413,11 +468,8 @@ class PRTree:
     leaves: list[Leaf] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.leaves = [
-            Leaf(region, self.nodes.value[i])
-            for i, _, region in self.nodes.walk(self.p)
-            if self.nodes.feature[i] < 0
-        ]
+        self.leaves = [Leaf(region, self.nodes.value[i])
+                       for i, region in self.nodes.leaf_regions(self.p)]
 
     @property
     def leaf_count(self) -> int:
@@ -451,16 +503,6 @@ class PRTree:
     def from_json(cls, text: str) -> "PRTree":
         obj = read_model_json(text, "tree")
         return cls.from_dict(obj, obj["feature_names"])
-
-
-@dataclass
-class _FitLeaf:
-    node: int
-    rows: np.ndarray
-    depth: int
-    block: np.ndarray  # the rows' stable order by each of the fit's coordinates
-    vars: list[int] | None = None
-    cuts: tuple | None = None  # _leaf_cuts of vars, kept until the leaf is split
 
 
 def _repeated_rows(d: Dataset, order: np.ndarray, j: int):
@@ -531,32 +573,34 @@ def fit_prtree(
         block, _ = _partition_block(block, first)
         sw = np.sqrt(w)[:, None]
 
-    # leaves[k], regions[k] and column k of V describe the same leaf; a
-    # weighted round's basis is that of the rows scaled by sqrt(w)
+    # leaves holds (node index, _Node) of each leaf, left to right; a weighted
+    # round's basis is that of the rows scaled by sqrt(w)
     y = d.target
     ys = y if w is None else sw[:, 0] * y
     nodes = FlatTree.leaf()
-    leaves = [_FitLeaf(0, np.arange(d.n), 0, block)]
-    regions = (Region.root(d.p),)
-    V = np.ones((d.n, 1))
+    root = _Node.root(d)
+    root.order, root.col = block, np.ones(d.n)
+    leaves = [(0, root)]
+    del root  # a split leaf's search tables go with it
     min_count = rule.min_count(n)
 
     while rule.max_leaves is None or len(leaves) < rule.max_leaves:
         options, basis = [], None
-        for idx, fl in enumerate(leaves):
-            size = fl.rows.size if w is None else w[fl.rows].sum()
+        for idx, (_, leaf) in enumerate(leaves):
+            size = leaf.rows.size if w is None else w[leaf.rows].sum()
             if size < 2 * min_count or (rule.max_depth is not None
-                                        and fl.depth >= rule.max_depth):
+                                        and leaf.depth >= rule.max_depth):
                 continue
-            if fl.vars is None:
-                fl.vars = candidate_variables(d, fl.rows, 3, features, fl.block, w)
-                fl.cuts = _leaf_cuts(d, regions[idx], y, fl.rows, fl.vars, sigma, min_count,
-                                     fl.block[:, [cols.index(j) for j in sorted(fl.vars)]], w)
-            if not fl.vars:
+            if leaf.search is None:
+                vars = sorted(candidate_variables(d, leaf.rows, 3, features, leaf.order, w))
+                leaf.search = _leaf_cuts(d, leaf, y, vars, sigma, min_count,
+                                         leaf.order[:, [cols.index(j) for j in vars]], w)
+            if not leaf.search[1]:
                 continue
             if basis is None:
+                V = np.column_stack([node.col for _, node in leaves])
                 basis = _round_basis(V if w is None else sw * V, ys, sigma)
-            found = find_best_split(fl.cuts, basis, sigma)
+            found = find_best_split(leaf.search, basis, sigma)
             if found is not None:
                 options.append((found[2], idx, *found[:2]))
         if not options:
@@ -568,19 +612,18 @@ def fit_prtree(
         if sse_cur - sse_new <= GAIN_TOL * (1.0 + sse_cur):
             break
 
-        fl = leaves[idx]
-        V, regions = split_membership_column(V, regions, idx, j, s, d, sigma)
-        go_left = d.features[fl.rows, j] <= s
-        children = zip(nodes.grow(fl.node, int(j), float(s)), (go_left, ~go_left),
-                       _partition_block(fl.block, go_left))
-        leaves[idx : idx + 1] = [_FitLeaf(node, fl.rows[side], fl.depth + 1, block)
-                                 for node, side, block in children]
+        i, leaf = leaves[idx]
+        children = leaf.split(d, j, s)
+        for child, col in zip(children, membership_columns(d.features, children, sigma)):
+            child.col = col
+        leaves[idx : idx + 1] = zip(nodes.grow(i, int(j), float(s)), children)
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_new)
 
     # the weights solve the repeated rows' own problem, once per fit, so the
     # hard leaf means stay exact sums over their members
+    V = np.column_stack([node.col for _, node in leaves])
     if w is not None:
         V, y = np.repeat(V, w, axis=0), np.repeat(y, w)
-    for fl, g in zip(leaves, fit_weights(V, y)):
-        nodes.value[fl.node] = math.ldexp(float(g), e)
+    for (i, _), g in zip(leaves, fit_weights(V, y)):
+        nodes.value[i] = math.ldexp(float(g), e)
     return PRTree(nodes, sigma, d.feature_names)

@@ -15,7 +15,7 @@ import pytest
 
 from prtree.data import Dataset
 from prtree.kernel import membership_column
-from prtree.tree import FlatTree, _leaf_cuts, _round_basis, find_best_split
+from prtree.tree import FlatTree, _leaf_cuts, _Node, _round_basis, find_best_split
 
 
 # ---------------------------------------------------------------------------
@@ -147,15 +147,15 @@ def order_block(d: Dataset, rows, cols=None):
 
 def search_leaf(d: Dataset, V, region, y, vars, sigma, rule, rows=None):
     """`find_best_split` of the leaf `region` among the leaves whose columns
-    are V: its cuts from `_leaf_cuts` over the leaf's hard rows (`rows`,
-    ascending, else those `Region.contains` finds) and the basis from
-    `_round_basis` of V."""
+    are V: its cuts from `_leaf_cuts` over a node of the leaf's bounds and
+    hard rows (`rows`, ascending, else those `Region.contains` finds) and the
+    basis from `_round_basis` of V."""
     sigma = np.asarray(sigma, dtype=float)
     if rows is None:
         rows = np.flatnonzero(region.contains(d.features))
     vars = sorted(vars)
-    cuts = _leaf_cuts(d, region, y, rows, vars, sigma, rule.min_count(d.n),
-                      order_block(d, rows, vars))
+    cuts = _leaf_cuts(d, _Node(0, region.lower, region.upper, rows), y, vars, sigma,
+                      rule.min_count(d.n), order_block(d, rows, vars))
     return find_best_split(cuts, _round_basis(V, y, sigma), sigma)
 
 

@@ -29,7 +29,7 @@ from conftest import (
 )
 from prtree.data import Dataset, RngSpec, load_csv
 from prtree.evaluate import LearnerSpec, bias_variance, cross_validate, make_cv_plan
-from prtree.kernel import build_membership
+from prtree.kernel import build_membership, membership_columns
 from prtree.pbart import (
     PBartHyper,
     SampledTree,
@@ -42,7 +42,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, fit_prtree, split_membership_column
+from prtree.tree import FlatTree, StoppingRule, fit_prtree
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -149,8 +149,8 @@ def test_criterion_3_membership_properties():
         s = float(rng.uniform(lo, hi))
         if not (r.lower[j] < s < r.upper[j]):
             continue
-        V2, _ = split_membership_column(V, regions, k, j, s, d, sigma)
-        child_sum = V2[:, k] + V2[:, k + 1]
+        left, right = membership_columns(d.features, r.split(j, s), sigma)
+        child_sum = left + right
         worst_add = max(worst_add, float(np.max(np.abs(child_sum - V[:, k]))))
     ok = worst_sum <= 1e-9 and worst_add <= 1e-9
     _report(3, "membership row sums and additivity", ok,
@@ -340,7 +340,8 @@ def test_criterion_7e_gbt_boston():
 
 
 def test_criterion_7f_pbart_diabetes(diabetes):
-    spec = LearnerSpec(kind="pbart", hyper=PBartHyper(m=50, it_burn=200, it_max=1000))
+    spec = LearnerSpec(kind="pbart", n_trees=50,
+                       hyper=PBartHyper(m=50, it_burn=200, it_max=1000))
     mean, per_seed = _seed_averaged_cv(diabetes, spec)
     ok = 48.8 <= mean <= 59.3
     _report("7f", "Bayesian additive trees on Diabetes", ok,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import prtree
+from prtree import evaluate
 from prtree.cli import main
 from prtree.data import RngSpec, load_csv
 from prtree.ensemble import BoostedEnsemble, Forest
@@ -220,6 +221,25 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 def test_missing_data_flag():
     assert main(["fit", "--target", "y"]) == 1
+
+
+@pytest.mark.parametrize("command", ["fit", "cv"])
+def test_pbart_leaf_cap_is_rejected_before_tuning(tmp_path, data_csv, capsys, monkeypatch,
+                                                  command):
+    # without --sigma, both commands tune sigma on single-tree fits first
+    fits, fit_prtree = [], evaluate.fit_prtree
+
+    def counting(*args, **kwargs):
+        fits.append(1)
+        return fit_prtree(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fit_prtree", counting)
+    out = tmp_path / "out"
+    assert main([command, "--model", "pbart", "--trees", "2", "--iters", "3", "--burn", "1",
+                 "--data", str(data_csv), "--target", "y", "--max-leaves", "4",
+                 "--out", str(out)]) == 1
+    assert "max_leaves" in capsys.readouterr().err
+    assert not fits and not out.exists()
 
 
 def test_pbart_with_a_leaf_cap_exits_1(tmp_path, data_csv, capsys):

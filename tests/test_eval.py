@@ -2,17 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import random_dataset
+from prtree import evaluate
 from prtree.data import Dataset, RngSpec
 from prtree.evaluate import (
     GRID_MULTIPLIERS,
     LearnerSpec,
     bias_variance,
     cross_validate,
+    fit_model,
     make_cv_plan,
     tune_sigma,
     write_biasvar_csv,
     write_cv_csv,
 )
+from prtree.pbart import PBartHyper
 from prtree.tree import StoppingRule, fit_prtree
 
 
@@ -22,6 +25,11 @@ class _Constant:
 
     def predict(self, X):
         return np.full(np.atleast_2d(X).shape[0], self.value)
+
+
+def _fit_with(monkeypatch, fit):
+    """Make the harness fit `fit(train)` whatever the spec names."""
+    monkeypatch.setattr(evaluate, "fit_model", lambda spec, tr, sigma, rng: fit(tr))
 
 
 def test_plan_partitions_and_stratifies():
@@ -104,29 +112,31 @@ def test_empty_validation_subset_rejected(small_data):
         small_data.subset([])
 
 
-def test_cross_validate_perfect_learner_is_zero():
+def test_cross_validate_perfect_learner_is_zero(monkeypatch):
     rng = np.random.default_rng(8)
     d = Dataset(rng.normal(size=(60, 2)), np.full(60, 3.0), ("a", "b"))
-    spec = LearnerSpec(custom_fit=lambda tr, s, rng_: _Constant(3.0), sigma=np.zeros(2))
+    _fit_with(monkeypatch, lambda tr: _Constant(3.0))
+    spec = LearnerSpec(sigma=np.zeros(2))
     res = cross_validate(d, spec, make_cv_plan(d), RngSpec(0))
     assert np.all(res.fold_rmse == 0.0) and res.mean == 0.0
 
 
-def test_cross_validate_constant_on_standardized_target():
+def test_cross_validate_constant_on_standardized_target(monkeypatch):
     rng = np.random.default_rng(4)
     y = rng.normal(size=200)
     y = (y - y.mean()) / y.std(ddof=0)
     d = Dataset(rng.normal(size=(200, 2)), y, ("a", "b"))
-    spec = LearnerSpec(custom_fit=lambda tr, s, rng_: _Constant(tr.target.mean()),
-                       sigma=np.zeros(2))
+    _fit_with(monkeypatch, lambda tr: _Constant(tr.target.mean()))
+    spec = LearnerSpec(sigma=np.zeros(2))
     res = cross_validate(d, spec, make_cv_plan(d), RngSpec(0))
     assert res.mean == pytest.approx(1.0, abs=0.15)
 
 
-def test_cross_validate_zero_predictor_rms():
+def test_cross_validate_zero_predictor_rms(monkeypatch):
     rng = np.random.default_rng(5)
     d = Dataset(rng.normal(size=(100, 1)), rng.normal(size=100), ("a",))
-    spec = LearnerSpec(custom_fit=lambda tr, s, rng_: _Constant(0.0), sigma=np.zeros(1))
+    _fit_with(monkeypatch, lambda tr: _Constant(0.0))
+    spec = LearnerSpec(sigma=np.zeros(1))
     plan = make_cv_plan(d)
     res = cross_validate(d, spec, plan, RngSpec(0))
     for i in range(10):
@@ -152,15 +162,16 @@ def test_cross_validate_too_small():
         cross_validate(small, LearnerSpec(), plan, RngSpec(0))
 
 
-def test_bias_variance_constant_predictor(small_data):
-    spec = LearnerSpec(custom_fit=lambda tr, s, rng_: _Constant(2.0), sigma=np.zeros(3))
+def test_bias_variance_constant_predictor(small_data, monkeypatch):
+    _fit_with(monkeypatch, lambda tr: _Constant(2.0))
+    spec = LearnerSpec(sigma=np.zeros(3))
     rep = bias_variance(small_data, spec, 5, RngSpec(0))
     assert rep.variance == 0.0
     assert rep.trials == 5
     assert rep.mse >= rep.variance
 
 
-def test_bias_variance_oracle_predictor():
+def test_bias_variance_oracle_predictor(monkeypatch):
     # y = f(x) + noise, predictor returns f(x): bias_sq ~ noise variance
     rng = np.random.default_rng(7)
     X = rng.normal(size=(400, 1))
@@ -173,7 +184,8 @@ def test_bias_variance_oracle_predictor():
         def predict(self, Xq):
             return 2.0 * np.atleast_2d(Xq)[:, 0]
 
-    spec = LearnerSpec(custom_fit=lambda tr, s, rng_: _F(), sigma=np.zeros(1))
+    _fit_with(monkeypatch, lambda tr: _F())
+    spec = LearnerSpec(sigma=np.zeros(1))
     rep = bias_variance(d, spec, 5, RngSpec(1))
     assert rep.variance <= 1e-30  # identical trials, up to summation roundoff
     assert rep.bias_sq == pytest.approx(noise**2, rel=0.35)
@@ -203,6 +215,21 @@ def test_csv_writers(tmp_path):
     lines = bv_path.read_text().splitlines()
     assert lines[0] == "method,knob,bias_sq,variance,mse"
     assert len(lines) == 2
+
+
+def test_pbart_spec_fits_n_trees(small_data):
+    spec = LearnerSpec(kind="pbart", n_trees=3)
+    assert spec.hyper == PBartHyper(m=3)
+    spec.hyper = PBartHyper(m=3, it_burn=1, it_max=2)
+    chain = fit_model(spec, small_data, np.zeros(3), RngSpec(0))
+    assert [len(snap) for snap in chain.trees] == [3]
+
+
+def test_pbart_spec_rejects_another_tree_count_and_a_leaf_cap():
+    with pytest.raises(ValueError, match="n_trees"):
+        LearnerSpec(kind="pbart", n_trees=3, hyper=PBartHyper(m=50))
+    with pytest.raises(ValueError, match="max_leaves"):
+        LearnerSpec(kind="pbart", n_trees=50, rule=StoppingRule(max_leaves=4))
 
 
 def test_unknown_learner_kind():

@@ -13,7 +13,7 @@ from prtree.kernel import (
 )
 from prtree.pbart import SampledTree
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, _leaf_cuts, split_membership_column
+from prtree.tree import FlatTree, StoppingRule, _leaf_cuts, _Node
 
 
 def _normal_pdf(t):
@@ -89,11 +89,13 @@ def test_membership_rows_sum_to_one_over_partition():
 def test_child_columns_sum_to_parent():
     rng = np.random.default_rng(3)
     d = Dataset(rng.normal(size=(30, 3)), rng.normal(size=30), ("a", "b", "c"))
-    root = Region.root(3)
-    V = build_membership(d, [root], np.array([0.4, 0.0, 1.2]))
-    V2, regions = split_membership_column(V, [root], 0, 2, 0.1, d, np.array([0.4, 0.0, 1.2]))
-    assert V2.shape[1] == 2 and [r.upper[2] for r in regions] == [0.1, np.inf]
-    assert np.allclose(V2.sum(axis=1), V[:, 0], atol=1e-9)
+    sigma = np.array([0.4, 0.0, 1.2])
+    root = _Node.root(d)
+    [parent] = membership_columns(d.features, [root], sigma)
+    children = root.split(d, 2, 0.1)
+    V2 = np.column_stack(list(membership_columns(d.features, children, sigma)))
+    assert V2.shape[1] == 2 and [c.upper[2] for c in children] == [0.1, np.inf]
+    assert np.allclose(V2.sum(axis=1), parent, atol=1e-9)
 
 
 def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
@@ -107,8 +109,7 @@ def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
         return normal_cdf(t)
 
     monkeypatch.setattr(kernel, "normal_cdf", counting)
-    split_membership_column(np.ones((30, 1)), [Region.root(3)], 0, 2, 0.1, d,
-                            np.array([0.4, 0.0, 1.2]))
+    list(membership_columns(d.features, _Node.root(d).split(d, 2, 0.1), np.array([0.4, 0.0, 1.2])))
     assert sum(evals) == d.n
 
 
@@ -132,7 +133,8 @@ def test_leaf_cuts_evaluate_phi_at_the_lower_bound_and_the_cuts(monkeypatch):
         return normal_cdf(t)
 
     monkeypatch.setattr(tree, "normal_cdf", counting)
-    _, entries = _leaf_cuts(d, leaf, d.target, rows, [0, 1, 2], sigma, 3, order_block(d, rows))
+    _, entries = _leaf_cuts(d, _Node(2, leaf.lower, leaf.upper, rows), d.target, [0, 1, 2], sigma,
+                            3, order_block(d, rows))
     assert [j for j, *_ in entries] == [0, 1, 2]
     assert sum(evals) == sum(d.n * (1 + cuts.size) for j, cuts, _ in entries if sigma[j] > 0)
 
@@ -275,6 +277,7 @@ def test_pbart_grow_evaluates_shared_bounds_once(cdf_evals):
         cdf_evals[0] = 0
         V = star.membership()
         assert cdf_evals[0] == evals * d.n
-        want = np.column_stack([membership_column(X, r, sigma) for r in star.regions])
+        want = np.column_stack([membership_column(X, r, sigma)
+                                for _, r in star.nodes.leaf_regions(d.p)])
         assert np.array_equal(V, want)
         t = star

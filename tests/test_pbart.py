@@ -15,7 +15,6 @@ from prtree.pbart import (
     PBartChain,
     PBartHyper,
     SampledTree,
-    _Node,
     _sigma0_terms,
     draw_gammas,
     draw_sigma_tilde,
@@ -26,7 +25,7 @@ from prtree.pbart import (
     tree_log_prior,
 )
 from prtree.regions import Region
-from prtree.tree import FlatTree, StoppingRule, cut_points
+from prtree.tree import FlatTree, StoppingRule, _Node, cut_points
 
 
 def _line_data(values, y=None):
@@ -224,7 +223,7 @@ def _state(t):
     """The node arrays (split rules and weights) and every cache of t, as plain values."""
     return (
         asdict(t.nodes),
-        [(r.lower.tolist(), r.upper.tolist()) for r in t.regions],
+        [(t.at[i].lower.tolist(), t.at[i].upper.tolist()) for i in t.leaves],
         [(i, t.at[i].depth, t.at[i].rows.tolist()) for i in sorted(t.at)],
         t.internals[:], t.leaves[:], t.pairs[:],
         [t.n_cuts(node) for node in t.internals],
@@ -321,7 +320,8 @@ def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
         return t
 
     def columns(t):
-        return np.column_stack([membership_column(d.features, r, sigma) for r in t.regions])
+        return np.column_stack([membership_column(d.features, r, sigma)
+                                for _, r in t.nodes.leaf_regions(d.p)])
 
     def fresh_v(nodes):
         # a refreshed tree whose V and G are formed here, from fresh columns
@@ -631,16 +631,18 @@ def test_calibrated_lam_is_the_invgamma_quantile():
         assert gammaincc(nu / 2.0, 1.0 / q) == pytest.approx(0.9, abs=1e-12)
 
 
-def test_fit_pbart_single_leaf_posterior_mean():
-    # growth disabled: the one tree stays a single leaf, and the gamma trace
-    # is an iid sample from the conjugate normal posterior
+def test_fit_pbart_single_leaf_posterior_mean(monkeypatch):
+    # growth disabled and the noise scale pinned: the one tree stays a single
+    # leaf, and the gamma trace is an iid sample from the conjugate normal
+    # posterior
     rng = np.random.default_rng(0)
     n = 40
     y = rng.normal(0.3, 0.1, size=n)
     d = Dataset(rng.normal(size=(n, 1)), y, ("a",))
     st = 0.2
+    monkeypatch.setattr(pbart, "draw_sigma_tilde", lambda *args: st)
     hyper = PBartHyper(m=1, it_burn=50, it_max=2050, move_probs=(0.0, 1.0, 0.0, 0.0))
-    chain = fit_pbart(d, hyper, np.zeros(1), RngSpec(5), sigma_tilde_fixed=st)
+    chain = fit_pbart(d, hyper, np.zeros(1), RngSpec(5))
     gammas = np.array([snap[0][1][0] for snap in chain.snapshots])
     y_norm = (y - y.min()) / (y.max() - y.min()) - 0.5
     sg = chain.hyper.sigma_gamma

@@ -21,7 +21,6 @@ from prtree.tree import (
     cut_points,
     fit_prtree,
     fit_weights,
-    split_membership_column,
 )
 
 
@@ -295,8 +294,8 @@ def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
 
 
 def _regrow_without_cache(d, sigma, rule, features=None, target=None):
-    """fit_prtree's greedy growth, but with every leaf's candidates, cuts and
-    basis computed afresh in every round."""
+    """fit_prtree's greedy growth, but with every leaf's candidates, cuts,
+    membership columns and basis computed afresh in every round."""
     if target is not None:
         d = Dataset(d.features, target, d.feature_names)
     y, n = d.target, d.n
@@ -320,7 +319,8 @@ def _regrow_without_cache(d, sigma, rule, features=None, target=None):
         if not options:
             break
         _, idx, j, s = min(options)
-        V_new, regions_new = split_membership_column(V, regions, idx, j, s, d, sigma)
+        regions_new = regions[:idx] + regions[idx].split(j, s) + regions[idx + 1 :]
+        V_new = build_membership(d, regions_new, sigma)
         resid = y - V_new @ fit_weights(V_new, y)
         sse_new = float(resid @ resid)
         if sse_cur - sse_new <= GAIN_TOL * (1.0 + sse_cur):
@@ -380,6 +380,26 @@ def test_repeating_every_row_fits_the_same_tree():
         want = fit_prtree(d, sigma, rule)
         assert want.leaf_count >= 8
         _assert_same_tree(fit_prtree(twice, sigma, rule), want, 1e-12)
+
+
+def test_growth_builds_no_region(monkeypatch):
+    # leaves grow as _Nodes; the fit's 2K - 1 Regions are those of its final
+    # leaf walk: the root and the two children of each split
+    rng = np.random.default_rng(27)
+    d = random_dataset(rng, 120, 3)
+    built, post_init = [], Region.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(Region, "__post_init__", counting)
+    boot = d.subset(rng.integers(d.n, size=d.n))
+    for data in (d, boot):
+        for sigma in (np.zeros(3), 0.3 * d.features.std(axis=0, ddof=1), [0.3, 0.0, 0.2]):
+            built.clear()
+            t = fit_prtree(data, sigma, StoppingRule(min_leaf_fraction=0.05))
+            assert t.leaf_count >= 4 and len(built) == 2 * t.leaf_count - 1
 
 
 def test_forest_searches_each_repeated_row_once(monkeypatch):
