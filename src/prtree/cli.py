@@ -20,6 +20,7 @@ import numpy as np
 from .data import CsvFormatError, Dataset, RngSpec, load_csv, read_csv
 from .ensemble import BoostedEnsemble, Forest
 from .evaluate import (
+    DEFAULT_TREES,
     LearnerSpec,
     bias_variance,
     cross_validate,
@@ -39,7 +40,7 @@ DEFAULTS = {
     "target": "y",
     "seed": 0,
     "folds": 10,
-    "trees": None,       # model-dependent: 100 for rf, 50 for gbt/pbart
+    "trees": None,       # model-dependent: evaluate.DEFAULT_TREES
     "shrinkage": 1.0,
     "iters": 1000,
     "burn": 200,
@@ -109,10 +110,7 @@ def _load_dataset(cfg) -> Dataset:
 
 def _spec(cfg) -> LearnerSpec:
     model = cfg["model"]
-    if cfg["trees"] is not None:
-        n_trees = int(cfg["trees"])
-    else:
-        n_trees = {"rf": 100, "gbt": 50, "pbart": 50}.get(model, 1)
+    n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else int(cfg["trees"])
     hyper = None
     if model == "pbart":
         hyper = PBartHyper(

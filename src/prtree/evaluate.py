@@ -100,16 +100,21 @@ def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
     return best_sigma
 
 
+# The tree count of each learner kind when none is given; the CLI reads it too.
+DEFAULT_TREES = {"tree": 1, "rf": 100, "gbt": 50, "pbart": 50}
+
+
 @dataclass
 class LearnerSpec:
     """What to fit inside the harness: model kind plus its knobs.
 
     sigma=None requests per-fold grid tuning; an explicit vector skips it.
-    For pbart, hyper defaults to PBartHyper(m=n_trees); a hyper.m other than
-    n_trees, or a leaf cap, is rejected here, before any tuning fit."""
+    n_trees=None takes the kind's DEFAULT_TREES. For pbart, hyper defaults to
+    PBartHyper(m=n_trees); a hyper.m other than n_trees, or a leaf cap, is
+    rejected here, before any tuning fit."""
 
     kind: str = "tree"
-    n_trees: int = 100
+    n_trees: int | None = None
     shrinkage: float = 1.0
     rule: StoppingRule = field(default_factory=StoppingRule)
     hyper: PBartHyper | None = None
@@ -118,6 +123,8 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in ("tree", "rf", "gbt", "pbart"):
             raise ValueError(f"unknown learner kind {self.kind!r}")
+        if self.n_trees is None:
+            self.n_trees = DEFAULT_TREES[self.kind]
         if self.kind == "pbart":
             if self.hyper is None:
                 self.hyper = PBartHyper(m=self.n_trees)

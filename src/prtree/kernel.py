@@ -17,9 +17,15 @@ def normal_cdf(t):
     """Standard normal CDF via the complementary error function.
 
     erfc keeps full relative accuracy in the far tails, where the naive
-    1 - Phi(t) form cancels catastrophically for |t| > 8.
+    1 - Phi(t) form cancels catastrophically for |t| > 8. The steps run in
+    place on one new array (0.5 erfc(-t / sqrt 2), the same bits).
     """
-    return 0.5 * erfc(-np.asarray(t, dtype=float) / _SQRT2)
+    t = np.asarray(t, dtype=float)
+    v = np.negative(t, out=np.empty_like(t))
+    v /= _SQRT2
+    erfc(v, out=v)
+    v *= 0.5
+    return v[()]
 
 
 def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.ndarray:
@@ -27,17 +33,38 @@ def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.nd
     return next(membership_columns(X, (region,), sigma))
 
 
+def cdf(x: np.ndarray, t, sigma_j: float) -> np.ndarray:
+    """F(j, t) at the values x of coordinate j, broadcast against t:
+    Phi((t - x) / sigma_j), or 1{x <= t} at sigma_j = 0. Fits and
+    predictions take every F from here, so a value has the same bits in both."""
+    if sigma_j == 0.0:
+        return (x <= t).astype(float)
+    z = np.subtract(t, x)
+    z /= sigma_j
+    return normal_cdf(z)
+
+
+def box_mass(bounds, n: int) -> np.ndarray:
+    """The product over n rows, in the order given, of F(j, upper) - F(j,
+    lower) for each (F(j, lower), F(j, upper)) pair of `bounds`, ones if there
+    is none; F is the float 0.0 at lower = -inf and 1.0 at upper = +inf. The
+    product starts from the first difference, the same bits as from ones."""
+    col = None
+    for lo, hi in bounds:
+        col = hi - lo if col is None else np.multiply(col, hi - lo, out=col)
+    return np.ones(n) if col is None else col
+
+
 def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
     """Yield the soft membership column of every row of X in each region (a
     `Region`, or anything else with `lower` and `upper` bound arrays): the
-    product, over the region's bounded coordinates in ascending j, of the
-    mass F(j, upper) - F(j, lower) of its interval (lower, upper].
+    `box_mass` of its bounded coordinates in ascending j (a coordinate
+    bounded on neither side has mass 1).
 
-    F(j, s) is Phi((s - x_j) / sigma_j), or 1{x_j <= s} at sigma_j = 0, and
-    exactly 1 at s = +inf and 0 at s = -inf (a coordinate bounded on neither
-    side has mass 1). It is evaluated once per row for each distinct finite
-    bound (j, s) of the regions, in one call per coordinate. Only that table
-    and the current column are held, never an n x len(regions) matrix."""
+    F is `cdf`, evaluated once per row for each distinct finite bound (j, s)
+    of the regions, in one call per coordinate. Only that table and the
+    current column are held, never an n x len(regions) matrix. Predictions
+    call this; a fit's columns come from `tree._Node.split`, bit for bit the same."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     sigma = np.asarray(sigma, dtype=float).tolist()
     # (j, lower, upper) over each region's bounded coordinates, and the
@@ -49,17 +76,13 @@ def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
         for j, a, b in box:
             bounds.setdefault(j, set()).update((a, b))
         boxes.append(box)
-    cdf = {}
+    table = {}
     for j, values in bounds.items():
         s = [v for v in values if -inf < v < inf]
-        xj, t = X[:, j], np.array(s)[:, None]
-        F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        cdf.update(zip([(j, v) for v in s], F))
+        table.update(zip([(j, v) for v in s], cdf(X[:, j], np.array(s)[:, None], sigma[j])))
     for box in boxes:
-        col = np.ones(X.shape[0])
-        for j, a, b in box:
-            col *= cdf.get((j, b), 1.0) - cdf.get((j, a), 0.0)
-        yield col
+        yield box_mass([(table.get((j, a), 0.0), table.get((j, b), 1.0)) for j, a, b in box],
+                       X.shape[0])
 
 
 def build_membership(d: Dataset, regions, sigma) -> np.ndarray:

@@ -17,8 +17,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import membership_column, membership_columns  # noqa: F401
-from .tree import (FlatTree, StoppingRule, _Node, model_json, model_value, read_model_json,
-                   scales)
+from .tree import (FlatTree, StoppingRule, _Node, _read_only, model_json, model_value,
+                   read_model_json, scales)
 
 log = logging.getLogger(__name__)
 
@@ -93,8 +93,9 @@ class SampledTree:
     rows). Leaves and internal nodes are listed in preorder; `at` maps a node
     index to its `_Node`. Copies keep the sigma and share the `_Node`s by
     split path, so a refresh builds only those whose path a move changed,
-    rows carried down from the parent (x_j <= s going left, exactly
-    `Region.contains`), and `membership` evaluates only their columns.
+    rows and columns carried down from the parent (x_j <= s going left,
+    exactly `Region.contains`); a split leaving a child fewer than `min_count`
+    rows ends the refresh before its columns are evaluated.
 
     A refreshed tree's structure does not change, since moves edit copies,
     so the tree keeps what depends on the structure alone: its membership
@@ -137,7 +138,10 @@ class SampledTree:
             self.internals.append(i)
             self.pairs += [(i, c) for c in (left[i], right[i]) if feature[c] >= 0]
             key = (path, j, s)
-            self.paths[key] = lo, hi = old.get(key) or node.split(d, j, s)
+            pair = old.get(key) or node.split(d, j, s, self.sigma, min_count)
+            if pair is None:
+                return False
+            self.paths[key] = lo, hi = pair
             stack += [(right[i], (key, 1), hi), (left[i], (key, 0), lo)]
         return True
 
@@ -160,11 +164,7 @@ class SampledTree:
         """The read-only n x K leaf membership array V at (d.features, sigma),
         stacked once per tree from the columns kept on each `_Node`."""
         if self.V is None:
-            new = [self.at[i] for i in self.leaves if self.at[i].col is None]
-            for node, col in zip(new, membership_columns(self.data.features, new, self.sigma)):
-                node.col = col
-            self.V = np.column_stack([self.at[i].col for i in self.leaves])
-            self.V.setflags(write=False)
+            self.V = _read_only(np.column_stack([self.at[i].col for i in self.leaves]))
         return self.V
 
     def gram(self) -> np.ndarray:

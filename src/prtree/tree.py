@@ -9,14 +9,14 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import index
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import Dataset, check_features
-# membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
-from .kernel import membership_column, membership_columns, normal_cdf  # noqa: F401
+# membership_column and normal_cdf are unused here; bench/test_bench.py checks that the
+# tracer patches these bindings
+from .kernel import box_mass, cdf, membership_column, membership_columns, normal_cdf  # noqa: F401
 from .regions import Region
 
 log = logging.getLogger(__name__)
@@ -270,39 +270,55 @@ class _Node:
     """One node of a tree grown on a dataset d, greedily (`fit_prtree`) or by
     MH moves (`pbart.SampledTree`): what its split path from the root fixes.
     That is its depth, its region's read-only `lower` and `upper` bounds, its
-    hard rows and, as a leaf, its membership column `col` at (d.features,
-    sigma). `split` alone derives a child's rows and bounds; it does not
-    validate them again, since the split value lies strictly inside the
-    node's interval (a `cut_points` cut of its rows, or a bound `refresh`
-    checked).
+    hard rows, `F`, per coordinate j its pair (F(j, lower), F(j, upper)) of
+    `kernel.cdf` columns at (d.features, sigma) (None if j is unbounded),
+    and `col`, their `box_mass`, its membership column. `split` alone derives
+    a child's rows, bounds and columns. It does not validate them again,
+    since the split value lies strictly inside the node's interval (a
+    `cut_points` cut of its rows, or a bound `refresh` checked).
 
     The greedy fit keeps a leaf's `order` block (its rows' stable order by
-    each of the fit's coordinates, which the children inherit) and its split
-    `search` (`_leaf_cuts`); the sampler builds on demand the rows x p
-    `block` sorted by column, the admissible coordinates and their cuts."""
+    each of the fit's coordinates, which the children inherit), its split
+    `search` (`_leaf_cuts`) and the raw F `tables` of a search, its parent's
+    until it searches, then its own; the sampler builds on demand the rows x
+    p `block` sorted by column, the admissible coordinates and their cuts."""
 
-    __slots__ = ("depth", "lower", "upper", "rows", "col", "order", "search", "block", "adm",
-                 "cuts")
+    __slots__ = ("depth", "lower", "upper", "rows", "F", "col", "order", "search", "tables",
+                 "block", "adm", "cuts")
 
-    def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray):
-        self.depth, self.lower, self.upper, self.rows = depth, lower, upper, rows
-        self.col = self.order = self.search = self.block = self.adm = None
+    def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray,
+                 F: list, n: int):
+        self.depth, self.lower, self.upper, self.rows, self.F = depth, lower, upper, rows, F
+        self.col = box_mass(filter(None, F), n)
+        self.order = self.search = self.tables = self.block = self.adm = None
         self.cuts = {}
 
     @classmethod
     def root(cls, d: Dataset) -> "_Node":
-        """All of R^p, holding every row of d."""
+        """All of R^p, holding every row of d; its column is ones."""
         return cls(0, _read_only(np.full(d.p, -np.inf)), _read_only(np.full(d.p, np.inf)),
-                   np.arange(d.n))
+                   np.arange(d.n), [None] * d.p, d.n)
 
-    def split(self, d: Dataset, j: int, s: float) -> tuple["_Node", "_Node"]:
+    def split(self, d: Dataset, j: int, s: float, sigma, min_count: int = 0):
         """The children at x_j <= s and x_j > s, each with one bound replaced
-        and, if this node has an order block, its part of it."""
+        and, if this node has an order block, its part of it; None if either
+        would hold fewer than min_count rows. F(j, s) is evaluated once for
+        both; they keep this node's other F pairs and `tables` by reference."""
         go_left = d.features[self.rows, j] <= s
+        k = np.count_nonzero(go_left)
+        if min(k, go_left.size - k) < min_count:
+            return None
         left_hi, right_lo = self.upper.copy(), self.lower.copy()
         left_hi[j] = right_lo[j] = s
-        left = _Node(self.depth + 1, self.lower, _read_only(left_hi), self.rows[go_left])
-        right = _Node(self.depth + 1, _read_only(right_lo), self.upper, self.rows[~go_left])
+        Fs = cdf(d.features[:, j], s, sigma[j])
+        lo, hi = self.F[j] or (0.0, 1.0)
+        left_F, right_F = self.F.copy(), self.F.copy()
+        left_F[j], right_F[j] = (lo, Fs), (Fs, hi)
+        left = _Node(self.depth + 1, self.lower, _read_only(left_hi), self.rows[go_left], left_F,
+                     d.n)
+        right = _Node(self.depth + 1, _read_only(right_lo), self.upper, self.rows[~go_left],
+                      right_F, d.n)
+        left.tables = right.tables = self.tables
         if self.order is not None:
             left.order, right.order = _partition_block(self.order, go_left)
         return left, right
@@ -342,22 +358,40 @@ def _split_sse_batch(Q, ry, L, norm):
     return float(ry @ ry) - gain
 
 
+def _cdf_table(x: np.ndarray, cuts: np.ndarray, sigma_j: float, parent) -> np.ndarray:
+    """`kernel.cdf` at the rows' values x of coordinate j and each cut, n x
+    cuts; a column whose cut equals bit for bit a cut t of the parent's
+    table (t, F) on j, if there is one, is copied from it instead."""
+    if parent is None:
+        return cdf(x[:, None], cuts, sigma_j)
+    t, Ft = parent
+    at = np.minimum(np.searchsorted(t, cuts), t.size - 1)
+    F, new = np.take(Ft, at, axis=1), t[at] != cuts  # C order, as cdf's table
+    if new.any():
+        F[:, new] = cdf(x[:, None], cuts[new], sigma_j)
+    return F
+
+
 def _leaf_cuts(d: Dataset, leaf: _Node, y, vars, sigma, min_count: int, orders, w=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries), from the
-    leaf's hard rows and bounds. There is an entry (j, cuts, table) for each
-    j of vars, ascending, whose cuts are the `cut_points` leaving min_count
-    rows on each side. At sigma = 0 the table is the children's SSE at each
-    cut, by `_hard_cut_sse` of the leaf's centred target; otherwise it is (L,
-    norm): L[:, i] is the left child's membership at cut i, the leaf's box
-    with j freed (one membership_columns call for all j) times F(j, cut) -
-    F(j, a), and norm its squared column norms. `orders` is the leaf's order
-    block over ascending vars: the stable argsort of each column of its rows,
-    in ascending row order. `w`, the rows' multiplicities in a weighted fit,
-    makes the counts and SSE weighted and scales L by sqrt(w)."""
+    leaf's hard rows, bounds and F pairs. There is an entry (j, cuts, table)
+    for each j of vars, ascending, whose cuts are the `cut_points` leaving
+    min_count rows on each side. At sigma = 0 the table is the children's SSE
+    at each cut, by `_hard_cut_sse` of the leaf's centred target; otherwise
+    it is (L, norm): L[:, i] is the left child's membership at cut i, the
+    `box_mass` of the leaf's F pairs without j's times F(j, cut) - F(j, a),
+    and norm its squared column norms. The raw tables F(j, cut) (`_cdf_table`)
+    reuse the columns of the parent's tables, which `leaf.tables` holds until
+    this search replaces them with the leaf's own, for its children. `orders`
+    is the leaf's order block over ascending vars: the stable argsort of each
+    column of its rows, in ascending row order. `w`, the rows'
+    multiplicities in a weighted fit, makes the counts and SSE weighted and
+    scales L by sqrt(w)."""
     mask = np.zeros(d.n, dtype=bool)
     mask[leaf.rows] = True
-    X, wk, entries, found = d.features, None if w is None else w[mask], [], []
+    parent, leaf.tables = leaf.tables or {}, {}
+    X, wk, entries = d.features, None if w is None else w[mask], []
     n = np.count_nonzero(mask) if wk is None else wk.sum()
     if n < 2 * min_count:
         return mask, entries
@@ -379,22 +413,14 @@ def _leaf_cuts(d: Dataset, leaf: _Node, y, vars, sigma, min_count: int, orders, 
             continue
         if hard:
             entries.append((j, cuts, sse_l[left - 1, i] + sse_r[left - 1, i]))
-        else:
-            lower, upper = leaf.lower.copy(), leaf.upper.copy()
-            lower[j], upper[j] = -np.inf, np.inf
-            found.append((j, cuts, SimpleNamespace(lower=lower, upper=upper)))
-    others = membership_columns(X, [freed for *_, freed in found], sigma)
-    for (j, cuts, _), other in zip(found, others):
-        # F at every cut, less F at a unless a = -inf, where F is exactly 0:
-        # the indicator 1{x_j <= t} at sigma_j = 0, else Phi
-        a = leaf.lower[j]
-        t = cuts if a == -np.inf else np.concatenate(([a], cuts))
-        xj = X[:, j, None]
-        F = (xj <= t).astype(float) if sigma[j] == 0.0 else normal_cdf((t - xj) / sigma[j])
-        if a > -np.inf:
-            F = F[:, 1:] - F[:, :1]
+            continue
+        other = box_mass([f for k, f in enumerate(leaf.F) if f and k != j], d.n)
         if w is not None:
             other = np.sqrt(w) * other
+        F = _cdf_table(X[:, j], cuts, sigma[j], parent.get(j))
+        leaf.tables[j] = cuts, F
+        if leaf.lower[j] > -np.inf:  # F(j, -inf) is exactly 0
+            F = F - leaf.F[j][0][:, None]
         L = other[:, None] * F
         entries.append((j, cuts, (L, np.einsum("ij,ij->j", L, L))))
     return mask, entries
@@ -579,7 +605,7 @@ def fit_prtree(
     ys = y if w is None else sw[:, 0] * y
     nodes = FlatTree.leaf()
     root = _Node.root(d)
-    root.order, root.col = block, np.ones(d.n)
+    root.order = block
     leaves = [(0, root)]
     del root  # a split leaf's search tables go with it
     min_count = rule.min_count(n)
@@ -590,6 +616,7 @@ def fit_prtree(
             size = leaf.rows.size if w is None else w[leaf.rows].sum()
             if size < 2 * min_count or (rule.max_depth is not None
                                         and leaf.depth >= rule.max_depth):
+                leaf.tables = None  # it never searches: its parent's tables go
                 continue
             if leaf.search is None:
                 vars = sorted(candidate_variables(d, leaf.rows, 3, features, leaf.order, w))
@@ -613,10 +640,7 @@ def fit_prtree(
             break
 
         i, leaf = leaves[idx]
-        children = leaf.split(d, j, s)
-        for child, col in zip(children, membership_columns(d.features, children, sigma)):
-            child.col = col
-        leaves[idx : idx + 1] = zip(nodes.grow(i, int(j), float(s)), children)
+        leaves[idx : idx + 1] = zip(nodes.grow(i, int(j), float(s)), leaf.split(d, j, s, sigma))
         log.debug("split leaf=%d j=%d s=%.6g leaves=%d sse=%.6g", idx, j, s, len(leaves), sse_new)
 
     # the weights solve the repeated rows' own problem, once per fit, so the

@@ -145,17 +145,32 @@ def order_block(d: Dataset, rows, cols=None):
     return np.argsort(d.features[rows][:, cols], axis=0, kind="stable")
 
 
+def split_leaf(d: Dataset, region, sigma):
+    """The node of the leaf `region` reached from `_Node.root(d)` by
+    `_Node.split`s, one per finite bound (each coordinate's lower, then its
+    upper, in ascending order), so that it carries the columns a fit's leaf
+    inherits."""
+    node = _Node.root(d)
+    for j in range(d.p):
+        if region.lower[j] > -np.inf:
+            node = node.split(d, j, region.lower[j], sigma)[1]
+        if region.upper[j] < np.inf:
+            node = node.split(d, j, region.upper[j], sigma)[0]
+    return node
+
+
 def search_leaf(d: Dataset, V, region, y, vars, sigma, rule, rows=None):
     """`find_best_split` of the leaf `region` among the leaves whose columns
-    are V: its cuts from `_leaf_cuts` over a node of the leaf's bounds and
-    hard rows (`rows`, ascending, else those `Region.contains` finds) and the
-    basis from `_round_basis` of V."""
+    are V: its cuts from `_leaf_cuts` over the leaf's `split_leaf` node
+    (holding `rows`, ascending, if given, else the rows its splits carry) and
+    the basis from `_round_basis` of V."""
     sigma = np.asarray(sigma, dtype=float)
-    if rows is None:
-        rows = np.flatnonzero(region.contains(d.features))
+    leaf = split_leaf(d, region, sigma)
+    if rows is not None:
+        leaf.rows = rows
     vars = sorted(vars)
-    cuts = _leaf_cuts(d, _Node(0, region.lower, region.upper, rows), y, vars, sigma,
-                      rule.min_count(d.n), order_block(d, rows, vars))
+    cuts = _leaf_cuts(d, leaf, y, vars, sigma, rule.min_count(d.n),
+                      order_block(d, leaf.rows, vars))
     return find_best_split(cuts, _round_basis(V, y, sigma), sigma)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import prtree
 from prtree import evaluate
-from prtree.cli import main
+from prtree.cli import DEFAULTS, _spec, main
 from prtree.data import RngSpec, load_csv
 from prtree.ensemble import BoostedEnsemble, Forest
 from prtree.evaluate import LearnerSpec, fit_model, tune_on_holdout
@@ -275,6 +275,14 @@ def test_fit_tunes_and_fits_like_the_harness(tmp_path, data_csv, model):
     cut = min(max(1, round(0.8125 * d.n)), d.n - 1)
     sigma = tune_on_holdout(d, spec, RngSpec(4).stream(999), cut)
     assert out.read_text() == fit_model(spec, d, sigma, RngSpec(4)).to_json() + "\n"
+
+
+@pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
+def test_cli_and_library_default_to_the_same_tree_count(model):
+    cli_spec, spec = _spec({**DEFAULTS, "model": model}), LearnerSpec(kind=model)
+    assert cli_spec.n_trees == spec.n_trees == {"tree": 1, "rf": 100, "gbt": 50, "pbart": 50}[model]
+    if model == "pbart":
+        assert cli_spec.hyper.m == spec.hyper.m == PBartHyper().m
 
 
 def _write_features(path, header, X):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import order_block
+from conftest import grown_tree, order_block, split_leaf
 from prtree import kernel, tree
 from prtree.data import Dataset, check_features
 from prtree.kernel import (
@@ -92,16 +92,19 @@ def test_child_columns_sum_to_parent():
     sigma = np.array([0.4, 0.0, 1.2])
     root = _Node.root(d)
     [parent] = membership_columns(d.features, [root], sigma)
-    children = root.split(d, 2, 0.1)
+    children = root.split(d, 2, 0.1, sigma)
     V2 = np.column_stack(list(membership_columns(d.features, children, sigma)))
     assert V2.shape[1] == 2 and [c.upper[2] for c in children] == [0.1, np.inf]
     assert np.allclose(V2.sum(axis=1), parent, atol=1e-9)
+    assert np.array_equal(V2, np.column_stack([c.col for c in children]))
 
 
 def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
     # a root split's children share their one finite bound: n values of Phi, not 2n
     rng = np.random.default_rng(3)
     d = Dataset(rng.normal(size=(30, 3)), rng.normal(size=30), ("a", "b", "c"))
+    sigma = np.array([0.4, 0.0, 1.2])
+    children = _Node.root(d).split(d, 2, 0.1, sigma)
     evals = []
 
     def counting(t):
@@ -109,34 +112,78 @@ def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
         return normal_cdf(t)
 
     monkeypatch.setattr(kernel, "normal_cdf", counting)
-    list(membership_columns(d.features, _Node.root(d).split(d, 2, 0.1), np.array([0.4, 0.0, 1.2])))
+    list(membership_columns(d.features, children, sigma))
     assert sum(evals) == d.n
 
 
-def test_leaf_cuts_evaluate_phi_at_the_lower_bound_and_the_cuts(monkeypatch):
+def test_one_split_evaluates_n_values_of_phi_for_both_children(cdf_evals):
+    # the children keep the parent's F pairs by reference: a split deep in the
+    # tree evaluates Phi at its split value alone, and its children's columns
+    # are those membership_columns gives their regions
+    rng = np.random.default_rng(33)
+    X = rng.normal(size=(70, 3))
+    d = Dataset(X, rng.normal(size=70), ("a", "b", "c"))
+    for sigma in (np.array([0.4, 0.6, 0.3]), np.array([0.4, 0.0, 0.3])):
+        _, node = _Node.root(d).split(d, 0, -0.6, sigma)
+        node, _ = node.split(d, 1, 0.5, sigma)
+        _, node = node.split(d, 2, -0.2, sigma)
+        cdf_evals[0] = 0
+        children = node.split(d, 0, 0.4, sigma)
+        assert cdf_evals[0] == d.n
+        regions = [region for _, region in grown_tree(
+            (0, 0, -0.6), (2, 1, 0.5), (3, 2, -0.2), (6, 0, 0.4)).leaf_regions(3)][2:4]
+        assert [tuple(r.upper) for r in regions] == [tuple(c.upper) for c in children]
+        want = list(membership_columns(X, regions, sigma))
+        assert all(np.array_equal(c.col, w) for c, w in zip(children, want))
+    cdf_evals[0] = 0
+    _Node.root(d).split(d, 0, 0.4, np.zeros(3))
+    assert cdf_evals[0] == 0
+
+
+def test_leaf_cuts_evaluate_phi_at_the_cuts_alone(cdf_evals):
     # a soft leaf with finite bounds on coordinates 0 and 1: per candidate soft
-    # coordinate, n values of Phi at its lower bound and n per cut, none at
-    # its upper bound; the hard coordinate 2 takes none
+    # coordinate, n values of Phi per cut, none at its bounds, which the
+    # leaf inherited from its splits; the hard coordinate 2 takes none
     rng = np.random.default_rng(31)
     X = rng.normal(size=(80, 3))
     d = Dataset(X, X[:, 0] + rng.normal(size=80), ("a", "b", "c"))
     sigma = np.array([0.4, 0.6, 0.0])
-    _, leaf = Region.root(3).split(0, -1.0)
-    leaf, _ = leaf.split(0, 1.0)
-    _, leaf = leaf.split(1, -1.2)
-    leaf, _ = leaf.split(1, 1.2)
-    rows = np.flatnonzero(leaf.contains(X))
-    evals = []
-
-    def counting(t):
-        evals.append(np.size(t))
-        return normal_cdf(t)
-
-    monkeypatch.setattr(tree, "normal_cdf", counting)
-    _, entries = _leaf_cuts(d, _Node(2, leaf.lower, leaf.upper, rows), d.target, [0, 1, 2], sigma,
-                            3, order_block(d, rows))
+    _, leaf = _Node.root(d).split(d, 0, -1.0, sigma)
+    leaf, _ = leaf.split(d, 0, 1.0, sigma)
+    _, leaf = leaf.split(d, 1, -1.2, sigma)
+    leaf, _ = leaf.split(d, 1, 1.2, sigma)
+    cdf_evals[0] = 0
+    _, entries = _leaf_cuts(d, leaf, d.target, [0, 1, 2], sigma, 3, order_block(d, leaf.rows))
     assert [j for j, *_ in entries] == [0, 1, 2]
-    assert sum(evals) == sum(d.n * (1 + cuts.size) for j, cuts, _ in entries if sigma[j] > 0)
+    assert cdf_evals[0] == sum(d.n * cuts.size for j, cuts, _ in entries if sigma[j] > 0)
+
+
+def test_child_table_on_its_parents_split_coordinate_evaluates_no_phi(cdf_evals):
+    # every cut of a child on the coordinate its parent split is a cut of the
+    # parent's table: the child copies those columns. Its tables on every
+    # coordinate equal, bit for bit, those of a leaf searched afresh
+    rng = np.random.default_rng(34)
+    X = rng.normal(size=(120, 3))
+    d = Dataset(X, X[:, 0] + rng.normal(size=120), ("a", "b", "c"))
+    sigma = np.array([0.4, 0.6, 0.5])
+    parent = _Node.root(d).split(d, 1, 0.9, sigma)[0]
+    _, entries = _leaf_cuts(d, parent, d.target, [0, 1, 2], sigma, 5, order_block(d, parent.rows))
+    j, cuts, _ = entries[0]
+    for child in parent.split(d, j, float(cuts[cuts.size // 2]), sigma):
+        inherited = child.tables
+        cdf_evals[0] = 0
+        _, got = _leaf_cuts(d, child, d.target, [j], sigma, 5, order_block(d, child.rows, [j]))
+        assert got and cdf_evals[0] == 0
+        fresh = split_leaf(d, Region(child.lower, child.upper), sigma)
+        child.tables, cdf_evals[0] = inherited, 0
+        _, got = _leaf_cuts(d, child, d.target, [0, 1, 2], sigma, 5, order_block(d, child.rows))
+        reused, cdf_evals[0] = cdf_evals[0], 0
+        _, want = _leaf_cuts(d, fresh, d.target, [0, 1, 2], sigma, 5, order_block(d, fresh.rows))
+        assert reused < cdf_evals[0] == d.n * sum(c.size for _, c, _ in want)
+        assert len(got) == len(want)
+        for (jg, cg, (Lg, ng)), (jw, cw, (Lw, nw)) in zip(got, want):
+            assert jg == jw and np.array_equal(cg, cw)
+            assert np.array_equal(Lg, Lw) and np.array_equal(ng, nw)
 
 
 def test_leaf_cuts_skip_phi_at_an_infinite_lower_bound(monkeypatch):
@@ -150,7 +197,7 @@ def test_leaf_cuts_skip_phi_at_an_infinite_lower_bound(monkeypatch):
         arguments.append(np.asarray(t))
         return normal_cdf(t)
 
-    monkeypatch.setattr(tree, "normal_cdf", recorded)
+    monkeypatch.setattr(kernel, "normal_cdf", recorded)
     t = tree.fit_prtree(d, [0.4, 0.6, 0.3], StoppingRule(min_leaf_fraction=0.1))
     assert t.leaf_count >= 4 and arguments
     assert not any(np.isneginf(a).any() for a in arguments)
@@ -268,15 +315,16 @@ def test_pbart_grow_evaluates_shared_bounds_once(cdf_evals):
     assert t.refresh(d, min_count)
     t.membership()
     assert cdf_evals[0] == 0  # the root is bounded nowhere
-    # each grow's two new leaves share every bound: the first the split value,
-    # the second also the upper bound its parent has from the first split
-    for leaf, j, s, evals in ((0, 0, 0.0, 1), (1, 1, 0.1, 2)):
+    # each grow evaluates Phi at its split value alone, once for both new
+    # leaves: the second grow's leaves inherit the upper bound their parent
+    # has from the first split
+    for leaf, j, s in ((0, 0, 0.0), (1, 1, 0.1)):
         star = t.copy()
         star.nodes.grow(leaf, j, s)
-        assert star.refresh(d, min_count)
         cdf_evals[0] = 0
+        assert star.refresh(d, min_count)
         V = star.membership()
-        assert cdf_evals[0] == evals * d.n
+        assert cdf_evals[0] == d.n
         want = np.column_stack([membership_column(X, r, sigma)
                                 for _, r in star.nodes.leaf_regions(d.p)])
         assert np.array_equal(V, want)

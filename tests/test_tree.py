@@ -8,14 +8,15 @@ from conftest import (
 )
 from prtree.data import Dataset, RngSpec
 from prtree.ensemble import fit_prgbt, fit_prrf
-from prtree.kernel import build_membership, membership_columns
+from prtree.kernel import build_membership, cdf, membership_columns
 from prtree.regions import Region
-from prtree import tree
+from prtree import ensemble, tree
 from prtree.tree import (
     GAIN_TOL,
     FlatTree,
     PRTree,
     StoppingRule,
+    _Node,
     _partition_block,
     candidate_variables,
     cut_points,
@@ -403,20 +404,58 @@ def test_growth_builds_no_region(monkeypatch):
 
 
 def test_forest_searches_each_repeated_row_once(monkeypatch):
-    # a bootstrap sample's repeated rows reach the split search's membership
-    # columns once each
+    # a bootstrap sample's repeated rows reach the Gaussian columns of the
+    # splits and of the split search's tables once each
     rng = np.random.default_rng(25)
     d = random_dataset(rng, 80, 3)
     seen = []
 
-    def recorded(X, *args):
-        seen.append(np.unique(X, axis=0).shape[0] == X.shape[0])
-        return membership_columns(X, *args)
+    def recorded(x, *args):
+        seen.append(np.unique(x).size == x.size)
+        return cdf(x, *args)
 
-    monkeypatch.setattr(tree, "membership_columns", recorded)
+    monkeypatch.setattr(tree, "cdf", recorded)
     for sigma in (np.zeros(3), 0.3 * d.features.std(axis=0, ddof=1)):
         fit_prrf(d, 3, sigma, StoppingRule(min_leaf_fraction=0.1), RngSpec(4))
     assert seen and all(seen)
+
+
+@pytest.mark.parametrize("learner", ["tree", "rf", "gbt"])
+@pytest.mark.parametrize("kind", ["hard", "soft", "mixed"])
+def test_fit_columns_equal_membership_columns_bit_for_bit(monkeypatch, learner, kind):
+    # every leaf column a fit used, a product of the F pairs its splits
+    # passed down, is the column membership_columns gives the leaf's region
+    # over the rows the fit saw (a forest's distinct bootstrap rows)
+    rng = np.random.default_rng(28)
+    d = random_dataset(rng, 90, 3)
+    std = d.features.std(axis=0, ddof=1)
+    sigma = {"hard": np.zeros(3), "soft": 0.3 * std, "mixed": np.array([0.3, 0.0, 0.2]) * std}
+    sigma, rule = sigma[kind], StoppingRule(min_leaf_fraction=0.1)
+    fits, split, grow = [], _Node.split, fit_prtree
+
+    def fitting(*args, **kwargs):
+        fits.append([])
+        return grow(*args, **kwargs)
+
+    def splitting(self, data, *args):
+        children = split(self, data, *args)
+        fits[-1] += [(data.features, child) for child in children]
+        return children
+
+    monkeypatch.setattr(_Node, "split", splitting)
+    monkeypatch.setattr(ensemble, "fit_prtree", fitting)
+    model = {"tree": lambda: fitting(d, sigma, rule),
+             "rf": lambda: fit_prrf(d, 4, sigma, rule, RngSpec(3)),
+             "gbt": lambda: fit_prgbt(d, 3, sigma, rule, shrinkage=0.5)}[learner]()
+    trees = getattr(model, "trees", [model])
+    assert len(fits) == len(trees) and all(t.leaf_count >= 4 for t in trees)
+    for t, made in zip(trees, fits):
+        X = made[0][0]
+        assert X.shape[0] < d.n if learner == "rf" else X is d.features
+        cols = {(c.lower.tobytes(), c.upper.tobytes()): c.col for _, c in made}
+        regions = [region for _, region in t.nodes.leaf_regions(d.p)]
+        for region, want in zip(regions, membership_columns(X, regions, sigma)):
+            assert np.array_equal(cols[region.lower.tobytes(), region.upper.tobytes()], want)
 
 
 @pytest.mark.parametrize("kind", ["hard", "soft"])
