@@ -35,19 +35,20 @@ from .tree import PRTree, StoppingRule, read_model_json
 
 log = logging.getLogger("prtree")
 
+# None: the library's own default (`_spec`, `make_cv_plan`)
 DEFAULTS = {
     "model": "tree",
     "target": "y",
     "seed": 0,
-    "folds": 10,
+    "folds": None,
     "trees": None,       # model-dependent: evaluate.DEFAULT_TREES
-    "shrinkage": 1.0,
-    "iters": 1000,
-    "burn": 200,
-    "alpha": 0.95,
-    "beta": 2.0,
-    "nu": 3.0,
-    "min_leaf": 0.10,
+    "shrinkage": None,
+    "iters": None,
+    "burn": None,
+    "alpha": None,
+    "beta": None,
+    "nu": None,
+    "min_leaf": None,
     "max_leaves": None,
     "sigma": None,
     "trials": 20,
@@ -108,28 +109,26 @@ def _load_dataset(cfg) -> Dataset:
     return load_csv(cfg["data"], cfg["target"])
 
 
+def _given(cfg, kind, **keys) -> dict:
+    """{arg: kind(cfg[key])} of each arg=key that the config sets; the other
+    arguments keep the library's defaults."""
+    return {arg: kind(cfg[key]) for arg, key in keys.items() if cfg[key] is not None}
+
+
 def _spec(cfg) -> LearnerSpec:
     model = cfg["model"]
     n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else int(cfg["trees"])
     hyper = None
     if model == "pbart":
-        hyper = PBartHyper(
-            m=n_trees,
-            alpha=float(cfg["alpha"]),
-            beta=float(cfg["beta"]),
-            nu=float(cfg["nu"]),
-            it_burn=int(cfg["burn"]),
-            it_max=int(cfg["iters"]),
-        )
+        hyper = PBartHyper(m=n_trees, **_given(cfg, float, alpha="alpha", beta="beta", nu="nu"),
+                           **_given(cfg, int, it_burn="burn", it_max="iters"))
     return LearnerSpec(
         kind=model,
         n_trees=n_trees,
-        shrinkage=float(cfg["shrinkage"]),
-        rule=StoppingRule(
-            min_leaf_fraction=float(cfg["min_leaf"]),
-            max_leaves=int(cfg["max_leaves"]) if cfg["max_leaves"] is not None else None,
-        ),
+        rule=StoppingRule(**_given(cfg, float, min_leaf_fraction="min_leaf"),
+                          **_given(cfg, int, max_leaves="max_leaves")),
         hyper=hyper,
+        **_given(cfg, float, shrinkage="shrinkage"),
     )
 
 
@@ -203,7 +202,7 @@ def _cmd_cv(cfg) -> int:
     spec = _spec(cfg)
     if cfg["sigma"] is not None:
         spec.sigma = _parse_sigma(cfg["sigma"], d.p)
-    plan = make_cv_plan(d, n_folds=int(cfg["folds"]))
+    plan = make_cv_plan(d, **_given(cfg, int, n_folds="folds"))
     result = cross_validate(d, spec, plan, RngSpec(int(cfg["seed"])))
     name = Path(cfg["data"]).stem
     rows = [

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, RngSpec
-from .tree import PRTree, StoppingRule, fit_prtree, model_json, model_value, read_model_json
+from .tree import (PRTree, StoppingRule, checked, fit_prtree, model_json, model_value,
+                   read_model_json)
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +49,8 @@ class Forest:
         obj = read_model_json(text, "forest")
         names = obj["feature_names"]
         return cls(
-            trees=model_value(obj, "trees", lambda ts: [PRTree.from_dict(t, names) for t in ts]),
+            trees=model_value(obj, "trees", checked(
+                lambda ts: [PRTree.from_dict(t, names) for t in ts], len, "at least one tree")),
             bootstrap=model_value(obj, "bootstrap", bool),
             feature_subsets=model_value(obj, "feature_subsets", lambda v: [tuple(fs) for fs in v]),
             feature_names=names,
@@ -89,8 +91,10 @@ class BoostedEnsemble:
         obj = read_model_json(text, "gbt")
         names = obj["feature_names"]
         return cls(
-            trees=model_value(obj, "trees", lambda ts: [PRTree.from_dict(t, names) for t in ts]),
-            shrinkage=model_value(obj, "shrinkage", float),
+            trees=model_value(obj, "trees", checked(
+                lambda ts: [PRTree.from_dict(t, names) for t in ts], len, "at least one tree")),
+            shrinkage=model_value(obj, "shrinkage",
+                                  checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")),
             feature_names=names,
         )
 
@@ -147,7 +151,7 @@ def fit_prgbt(
     trees = []
     resid = d.target.astype(float).copy()
     for ell in range(m):
-        t = fit_prtree(d, sigma, rule, target=resid)
+        t = fit_prtree(Dataset(d.features, resid, d.feature_names), sigma, rule)
         trees.append(t)
         resid = resid - shrinkage * t.predict(d.features)
         if log.isEnabledFor(logging.DEBUG):

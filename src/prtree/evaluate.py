@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset, RngSpec, standard_scale
 from .ensemble import fit_prgbt, fit_prrf
-from .pbart import PBartHyper, fit_pbart
+from .pbart import PBartHyper, check_rule, fit_pbart
 from .tree import StoppingRule, fit_prtree
 
 log = logging.getLogger(__name__)
@@ -131,9 +131,7 @@ class LearnerSpec:
             if self.hyper.m != self.n_trees:
                 raise ValueError(f"hyper.m = {self.hyper.m} differs from n_trees = "
                                  f"{self.n_trees}")
-            if self.rule.max_leaves is not None:
-                raise ValueError("max_leaves does not apply to pbart: the tree prior (alpha, "
-                                 "beta) sets the tree sizes")
+            check_rule(self.rule)
 
 
 def fit_model(spec: LearnerSpec, train: Dataset, sigma, rng: RngSpec):

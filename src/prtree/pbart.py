@@ -17,12 +17,19 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import membership_column, membership_columns  # noqa: F401
-from .tree import (FlatTree, StoppingRule, _Node, _read_only, model_json, model_value,
+from .tree import (FlatTree, StoppingRule, _Node, _read_only, checked, model_json, model_value,
                    read_model_json, scales)
 
 log = logging.getLogger(__name__)
 
 GROW, PRUNE, CHANGE, SWAP = "grow", "prune", "change", "swap"
+
+
+def check_rule(rule: StoppingRule):
+    """A ValueError if `rule` caps the leaf count, which pbart's tree prior sets."""
+    if rule.max_leaves is not None:
+        raise ValueError("max_leaves does not apply to pbart: the tree prior (alpha, beta) "
+                         "sets the tree sizes")
 
 
 def _log(x: float) -> float:
@@ -149,10 +156,6 @@ class SampledTree:
         """The number of `cut_points` of internal node i's coordinate over its rows."""
         return self.at[i].cuts_on(self.data, self.nodes.feature[i]).size
 
-    @property
-    def k(self) -> int:
-        return len(self.leaves)
-
     def gammas(self) -> np.ndarray:
         return np.array([self.nodes.value[i] for i in self.leaves])
 
@@ -232,16 +235,11 @@ def _sigma0_terms(G, b, RR: float, n: int, sigma_gamma: float, sigma_tilde: floa
     return logdet, (RR - r * sum(map(mul, z, z))) / st2
 
 
-def propose_tree(
-    t: SampledTree,
-    rng: np.random.Generator,
-    move_probs,
-    d: Dataset,
-    rule: StoppingRule,
-):
-    """Draw one local topology move. Returns (candidate, log q-ratio, kind);
-    an impossible or invalid proposal carries log q-ratio = -inf and a
-    None candidate."""
+def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: StoppingRule):
+    """Draw one local topology move of t on the dataset it was refreshed on.
+    Returns (candidate, log q-ratio, kind); an impossible or invalid proposal
+    carries log q-ratio = -inf and a None candidate."""
+    d = t.data
     min_count = rule.min_count(d.n)
     # the draw of rng.choice(4, p=move_probs), without its per-call array checks
     cdf = list(accumulate(move_probs))
@@ -338,17 +336,17 @@ def mh_accept(t: SampledTree, t_star: SampledTree | None, R, hyper: PBartHyper,
     return bool(rng.random() < math.exp(delta))
 
 
-def draw_gammas(t: SampledTree, G, b, hyper: PBartHyper, rng: np.random.Generator,
+def draw_gammas(t: SampledTree, b, hyper: PBartHyper, rng: np.random.Generator,
                 sigma_tilde: float) -> np.ndarray:
     """One full Gibbs sweep over t's leaf weights, in leaf order, each draw
     conditioning on the freshest values of the other weights. Leaf k's
     conditional needs A_k = G_kk and B_k = b_k - sum_{l != k} G_kl gamma_l
-    of the Gram matrix G = V^T V and b = V^T R, so the sweep runs on Python
-    floats."""
+    of t's Gram matrix G = V^T V (`gram`) and b = V^T R, so the sweep runs
+    on Python floats."""
     sg2 = hyper.sigma_gamma**2
     st2 = sigma_tilde**2
     gam = t.gammas().tolist()
-    for k, (Gk, bk) in enumerate(zip(G.tolist(), b.tolist())):
+    for k, (Gk, bk) in enumerate(zip(t.gram().tolist(), b.tolist())):
         gam[k] = 0.0  # so that B sums over the other leaves only
         B = bk - sum(map(mul, Gk, gam))
         denom = st2 + sg2 * Gk[k]
@@ -449,13 +447,15 @@ class PBartChain:
         obj = read_model_json(text, "pbart")
         sigma = model_value(obj, "sigma", scales)
         return cls(
-            trees=model_value(obj, "snapshots", lambda snaps: [
-                [FlatTree.from_dict(t, sigma.size) for t in snap] for snap in snaps]),
+            trees=model_value(obj, "snapshots", checked(lambda snaps: [
+                [FlatTree.from_dict(t, sigma.size) for t in snap] for snap in snaps],
+                lambda snaps: snaps and all(snaps), "snapshots of at least one tree")),
             sigma_trace=model_value(obj, "sigma_trace", scales),
             acceptance_log=model_value(obj, "acceptance_log", dict),
             sigma=sigma,
-            y_offset=model_value(obj, "y_offset", float),
-            y_scale=model_value(obj, "y_scale", float),
+            y_offset=model_value(obj, "y_offset", checked(float, math.isfinite, "a finite number")),
+            y_scale=model_value(obj, "y_scale", checked(
+                float, lambda v: 0.0 < v < math.inf, "a finite positive number")),
             hyper=model_value(obj, "hyper", lambda h: PBartHyper(
                 **{**h, "move_probs": tuple(h["move_probs"])})),
             feature_names=obj["feature_names"],
@@ -477,9 +477,7 @@ def fit_pbart(
     is rejected."""
     if d.n < 2:
         raise ValueError("need at least 2 rows")
-    if rule.max_leaves is not None:
-        raise ValueError("max_leaves does not apply to pbart: the tree prior (alpha, beta) "
-                         "sets the tree sizes")
+    check_rule(rule)
     sigma = scales(sigma, d.p)
     y = d.target
     y_min, y_max = float(y.min()), float(y.max())
@@ -510,13 +508,13 @@ def fit_pbart(
         for ell in range(hyper.m):
             R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
-            star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
+            star, log_q, kind = propose_tree(t, gen, hyper.move_probs, rule)
             accepted = mh_accept(t, star, R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star
             V = t.membership()
-            new_fit = V @ draw_gammas(t, t.gram(), V.T @ R, hyper, gen, sigma_tilde)
+            new_fit = V @ draw_gammas(t, V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)

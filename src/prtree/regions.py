@@ -36,10 +36,6 @@ class Region:
     def root(cls, p: int) -> "Region":
         return cls(np.full(p, -np.inf), np.full(p, np.inf))
 
-    @property
-    def p(self) -> int:
-        return self.lower.shape[0]
-
     def split(self, j: int, s: float) -> tuple["Region", "Region"]:
         """Split at s on coordinate j into (lower-side, upper-side) children."""
         if not (self.lower[j] < s < self.upper[j]):

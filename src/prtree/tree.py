@@ -71,6 +71,16 @@ def model_value(obj, key: str, kind):
         raise ValueError(f"model file key {key!r} missing or malformed: {exc}") from None
 
 
+def checked(kind, ok, what: str):
+    """A `model_value` kind: kind(v), a ValueError unless ok accepts it."""
+    def parse(v):
+        v = kind(v)
+        if not ok(v):
+            raise ValueError(f"expected {what}, got {v!r}")
+        return v
+    return parse
+
+
 @dataclass
 class FlatTree:
     """A binary tree as parallel node arrays (sklearn's layout; Pedregosa et
@@ -220,30 +230,29 @@ def _hard_cut_sse(vs: np.ndarray, ys: np.ndarray, ws=None):
 
 
 def _partition_block(block: np.ndarray, go_left: np.ndarray):
-    """The children's order blocks when the leaf's rows go left where go_left:
-    each column filtered, which keeps it stable (SLIQ's presorting; Mehta et
-    al. 1996), and renumbered to the child's local positions."""
+    """The children's order blocks when row i goes left where go_left[i]:
+    each column of row ids filtered, which keeps it stable (SLIQ's attribute
+    lists; Mehta et al. 1996)."""
     left = go_left[block].T
-    local = np.where(go_left, np.cumsum(go_left), np.cumsum(~go_left)) - 1
-    return tuple(local[block.T[side].reshape(block.shape[1], -1).T] for side in (left, ~left))
+    return tuple(block.T[side].reshape(block.shape[1], -1).T for side in (left, ~left))
 
 
-def candidate_variables(d: Dataset, rows, k: int, features, block, w=None) -> list[int]:
-    """The k coordinates whose best hard split over `rows` reduces SSE the
+def candidate_variables(d: Dataset, k: int, features, block, w=None) -> list[int]:
+    """The k coordinates whose best hard split over a leaf reduces SSE the
     most; ties broken toward the smaller coordinate index. Coordinates with
     fewer than two distinct values have no split and are dropped. One pass
-    of `_hard_cut_sse` over the rows x features block ranks them all, a cut
-    between equal values scoring -inf. `block` is the leaf's order block: the
-    stable argsort of each of the rows x features columns. `w`, when given, is
-    the integer multiplicity of each of d's rows (a weighted fit's repeated
-    rows, see `fit_prtree`); by default each row counts once."""
-    rows = np.asarray(rows)
-    if rows.size == 0:
-        raise ValueError("rows must be non-empty")
+    of `_hard_cut_sse` over the leaf's order `block` ranks them all, a cut
+    between equal values scoring -inf. `block` holds the leaf's row ids of
+    d, column i sorted stably by `features[i]` (default: every coordinate).
+    `w`, when given, is the integer multiplicity of each of d's rows (a
+    weighted fit's repeated rows, see `fit_prtree`); by default each row
+    counts once. The prefix sums are of the uncentred target, so a large
+    offset of the target can hide the ranking's signal in rounding."""
+    if not block.size:
+        raise ValueError("the order block must be non-empty")
     cols = list(range(d.p) if features is None else features)
-    vs = np.take_along_axis(d.features[rows][:, cols], block, axis=0)
-    ws = None if w is None else w[rows][block]
-    admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(vs, d.target[rows][block], ws)
+    ws = None if w is None else w[block]
+    admissible, sse_l, sse_r, sse_tot = _hard_cut_sse(d.features[block, cols], d.target[block], ws)
     best = np.where(admissible, sse_tot - sse_l - sse_r, -np.inf).max(axis=0, initial=-np.inf)
     scored = sorted((-float(g), j) for g, j, ok in zip(best, cols, admissible.any(axis=0)) if ok)
     return [j for _, j in scored[:k]]
@@ -277,8 +286,8 @@ class _Node:
     since the split value lies strictly inside the node's interval (a
     `cut_points` cut of its rows, or a bound `refresh` checked).
 
-    The greedy fit keeps a leaf's `order` block (its rows' stable order by
-    each of the fit's coordinates, which the children inherit), its split
+    The greedy fit keeps a leaf's `order` block (its row ids, sorted stably
+    by each of the fit's coordinates, which the children filter), its split
     `search` (`_leaf_cuts`) and the raw F `tables` of a search, its parent's
     until it searches, then its own; the sampler builds on demand the rows x
     p `block` sorted by column, the admissible coordinates and their cuts."""
@@ -304,7 +313,8 @@ class _Node:
         and, if this node has an order block, its part of it; None if either
         would hold fewer than min_count rows. F(j, s) is evaluated once for
         both; they keep this node's other F pairs and `tables` by reference."""
-        go_left = d.features[self.rows, j] <= s
+        go = d.features[:, j] <= s  # over all of d's rows, as the order block holds row ids
+        go_left = go[self.rows]
         k = np.count_nonzero(go_left)
         if min(k, go_left.size - k) < min_count:
             return None
@@ -320,7 +330,7 @@ class _Node:
                       right_F, d.n)
         left.tables = right.tables = self.tables
         if self.order is not None:
-            left.order, right.order = _partition_block(self.order, go_left)
+            left.order, right.order = _partition_block(self.order, go)
         return left, right
 
     def sorted_block(self, d: Dataset) -> np.ndarray:
@@ -372,7 +382,7 @@ def _cdf_table(x: np.ndarray, cuts: np.ndarray, sigma_j: float, parent) -> np.nd
     return F
 
 
-def _leaf_cuts(d: Dataset, leaf: _Node, y, vars, sigma, min_count: int, orders, w=None):
+def _leaf_cuts(d: Dataset, leaf: _Node, vars, sigma, min_count: int, orders, w=None):
     """The half of find_best_split that depends on the leaf alone, unchanged
     until the leaf is split: (rows_mask, per-coordinate entries), from the
     leaf's hard rows, bounds and F pairs. There is an entry (j, cuts, table)
@@ -384,26 +394,24 @@ def _leaf_cuts(d: Dataset, leaf: _Node, y, vars, sigma, min_count: int, orders, 
     and norm its squared column norms. The raw tables F(j, cut) (`_cdf_table`)
     reuse the columns of the parent's tables, which `leaf.tables` holds until
     this search replaces them with the leaf's own, for its children. `orders`
-    is the leaf's order block over ascending vars: the stable argsort of each
-    column of its rows, in ascending row order. `w`, the rows'
-    multiplicities in a weighted fit, makes the counts and SSE weighted and
-    scales L by sqrt(w)."""
+    is the leaf's order block over ascending vars: its row ids, column i
+    sorted stably by coordinate vars[i]. `w`, the rows' multiplicities in a
+    weighted fit, makes the counts and SSE weighted and scales L by
+    sqrt(w)."""
     mask = np.zeros(d.n, dtype=bool)
     mask[leaf.rows] = True
     parent, leaf.tables = leaf.tables or {}, {}
     X, wk, entries = d.features, None if w is None else w[mask], []
     n = np.count_nonzero(mask) if wk is None else wk.sum()
-    if n < 2 * min_count:
-        return mask, entries
     vars = sorted(vars)
-    vs = np.take_along_axis(X[mask][:, vars], orders, axis=0)
-    wo = None if wk is None else wk[orders]  # the sorted rows' multiplicities
+    vs = X[orders, vars]
+    wo = None if w is None else w[orders]  # the sorted rows' multiplicities
     hard = not sigma.any()
     if hard:
         # the children's SSE is shift-invariant; centring keeps the prefix sums small
-        yk = y[mask]
-        yk = yk - (yk.mean() if wk is None else wk @ yk / n)
-        _, sse_l, sse_r, _ = _hard_cut_sse(vs, yk[orders], wo)
+        yk = d.target[mask]
+        mean = yk.mean() if wk is None else wk @ yk / n
+        _, sse_l, sse_r, _ = _hard_cut_sse(vs, d.target[orders] - mean, wo)
     for i, j in enumerate(vars):
         left, cuts = cut_points(vs[:, i])
         count = left if wo is None else np.cumsum(wo[:, i])[left - 1]
@@ -456,8 +464,6 @@ def find_best_split(cuts, basis, sigma):
       per cut, from the basis (O(n K x #cuts); see `_split_sse_batch`).
     """
     mask, entries = cuts
-    if not entries:
-        return None
     if not sigma.any():
         r = basis[~mask]
         base = float(r @ r)
@@ -531,13 +537,15 @@ class PRTree:
         return cls.from_dict(obj, obj["feature_names"])
 
 
-def _repeated_rows(d: Dataset, order: np.ndarray, j: int):
-    """(first, w) when some rows of d repeat exactly, in features and target:
-    first marks each distinct row's first occurrence, and w holds, in row
-    order, how often each marked row occurs. None when every row is distinct,
-    which `order`, the stable argsort of feature j, shows in O(n) unless
-    feature j has ties."""
-    v = d.features[order, j]
+def _repeated_rows(d: Dataset, block: np.ndarray, j: int):
+    """(first, w, block) when some rows of d repeat exactly, in features and
+    target: first marks each distinct row's first occurrence, w holds, in
+    row order, how often each marked row occurs, and block is the order
+    block `block` of d's rows kept to the marked rows and renumbered to
+    their positions among them. None when every row is distinct, which
+    block[:, 0], d's rows sorted by feature j, shows in O(n) unless feature
+    j has ties."""
+    v = d.features[block[:, 0], j]
     if not np.any(v[1:] == v[:-1]):
         return None
     table = np.column_stack([d.features, d.target])
@@ -548,7 +556,8 @@ def _repeated_rows(d: Dataset, order: np.ndarray, j: int):
         return None
     first = np.zeros(d.n, dtype=bool)
     first[firsts] = True
-    return first, counts[inverse[first]]
+    kept, _ = _partition_block(block, first)
+    return first, counts[inverse[first]], (np.cumsum(first) - 1)[kept]
 
 
 def fit_prtree(
@@ -556,7 +565,6 @@ def fit_prtree(
     sigma,
     rule: StoppingRule = StoppingRule(),
     features=None,
-    target=None,
 ) -> PRTree:
     """Grow a PR tree greedily: each iteration applies the single best
     admissible split across all current leaves (full weight refit per
@@ -564,9 +572,7 @@ def fit_prtree(
     by no more than GAIN_TOL; `fit_weights` then solves the leaf weights once.
 
     `features`, when given, restricts splits to that coordinate subset
-    (used by forests). `target`, when given, replaces d.target for both the
-    fit and the candidate-variable ranking (used by boosting). Growth is
-    deterministic.
+    (used by forests). Growth is deterministic.
 
     Rows that repeat exactly (features and target), as in a bootstrap sample,
     are fitted once each with their multiplicity w as an integer weight: the
@@ -575,8 +581,6 @@ def fit_prtree(
     minimises the SSE of the repeated rows (bagging; Breiman 1996).
     """
     sigma = scales(sigma, d.p)
-    if target is not None:
-        d = Dataset(d.features, target, d.feature_names)
     n = d.n
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
@@ -592,11 +596,10 @@ def fit_prtree(
     cols = list(range(d.p) if features is None else features)
     block = np.argsort(d.features[:, cols], axis=0, kind="stable")
     w = sw = None
-    repeated = _repeated_rows(d, block[:, 0], cols[0])
+    repeated = _repeated_rows(d, block, cols[0])
     if repeated is not None:
-        first, w = repeated
+        first, w, block = repeated
         d = Dataset(d.features[first], d.target[first], d.feature_names)
-        block, _ = _partition_block(block, first)
         sw = np.sqrt(w)[:, None]
 
     # leaves holds (node index, _Node) of each leaf, left to right; a weighted
@@ -619,8 +622,8 @@ def fit_prtree(
                 leaf.tables = None  # it never searches: its parent's tables go
                 continue
             if leaf.search is None:
-                vars = sorted(candidate_variables(d, leaf.rows, 3, features, leaf.order, w))
-                leaf.search = _leaf_cuts(d, leaf, y, vars, sigma, min_count,
+                vars = sorted(candidate_variables(d, 3, features, leaf.order, w))
+                leaf.search = _leaf_cuts(d, leaf, vars, sigma, min_count,
                                          leaf.order[:, [cols.index(j) for j in vars]], w)
             if not leaf.search[1]:
                 continue

@@ -139,10 +139,10 @@ def brute_force_split(d: Dataset, V, region, y, k, vars, sigma, rule):
 # the library's split search on one leaf, everything it takes built afresh
 
 def order_block(d: Dataset, rows, cols=None):
-    """The stable argsort of each column `cols` (default: all) over d's rows,
-    the order block a fit presorts once and its leaves inherit."""
+    """d's row ids `rows` sorted stably by each column `cols` (default: all),
+    the order block a fit presorts once and its leaves filter."""
     cols = list(range(d.p) if cols is None else cols)
-    return np.argsort(d.features[rows][:, cols], axis=0, kind="stable")
+    return rows[np.argsort(d.features[rows][:, cols], axis=0, kind="stable")]
 
 
 def split_leaf(d: Dataset, region, sigma):
@@ -159,7 +159,7 @@ def split_leaf(d: Dataset, region, sigma):
     return node
 
 
-def search_leaf(d: Dataset, V, region, y, vars, sigma, rule, rows=None):
+def search_leaf(d: Dataset, V, region, vars, sigma, rule, rows=None):
     """`find_best_split` of the leaf `region` among the leaves whose columns
     are V: its cuts from `_leaf_cuts` over the leaf's `split_leaf` node
     (holding `rows`, ascending, if given, else the rows its splits carry) and
@@ -169,9 +169,8 @@ def search_leaf(d: Dataset, V, region, y, vars, sigma, rule, rows=None):
     if rows is not None:
         leaf.rows = rows
     vars = sorted(vars)
-    cuts = _leaf_cuts(d, leaf, y, vars, sigma, rule.min_count(d.n),
-                      order_block(d, leaf.rows, vars))
-    return find_best_split(cuts, _round_basis(V, y, sigma), sigma)
+    cuts = _leaf_cuts(d, leaf, vars, sigma, rule.min_count(d.n), order_block(d, leaf.rows, vars))
+    return find_best_split(cuts, _round_basis(V, d.target, sigma), sigma)
 
 
 # ---------------------------------------------------------------------------

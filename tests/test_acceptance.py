@@ -100,7 +100,7 @@ def test_criterion_2_split_search_oracle():
             V = build_membership(d, regions, sigma)
         k = int(rng.integers(V.shape[1]))
         vars = list(range(p))
-        got = search_leaf(d, V, regions[k], d.target, vars, sigma, rule)
+        got = search_leaf(d, V, regions[k], vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None or got is None:
             if (want is None) != (got is None):
@@ -209,6 +209,7 @@ def test_criterion_5_posterior_draw_calibration():
     data = Dataset(np.arange(12.0)[:, None], np.zeros(12), ("a",))
     t = SampledTree(grown_tree((0, 0, 5.5)), np.zeros(1))
     assert t.refresh(data, 1)
+    t.G = V.T @ V  # the draw reads the tree's Gram matrix
     sg, st, frozen = 0.4, 0.7, 0.3
     A1 = float(V[:, 0] @ V[:, 0])
     B1 = float(V[:, 0] @ (R - frozen * V[:, 1]))
@@ -218,7 +219,7 @@ def test_criterion_5_posterior_draw_calibration():
     samples = np.empty(n_draws)
     for i in range(n_draws):
         t.set_gammas([0.0, frozen])
-        samples[i] = draw_gammas(t, V.T @ V, V.T @ R, hyper2, gen, st)[0]
+        samples[i] = draw_gammas(t, V.T @ R, hyper2, gen, st)[0]
     se_mean = math.sqrt(v1 / n_draws)
     se_var = v1 * math.sqrt(2.0 / (n_draws - 1))
     if abs(samples.mean() - m1) > 3 * se_mean:
@@ -259,7 +260,7 @@ def test_criterion_6_micro_chain_exactness():
     target /= target.sum()
 
     def classify(t):
-        if t.k == 1:
+        if len(t.leaves) == 1:
             return 0
         return 1 if abs(t.nodes.threshold[0] - 0.5) < 1e-9 else 2
 
@@ -269,7 +270,7 @@ def test_criterion_6_micro_chain_exactness():
     iters = 1_000_000
     start = time.time()
     for _ in range(iters):
-        star, logq, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
+        star, logq, kind = propose_tree(t, gen, hyper.move_probs, rule)
         if mh_accept(t, star, y, hyper, gen, st, logq):
             t = star
         counts[classify(t)] += 1

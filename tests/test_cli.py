@@ -283,6 +283,10 @@ def test_cli_and_library_default_to_the_same_tree_count(model):
     assert cli_spec.n_trees == spec.n_trees == {"tree": 1, "rf": 100, "gbt": 50, "pbart": 50}[model]
     if model == "pbart":
         assert cli_spec.hyper.m == spec.hyper.m == PBartHyper().m
+    # and every other knob no flag sets: shrinkage, the sampler's iters, burn,
+    # alpha, beta and nu, and min_leaf (folds: test_cv_writes_ten_rows)
+    assert cli_spec == spec
+    assert cli_spec.hyper == (PBartHyper() if model == "pbart" else None)
 
 
 def _write_features(path, header, X):
@@ -489,6 +493,21 @@ BAD_KEYS = {
     "pbart with a zero nu": ("pbart", lambda obj: obj["hyper"].__setitem__("nu", 0.0), "hyper"),
     "pbart with a negative sigma_gamma": (
         "pbart", lambda obj: obj["hyper"].__setitem__("sigma_gamma", -0.5), "hyper"),
+    # values no fitter writes, which would load and predict nan, inf, scaled
+    # or constant values, or fail inside numpy
+    "gbt with a NaN shrinkage": ("gbt", _set("shrinkage", float("nan")), "shrinkage"),
+    "gbt with an infinite shrinkage": ("gbt", _set("shrinkage", float("inf")), "shrinkage"),
+    "gbt with a negative shrinkage": ("gbt", _set("shrinkage", -3.0), "shrinkage"),
+    "gbt with a zero shrinkage": ("gbt", _set("shrinkage", 0.0), "shrinkage"),
+    "gbt with a shrinkage above 1": ("gbt", _set("shrinkage", 7.0), "shrinkage"),
+    "gbt without trees": ("gbt", _set("trees", []), "trees"),
+    "forest without trees": ("forest", _set("trees", []), "trees"),
+    "pbart with a NaN y_offset": ("pbart", _set("y_offset", float("nan")), "y_offset"),
+    "pbart with an infinite y_scale": ("pbart", _set("y_scale", float("inf")), "y_scale"),
+    "pbart with a negative y_scale": ("pbart", _set("y_scale", -1.0), "y_scale"),
+    "pbart with a zero y_scale": ("pbart", _set("y_scale", 0.0), "y_scale"),
+    "pbart without snapshots": ("pbart", _set("snapshots", []), "snapshots"),
+    "pbart with an empty snapshot": ("pbart", _set("snapshots", [[]]), "snapshots"),
 }
 LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
 

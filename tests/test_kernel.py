@@ -70,9 +70,9 @@ def test_psi_product_over_coordinates():
     assert membership_column(x[None], r, sigma)[0] == pytest.approx(float(expected), abs=1e-12)
     # a point is checked, as every predictor checks its rows, before its membership
     with pytest.raises(ValueError):
-        check_features(np.array([0.0])[None], r.p)
+        check_features(np.array([0.0])[None], 2)
     with pytest.raises(ValueError, match="non-finite"):
-        check_features(np.array([0.0, np.nan])[None], r.p)
+        check_features(np.array([0.0, np.nan])[None], 2)
 
 
 def test_membership_rows_sum_to_one_over_partition():
@@ -153,7 +153,7 @@ def test_leaf_cuts_evaluate_phi_at_the_cuts_alone(cdf_evals):
     _, leaf = leaf.split(d, 1, -1.2, sigma)
     leaf, _ = leaf.split(d, 1, 1.2, sigma)
     cdf_evals[0] = 0
-    _, entries = _leaf_cuts(d, leaf, d.target, [0, 1, 2], sigma, 3, order_block(d, leaf.rows))
+    _, entries = _leaf_cuts(d, leaf, [0, 1, 2], sigma, 3, order_block(d, leaf.rows))
     assert [j for j, *_ in entries] == [0, 1, 2]
     assert cdf_evals[0] == sum(d.n * cuts.size for j, cuts, _ in entries if sigma[j] > 0)
 
@@ -167,18 +167,18 @@ def test_child_table_on_its_parents_split_coordinate_evaluates_no_phi(cdf_evals)
     d = Dataset(X, X[:, 0] + rng.normal(size=120), ("a", "b", "c"))
     sigma = np.array([0.4, 0.6, 0.5])
     parent = _Node.root(d).split(d, 1, 0.9, sigma)[0]
-    _, entries = _leaf_cuts(d, parent, d.target, [0, 1, 2], sigma, 5, order_block(d, parent.rows))
+    _, entries = _leaf_cuts(d, parent, [0, 1, 2], sigma, 5, order_block(d, parent.rows))
     j, cuts, _ = entries[0]
     for child in parent.split(d, j, float(cuts[cuts.size // 2]), sigma):
         inherited = child.tables
         cdf_evals[0] = 0
-        _, got = _leaf_cuts(d, child, d.target, [j], sigma, 5, order_block(d, child.rows, [j]))
+        _, got = _leaf_cuts(d, child, [j], sigma, 5, order_block(d, child.rows, [j]))
         assert got and cdf_evals[0] == 0
         fresh = split_leaf(d, Region(child.lower, child.upper), sigma)
         child.tables, cdf_evals[0] = inherited, 0
-        _, got = _leaf_cuts(d, child, d.target, [0, 1, 2], sigma, 5, order_block(d, child.rows))
+        _, got = _leaf_cuts(d, child, [0, 1, 2], sigma, 5, order_block(d, child.rows))
         reused, cdf_evals[0] = cdf_evals[0], 0
-        _, want = _leaf_cuts(d, fresh, d.target, [0, 1, 2], sigma, 5, order_block(d, fresh.rows))
+        _, want = _leaf_cuts(d, fresh, [0, 1, 2], sigma, 5, order_block(d, fresh.rows))
         assert reused < cdf_evals[0] == d.n * sum(c.size for _, c, _ in want)
         assert len(got) == len(want)
         for (jg, cg, (Lg, ng)), (jw, cw, (Lw, nw)) in zip(got, want):

@@ -145,7 +145,7 @@ def test_prune_on_single_leaf_is_invalid():
     d = _line_data([0.0, 1.0, 2.0])
     t = _refreshed(FlatTree.leaf(), d)
     star, logq, kind = propose_tree(
-        t, np.random.default_rng(0), (0.0, 1.0, 0.0, 0.0), d, StoppingRule()
+        t, np.random.default_rng(0), (0.0, 1.0, 0.0, 0.0), StoppingRule()
     )
     assert kind == "prune" and star is None and logq == -np.inf
 
@@ -154,10 +154,10 @@ def test_grow_then_prune_restores_topology():
     d = _line_data([0.0, 1.0, 2.0, 3.0])
     gen = np.random.default_rng(3)
     t = _refreshed(FlatTree.leaf(), d)
-    star, _, kind = propose_tree(t, gen, (1.0, 0.0, 0.0, 0.0), d, StoppingRule())
-    assert kind == "grow" and star is not None and star.k == 2
-    back, _, kind2 = propose_tree(star, gen, (0.0, 1.0, 0.0, 0.0), d, StoppingRule())
-    assert kind2 == "prune" and back is not None and back.k == 1
+    star, _, kind = propose_tree(t, gen, (1.0, 0.0, 0.0, 0.0), StoppingRule())
+    assert kind == "grow" and star is not None and len(star.leaves) == 2
+    back, _, kind2 = propose_tree(star, gen, (0.0, 1.0, 0.0, 0.0), StoppingRule())
+    assert kind2 == "prune" and back is not None and len(back.leaves) == 1
 
 
 def test_grow_q_ratio_hand_count():
@@ -167,7 +167,7 @@ def test_grow_q_ratio_hand_count():
     t = _refreshed(FlatTree.leaf(), d)
     for seed in range(20):
         star, logq, kind = propose_tree(
-            t, np.random.default_rng(seed), (0.5, 0.5, 0.0, 0.0), d, StoppingRule()
+            t, np.random.default_rng(seed), (0.5, 0.5, 0.0, 0.0), StoppingRule()
         )
         if kind == "grow":
             break
@@ -181,7 +181,7 @@ def test_proposals_respect_min_leaf_size():
     t = _refreshed(FlatTree.leaf(), d, min_count=1)
     rule = StoppingRule(min_leaf_fraction=0.5)  # min_count = 2
     star, logq, kind = propose_tree(
-        t, np.random.default_rng(0), (1.0, 0.0, 0.0, 0.0), d, rule
+        t, np.random.default_rng(0), (1.0, 0.0, 0.0, 0.0), rule
     )
     assert star is None and logq == -np.inf
 
@@ -191,12 +191,12 @@ def test_change_and_swap_moves():
     d = random_dataset(rng, 50, 2)
     t = _refreshed(grown_tree((0, 0, 0.0), (1, 1, 0.1)), d)
     gen = np.random.default_rng(5)
-    star, logq, kind = propose_tree(t, gen, (0.0, 0.0, 1.0, 0.0), d, StoppingRule())
+    star, logq, kind = propose_tree(t, gen, (0.0, 0.0, 1.0, 0.0), StoppingRule())
     assert kind == "change"
     if star is not None:
-        assert star.k == t.k
+        assert len(star.leaves) == len(t.leaves)
         assert np.isfinite(logq)
-    star2, logq2, kind2 = propose_tree(t, gen, (0.0, 0.0, 0.0, 1.0), d, StoppingRule())
+    star2, logq2, kind2 = propose_tree(t, gen, (0.0, 0.0, 0.0, 1.0), StoppingRule())
     assert kind2 == "swap"
     if star2 is not None:
         assert logq2 == 0.0
@@ -285,7 +285,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
     seen = set()
     for _ in range(400):
         before = _state(t)
-        star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), d, rule)
+        star, _, kind = propose_tree(t, gen, (0.25, 0.25, 0.25, 0.25), rule)
         if star is not None:
             seen.add(kind)
             star.gram()
@@ -299,7 +299,7 @@ def test_proposal_bookkeeping_matches_region_oracle(seed):
                 values = np.unique(d.features[mask, star.nodes.feature[node]])
                 assert star.n_cuts(node) == ((values[:-1] + values[1:]) / 2.0).size
             _check_node_caches(star, d, sigma)
-            star.set_gammas(gen.normal(size=star.k))
+            star.set_gammas(gen.normal(size=len(star.leaves)))
         assert _state(t) == before
         _check_node_caches(t, d, sigma)
         if star is not None and gen.random() < 0.6:
@@ -345,13 +345,12 @@ def _fit_pbart_uncached(d, hyper, sigma, seed, rule):
         for ell in range(hyper.m):
             R = y_norm - (total_fit - fits[ell])
             t = fresh(trees[ell].nodes)
-            star, log_q, kind = propose_tree(t, gen, hyper.move_probs, d, rule)
+            star, log_q, kind = propose_tree(t, gen, hyper.move_probs, rule)
             accepted = star is not None and mh_accept(
                 fresh_v(t.nodes), fresh_v(star.nodes), R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
-            trees[ell] = t = fresh(star.nodes) if accepted else t
-            V = columns(t)
-            new_fit = V @ draw_gammas(t, V.T @ V, V.T @ R, hyper, gen, sigma_tilde)
+            trees[ell] = t = fresh_v((star if accepted else t).nodes)
+            new_fit = t.V @ draw_gammas(t, t.V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)
@@ -435,7 +434,7 @@ def test_draw_gammas_simple_posterior():
     gen = np.random.default_rng(0)
     draws = np.array(
         [
-            draw_gammas(t, np.ones((1, 1)), np.zeros(1), hyper, gen, sigma_tilde=1.0)[0]
+            draw_gammas(t, np.zeros(1), hyper, gen, sigma_tilde=1.0)[0]
             for _ in range(30000)
         ]
     )
@@ -451,6 +450,7 @@ def test_draw_gammas_flat_prior_limit():
     d = _line_data(np.arange(30.0))
     t = SampledTree(grown_tree((0, 0, 14.5)), np.zeros(1))
     assert t.refresh(d, 1)
+    t.G = V.T @ V  # the draw reads the tree's Gram matrix
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=1e6)
     # with a flat prior, the first draw of a sweep concentrates near the
     # per-column least-squares value conditioned on the frozen other weight
@@ -460,7 +460,7 @@ def test_draw_gammas_flat_prior_limit():
     gen = np.random.default_rng(2)
     for _ in range(2000):
         t.set_gammas([0.0, 0.0])
-        sub.append(draw_gammas(t, V.T @ V, V.T @ R, hyper, gen, sigma_tilde=0.01)[0])
+        sub.append(draw_gammas(t, V.T @ R, hyper, gen, sigma_tilde=0.01)[0])
     assert np.mean(sub) == pytest.approx(B / A, abs=0.01)
 
 
@@ -473,16 +473,17 @@ def test_draw_gammas_conditions_on_fresh_draws():
     d = _line_data(np.arange(20.0))
     t = SampledTree(grown_tree((0, 0, 9.5), (2, 0, 14.5)), np.zeros(1))
     assert t.refresh(d, 1)
-    assert t.k == 3
+    assert len(t.leaves) == 3
     sg, st = 0.5, 0.4
     hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=sg)
     G, b = V.T @ V, V.T @ R
+    t.G = G  # the draw reads the tree's Gram matrix
     gen = np.random.default_rng(7)
     n = 20000
     z = np.empty(n)
     for i in range(n):
         t.set_gammas([3.0, -3.0, 0.0])
-        g = draw_gammas(t, G, b, hyper, gen, st)
+        g = draw_gammas(t, b, hyper, gen, st)
         denom = st**2 + sg**2 * G[2, 2]
         mean = sg**2 * (b[2] - G[2, 0] * g[0] - G[2, 1] * g[1]) / denom
         z[i] = (g[2] - mean) / math.sqrt(st**2 * sg**2 / denom)
@@ -729,7 +730,7 @@ def test_move_kind_draw_matches_generator_choice(move_probs):
     t = _refreshed(FlatTree.leaf(), d)
     gen, ref = np.random.default_rng(21), np.random.default_rng(21)
     for _ in range(300):
-        _, _, kind = propose_tree(t, gen, move_probs, d, StoppingRule(0.1))
+        _, _, kind = propose_tree(t, gen, move_probs, StoppingRule(0.1))
         assert kind == MOVES[ref.choice(4, p=move_probs)]
         if kind == "grow":  # then the leaf, the coordinate and one of 11 cuts are drawn
             ref.integers(1), ref.integers(1), ref.integers(11)

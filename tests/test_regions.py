@@ -6,7 +6,7 @@ from prtree.regions import Region
 
 def test_root_region_covers_everything():
     r = Region.root(3)
-    assert r.p == 3
+    assert r.lower.shape == r.upper.shape == (3,)
     assert np.all(np.isinf(r.lower)) and np.all(np.isinf(r.upper))
     X = np.array([[0.0, 1e10, -1e10]])
     assert r.contains(X).tolist() == [True]

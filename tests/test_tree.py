@@ -18,6 +18,7 @@ from prtree.tree import (
     StoppingRule,
     _Node,
     _partition_block,
+    _repeated_rows,
     candidate_variables,
     cut_points,
     fit_prtree,
@@ -113,10 +114,10 @@ def test_candidate_variables_ranks_by_reduction():
     y = 5.0 * np.sign(X[:, 2]) + 0.01 * rng.normal(size=60)
     d = Dataset(X, y, tuple("abcd"))
     rows = np.arange(60)
-    vars3 = candidate_variables(d, rows, 3, None, order_block(d, rows))
+    vars3 = candidate_variables(d, 3, None, order_block(d, rows))
     assert len(vars3) == 3
     assert vars3[0] == 2
-    ranked = candidate_variables(d, rows, 10, None, order_block(d, rows))
+    ranked = candidate_variables(d, 10, None, order_block(d, rows))
     assert ranked == sorted(ranked) or len(ranked) == 4
 
 
@@ -124,7 +125,7 @@ def test_candidate_variables_constant_feature_dropped():
     X = np.column_stack([np.ones(10), np.arange(10.0)])
     d = Dataset(X, np.arange(10.0), ("a", "b"))
     rows = np.arange(10)
-    assert candidate_variables(d, rows, 3, None, order_block(d, rows)) == [1]
+    assert candidate_variables(d, 3, None, order_block(d, rows)) == [1]
 
 
 def _ranking_oracle(d, rows, k, features=None):
@@ -160,33 +161,39 @@ def test_candidate_variables_matches_per_coordinate_oracle():
         for k in (1, 3, p + 2):
             for subset in (None, features, features[::-1]):
                 block = order_block(d, rows, subset)
-                assert candidate_variables(d, rows, k, subset, block) == _ranking_oracle(
+                assert candidate_variables(d, k, subset, block) == _ranking_oracle(
                     d, rows, k, subset)
         if p > 2 and X[rows, 0].min() < X[rows, 0].max():
-            ranked = candidate_variables(d, rows, p, [p - 1, 0], order_block(d, rows, [p - 1, 0]))
+            ranked = candidate_variables(d, p, [p - 1, 0], order_block(d, rows, [p - 1, 0]))
             assert ranked == [0, p - 1]
 
 
 def test_partitioned_blocks_equal_fresh_sorts():
-    # bootstrap rows repeat, and rounded values tie: a child's inherited order
-    # must still be the stable argsort of its own rows
+    # bootstrap rows repeat, and rounded values tie: a child's inherited block
+    # must still be its own row ids sorted stably by each column, as must the
+    # renumbered block of a weighted fit's distinct rows and its children
     rng = np.random.default_rng(15)
     for _ in range(10):
         n, p = int(rng.integers(20, 120)), int(rng.integers(2, 6))
         base = random_dataset(rng, n, p)
-        X = np.round(base.features, 1)[rng.integers(n, size=n)]
+        d = Dataset(np.round(base.features, 1), base.target, base.feature_names)
+        d = d.subset(rng.integers(n, size=n))
         cols = sorted(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
-        leaves = [(np.arange(n), np.argsort(X[:, cols], axis=0, kind="stable"))]
+        block = np.argsort(d.features[:, cols], axis=0, kind="stable")
+        first, _, distinct = _repeated_rows(d, block, cols[0])
+        leaves = [(d.features, np.arange(n), block),
+                  (d.features[first], np.arange(np.count_nonzero(first)), distinct)]
         while leaves:
-            rows, block = leaves.pop()
-            assert np.array_equal(block, np.argsort(X[rows][:, cols], axis=0, kind="stable"))
+            X, rows, block = leaves.pop()
+            assert np.array_equal(block,
+                                  rows[np.argsort(X[rows][:, cols], axis=0, kind="stable")])
             j = int(rng.integers(p))
             values = np.unique(X[rows, j])
             if values.size < 2:
                 continue
-            go_left = X[rows, j] <= rng.choice(values[:-1])
+            go_left = X[:, j] <= rng.choice(values[:-1])
             left, right = _partition_block(block, go_left)
-            leaves += [(rows[go_left], left), (rows[~go_left], right)]
+            leaves += [(X, rows[go_left[rows]], left), (X, rows[~go_left[rows]], right)]
 
 
 def _three_leaves(d):
@@ -245,7 +252,7 @@ def test_find_best_split_matches_brute_force(sigma_scale):
         sigma = sigma_scale * d.features.std(axis=0, ddof=1)
         V = build_membership(d, regions, sigma)
         vars = list(range(d.p))
-        got = search_leaf(d, V, regions[k], d.target, vars, sigma, rule)
+        got = search_leaf(d, V, regions[k], vars, sigma, rule)
         want = brute_force_split(d, V, regions[k], d.target, k, vars, sigma, rule)
         if want is None:
             assert got is None
@@ -261,7 +268,7 @@ def test_find_best_split_exact_tie_goes_to_smaller_cut():
     d = Dataset(X, np.array([0.0, 5, 5, 5, 5, 10]), ("a",))
     rule = StoppingRule(min_leaf_fraction=0.1)
     V = build_membership(d, [Region.root(1)], np.zeros(1))
-    assert search_leaf(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) == (
+    assert search_leaf(d, V, Region.root(1), [0], np.zeros(1), rule) == (
         0, 0.5, 20.0)
 
 
@@ -270,7 +277,7 @@ def test_find_best_split_none_when_no_admissible_cut():
     d = Dataset(X, np.array([1.0, 2.0, 3.0]), ("a",))
     V = build_membership(d, [Region.root(1)], np.zeros(1))
     rule = StoppingRule()
-    assert search_leaf(d, V, Region.root(1), d.target, [0], np.zeros(1), rule) is None
+    assert search_leaf(d, V, Region.root(1), [0], np.zeros(1), rule) is None
 
 
 def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
@@ -283,22 +290,20 @@ def test_soft_split_search_exact_ties_go_to_smaller_j_then_s():
     root = Region.root(3)
     V = build_membership(d, [root], sigma)
     rule = StoppingRule()
-    j, s, sse = search_leaf(d, V, root, d.target, [1, 0], sigma, rule)
+    j, s, sse = search_leaf(d, V, root, [1, 0], sigma, rule)
     assert j == 0
-    assert search_leaf(d, V, root, d.target, [1], sigma, rule) == (1, s, sse)
+    assert search_leaf(d, V, root, [1], sigma, rule) == (1, s, sse)
     # a zero target makes every candidate's SSE exactly 0: the smallest
     # admissible cut of coordinate 0 wins
     zero = Dataset(X, np.zeros(40), ("a", "b", "c"))
     first = np.sort(X[:, 0])[rule.min_count(40) - 1 : rule.min_count(40) + 1].mean()
-    assert search_leaf(zero, V, root, zero.target, [2, 1, 0], sigma, rule) == (
+    assert search_leaf(zero, V, root, [2, 1, 0], sigma, rule) == (
         0, first, 0.0)
 
 
-def _regrow_without_cache(d, sigma, rule, features=None, target=None):
+def _regrow_without_cache(d, sigma, rule, features=None):
     """fit_prtree's greedy growth, but with every leaf's candidates, cuts,
     membership columns and basis computed afresh in every round."""
-    if target is not None:
-        d = Dataset(d.features, target, d.feature_names)
     y, n = d.target, d.n
     nodes, leaves, regions = FlatTree.leaf(), [(0, np.arange(n), 0)], (Region.root(d.p),)
     V = np.ones((n, 1))
@@ -311,10 +316,10 @@ def _regrow_without_cache(d, sigma, rule, features=None, target=None):
             if rows.size < 2 * min_count or (rule.max_depth is not None
                                              and depth >= rule.max_depth):
                 continue
-            vars = candidate_variables(d, rows, 3, features, order_block(d, rows, features))
+            vars = candidate_variables(d, 3, features, order_block(d, rows, features))
             if not vars:
                 continue
-            found = search_leaf(d, V, regions[idx], y, vars, sigma, rule, rows)
+            found = search_leaf(d, V, regions[idx], vars, sigma, rule, rows)
             if found is not None:
                 options.append((found[2], idx, found[0], found[1]))
         if not options:
@@ -350,10 +355,11 @@ def test_cached_leaf_candidates_grow_the_uncached_tree(kind):
     # another order
     boot = d.subset(rng.integers(d.n, size=d.n))
     for data in (d, boot):
-        residual = data.target - np.sin(data.features[:, 1])
-        for features, target in ((None, None), ([0, 2, 3], None), (None, residual)):
-            want = _regrow_without_cache(data, sigma, rule, features, target)
-            got = fit_prtree(data, sigma, rule, features=features, target=target)
+        residual = Dataset(data.features, data.target - np.sin(data.features[:, 1]),
+                           data.feature_names)
+        for fitted, features in ((data, None), (data, [0, 2, 3]), (residual, None)):
+            want = _regrow_without_cache(fitted, sigma, rule, features)
+            got = fit_prtree(fitted, sigma, rule, features=features)
             assert want.leaf_count >= 8
             if data is d:
                 assert got.to_json() == want.to_json()
@@ -513,7 +519,7 @@ def test_hard_split_where_the_midpoint_is_not_below_the_upper_value(x, y):
     d = Dataset(X, target, ("a",))
     rule = StoppingRule(min_leaf_fraction=0.25)
     V = build_membership(d, [Region.root(1)], np.zeros(1))
-    _, s, sse = search_leaf(d, V, Region.root(1), target, [0], np.zeros(1), rule)
+    _, s, sse = search_leaf(d, V, Region.root(1), [0], np.zeros(1), rule)
     # the reported SSE is that of the partition x <= s makes
     assert sse == sum(float(((part - part.mean()) ** 2).sum())
                       for part in (target[X[:, 0] <= s], target[X[:, 0] > s]))
@@ -560,18 +566,22 @@ def test_hard_tree_equals_cart_oracle_with_ties():
 
 
 def test_target_override_matches_dataset_target():
-    # y is driven by x0 and the residual by x4: the candidate variables must
-    # be ranked by the target being fitted, not by d.target
+    # y is driven by x0 and the first stage's residual by x4: a boosting
+    # stage must rank the candidate variables by the residual it fits, not
+    # by d.target
     rng = np.random.default_rng(300)
     X = rng.uniform(size=(300, 6))
     names = tuple(f"x{j}" for j in range(6))
-    y = 10.0 * X[:, 0] + 0.1 * rng.normal(size=300)
     r = np.sin(6.0 * X[:, 4]) + 0.1 * rng.normal(size=300)
-    got = fit_prtree(Dataset(X, y, names), np.zeros(6), target=r)
-    want = fit_prtree(Dataset(X, r, names), np.zeros(6))
+    y = 10.0 * (X[:, 0] > 0.5) + r
+    first = fit_prtree(Dataset(X, y, names), np.zeros(6), StoppingRule(max_leaves=2))
+    got = fit_prgbt(Dataset(X, y, names), 2, np.zeros(6), StoppingRule(max_leaves=2)).trees[1]
+    want = fit_prtree(Dataset(X, y - first.predict(X), names), np.zeros(6),
+                      StoppingRule(max_leaves=2))
     assert got.to_json() == want.to_json()
+    assert got.to_dict()["feature"][0] == 4
     with pytest.raises(ValueError):
-        fit_prtree(Dataset(X, y, names), np.zeros(6), target=np.full(300, np.nan))
+        Dataset(X, np.full(300, np.nan), names)
 
 
 def test_constant_target_stays_single_leaf():
@@ -650,9 +660,9 @@ def test_split_search_with_given_rows_equals_region_rows():
     for sigma in (np.zeros(3), np.array([0.3, 0.0, 0.2])):
         V = build_membership(d, regions, sigma)
         for region, rows in zip(regions, carried):
-            want = search_leaf(d, V, region, d.target, [0, 1, 2], sigma, rule)
+            want = search_leaf(d, V, region, [0, 1, 2], sigma, rule)
             assert want is not None
-            assert search_leaf(d, V, region, d.target, [0, 1, 2], sigma, rule, rows) == want
+            assert search_leaf(d, V, region, [0, 1, 2], sigma, rule, rows) == want
 
 
 def test_json_roundtrip_bit_identical(small_data):
