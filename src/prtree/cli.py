@@ -100,7 +100,21 @@ def _merge_config(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value
+    wrong = [f"{key!r} may not be null" for key, value in DEFAULTS.items()
+             if value is not None and cfg[key] is None]
+    wrong += [f"{key!r} must be text" for key in ("data", "model_file", "out")
+              if cfg.get(key) is not None and not isinstance(cfg[key], str)]
+    if wrong:
+        raise ConfigError(f"config key {', '.join(wrong)}")
     return cfg
+
+
+def _value(cfg, key: str, kind):
+    """kind(cfg[key]); a ConfigError naming the key if kind rejects the value."""
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: cannot read {cfg[key]!r}: {exc}") from None
 
 
 def _load_dataset(cfg) -> Dataset:
@@ -112,12 +126,12 @@ def _load_dataset(cfg) -> Dataset:
 def _given(cfg, kind, **keys) -> dict:
     """{arg: kind(cfg[key])} of each arg=key that the config sets; the other
     arguments keep the library's defaults."""
-    return {arg: kind(cfg[key]) for arg, key in keys.items() if cfg[key] is not None}
+    return {arg: _value(cfg, key, kind) for arg, key in keys.items() if cfg[key] is not None}
 
 
 def _spec(cfg) -> LearnerSpec:
     model = cfg["model"]
-    n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else int(cfg["trees"])
+    n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else _value(cfg, "trees", int)
     hyper = None
     if model == "pbart":
         hyper = PBartHyper(m=n_trees, **_given(cfg, float, alpha="alpha", beta="beta", nu="nu"),
@@ -137,7 +151,7 @@ def _cmd_fit(cfg) -> int:
     internal 65/15-style holdout when no explicit --sigma is given."""
     d = _load_dataset(cfg)
     spec = _spec(cfg)
-    rng = RngSpec(int(cfg["seed"]))
+    rng = RngSpec(_value(cfg, "seed", int))
     if cfg["sigma"] is not None:
         sigma = _parse_sigma(cfg["sigma"], d.p)
     else:
@@ -203,7 +217,7 @@ def _cmd_cv(cfg) -> int:
     if cfg["sigma"] is not None:
         spec.sigma = _parse_sigma(cfg["sigma"], d.p)
     plan = make_cv_plan(d, **_given(cfg, int, n_folds="folds"))
-    result = cross_validate(d, spec, plan, RngSpec(int(cfg["seed"])))
+    result = cross_validate(d, spec, plan, RngSpec(_value(cfg, "seed", int)))
     name = Path(cfg["data"]).stem
     rows = [
         (name, cfg["model"], i, rmse) for i, rmse in enumerate(result.fold_rmse)
@@ -223,12 +237,12 @@ def _cmd_biasvar(cfg) -> int:
     key, default = ("max_leaves", [2, 4, 8, 16]) if model == "tree" else ("trees", [1, 10, 50])
     knobs = _parse_int_list(cfg[key]) if cfg[key] is not None else default
     sigma = _parse_sigma(cfg["sigma"], d.p) if cfg["sigma"] is not None else None
-    rng = RngSpec(int(cfg["seed"]))
+    rng = RngSpec(_value(cfg, "seed", int))
     rows = []
     for knob in knobs:
         spec = _spec({**cfg, key: knob})
         spec.sigma = sigma
-        report = bias_variance(d, spec, int(cfg["trials"]), rng)
+        report = bias_variance(d, spec, _value(cfg, "trials", int), rng)
         log.info(
             "%s knob=%d bias_sq=%.6g variance=%.6g mse=%.6g",
             model, knob, report.bias_sq, report.variance, report.mse,

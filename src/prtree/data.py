@@ -137,13 +137,10 @@ def read_csv(path, target_column: str | None = None) -> tuple[list[str], np.ndar
     return header, np.array(rows, dtype=float)
 
 
-def load_csv(path, target_column: str | None) -> Dataset | np.ndarray:
+def load_csv(path, target_column: str) -> Dataset:
     """Read a headed, comma-separated numeric file (see read_csv) into a
-    Dataset, or, with target_column None, into a feature matrix of every
-    column."""
+    Dataset of target_column and the other columns as features."""
     header, table = read_csv(path, target_column)
-    if target_column is None:
-        return table
     tgt = header.index(target_column)
     feature_names = [h for i, h in enumerate(header) if i != tgt]
     return Dataset(np.delete(table, tgt, axis=1), table[:, tgt], feature_names)

@@ -8,10 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, RngSpec
-from .tree import (PRTree, StoppingRule, checked, fit_prtree, model_json, model_value,
-                   read_model_json)
+from .tree import (PRTree, StoppingRule, _feature_names, checked, fit_prtree, model_json,
+                   model_value, read_model_json)
 
 log = logging.getLogger(__name__)
+
+
+def _read_trees(obj) -> list[PRTree]:
+    """The trees of a forest or boosted model file: at least one, all over
+    the same p features, of which the file names none or all."""
+    trees = model_value(obj, "trees", checked(
+        lambda ts: [PRTree.from_dict(t, obj["feature_names"]) for t in ts],
+        lambda ts: len({t.p for t in ts}) == 1, "at least one tree, all over the same features"))
+    _feature_names(obj, trees[0].p)
+    return trees
 
 
 @dataclass
@@ -47,13 +57,11 @@ class Forest:
     @classmethod
     def from_json(cls, text: str) -> "Forest":
         obj = read_model_json(text, "forest")
-        names = obj["feature_names"]
         return cls(
-            trees=model_value(obj, "trees", checked(
-                lambda ts: [PRTree.from_dict(t, names) for t in ts], len, "at least one tree")),
+            trees=_read_trees(obj),
             bootstrap=model_value(obj, "bootstrap", bool),
             feature_subsets=model_value(obj, "feature_subsets", lambda v: [tuple(fs) for fs in v]),
-            feature_names=names,
+            feature_names=obj["feature_names"],
         )
 
 
@@ -89,13 +97,11 @@ class BoostedEnsemble:
     @classmethod
     def from_json(cls, text: str) -> "BoostedEnsemble":
         obj = read_model_json(text, "gbt")
-        names = obj["feature_names"]
         return cls(
-            trees=model_value(obj, "trees", checked(
-                lambda ts: [PRTree.from_dict(t, names) for t in ts], len, "at least one tree")),
+            trees=_read_trees(obj),
             shrinkage=model_value(obj, "shrinkage",
                                   checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")),
-            feature_names=names,
+            feature_names=obj["feature_names"],
         )
 
 

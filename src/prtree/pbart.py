@@ -17,12 +17,13 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import membership_column, membership_columns  # noqa: F401
-from .tree import (FlatTree, StoppingRule, _Node, _read_only, checked, model_json, model_value,
-                   read_model_json, scales)
+from .tree import (FlatTree, StoppingRule, _feature_names, _Node, _read_only, checked,
+                   model_json, model_value, read_model_json, scales)
 
 log = logging.getLogger(__name__)
 
 GROW, PRUNE, CHANGE, SWAP = "grow", "prune", "change", "swap"
+MOVES = (GROW, PRUNE, CHANGE, SWAP)
 
 
 def check_rule(rule: StoppingRule):
@@ -35,7 +36,6 @@ def check_rule(rule: StoppingRule):
 def _log(x: float) -> float:
     """log with log(0) = -inf, so zero-probability reverse moves reject."""
     return math.log(x) if x > 0.0 else -np.inf
-MOVES = (GROW, PRUNE, CHANGE, SWAP)
 
 
 @dataclass
@@ -72,8 +72,10 @@ class PBartHyper:
                 raise ValueError(f"{name} must be finite and {'>=' if zero_ok else '>'} 0")
         if self.it_burn >= self.it_max:
             raise ValueError("it_burn must be < it_max")
-        if abs(sum(self.move_probs) - 1.0) > 1e-9 or min(self.move_probs) < 0.0:
-            raise ValueError("move_probs must be non-negative and sum to 1")
+        mp = self.move_probs
+        if not (len(mp) == len(MOVES) and all(v >= 0.0 for v in mp) and abs(sum(mp) - 1.0) <= 1e-9):
+            raise ValueError(f"move_probs must be {len(MOVES)} non-negative numbers summing to 1, "
+                             f"one per move of {MOVES}")
 
     def calibrated(self, y_norm: np.ndarray) -> "PBartHyper":
         lam = self.lam
@@ -202,20 +204,13 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
 def marginal_log_likelihood(G, b, RR: float, n: int, sigma_gamma: float,
                             sigma_tilde: float) -> float:
     """Log density of n residuals R with leaf weights integrated out:
-    N(0, sigma_tilde^2 I + sigma_gamma^2 V V^T) for the n x K membership
-    array V, evaluated from G = V^T V, b = V^T R and RR = R^T R alone (see
-    `_sigma0_terms`)."""
-    logdet, quad = _sigma0_terms(G, b, RR, n, sigma_gamma, sigma_tilde)
-    return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
-
-
-def _sigma0_terms(G, b, RR: float, n: int, sigma_gamma: float, sigma_tilde: float):
-    """(log det Sigma0, R^T Sigma0^{-1} R) for Sigma0 = st2 I + sg2 V V^T.
-
-    From G = V^T V, b = V^T R and RR = R^T R: with r = sg2 / st2 and the
-    Cholesky factor I + r G = L L^T, taken on Python floats (K is small),
-    log det Sigma0 = n log st2 + 2 sum log L_ii (the determinant lemma) and
-    R^T Sigma0^{-1} R = (RR - r |L^{-1} b|^2) / st2 (Woodbury)."""
+    N(0, Sigma0), Sigma0 = st2 I + sg2 V V^T for the n x K membership array
+    V, evaluated from G = V^T V, b = V^T R and RR = R^T R alone. With
+    r = sg2 / st2 and the Cholesky factor I + r G = L L^T, taken on Python
+    floats (K is small), log det Sigma0 = n log st2 + 2 sum log L_ii (the
+    determinant lemma) and R^T Sigma0^{-1} R = (RR - r |L^{-1} b|^2) / st2
+    (Woodbury); at b = 0 and RR = 0 the density is -(n log 2 pi + log det
+    Sigma0) / 2."""
     if sigma_tilde <= 0.0:
         raise ValueError("sigma_tilde must be positive")
     if np.shape(G) != (len(b), len(b)):
@@ -232,85 +227,68 @@ def _sigma0_terms(G, b, RR: float, n: int, sigma_gamma: float, sigma_tilde: floa
         Li.append(math.sqrt(pivot))
         L.append(Li)
         z.append((bi - sum(map(mul, Li, z))) / Li[-1])
-    return logdet, (RR - r * sum(map(mul, z, z))) / st2
+    quad = (RR - r * sum(map(mul, z, z))) / st2
+    return float(-0.5 * n * math.log(2.0 * math.pi) - 0.5 * logdet - 0.5 * quad)
+
+
+def _grow_log_q(move_probs, t: SampledTree, star: SampledTree, i: int) -> float:
+    """log q(prune back) - log q(grow) of the grow of t's leaf i into star's
+    split node i: a leaf, then a coordinate and a cut, drawn uniformly. A
+    prune's ratio is the negation of that of the grow undoing it; in IEEE
+    arithmetic x - y = -(y - x) exactly."""
+    log_fwd = (_log(move_probs[0]) - math.log(len(t.leaves))
+               - math.log(len(star.at[i].admissible(t.data))) - math.log(star.n_cuts(i)))
+    return _log(move_probs[1]) - math.log(len(star.prunable())) - log_fwd
 
 
 def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: StoppingRule):
     """Draw one local topology move of t on the dataset it was refreshed on.
-    Returns (candidate, log q-ratio, kind); an impossible or invalid proposal
-    carries log q-ratio = -inf and a None candidate."""
+
+    The edit is drawn first: grow and change draw a node (a leaf within
+    `rule.max_depth`, or an internal node), one of its admissible coordinates
+    and one of that coordinate's cuts; prune draws a node whose children are
+    leaves and swap a parent/child pair of internal nodes. Only then is t
+    copied, and the copy takes the edit and one refresh. Returns (candidate,
+    log q-ratio, kind); a move with no edit to draw, or whose edited copy is
+    invalid, carries log q-ratio = -inf and a None candidate."""
     d = t.data
-    min_count = rule.min_count(d.n)
     # the draw of rng.choice(4, p=move_probs), without its per-call array checks
     cdf = list(accumulate(move_probs))
     kind = MOVES[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
-    invalid = (None, -np.inf, kind)
-
-    if kind == GROW:
-        i = int(rng.integers(len(t.leaves)))
-        if rule.max_depth is not None and t.at[t.leaves[i]].depth >= rule.max_depth:
-            return invalid
-        adm = t.at[t.leaves[i]].admissible(d)
-        if not adm:
-            return invalid
-        j = adm[int(rng.integers(len(adm)))]
-        cuts = t.at[t.leaves[i]].cuts_on(d, j)
-        s = float(cuts[int(rng.integers(cuts.size))])
+    pool = t.prunable() if kind == PRUNE else {GROW: t.leaves, CHANGE: t.internals,
+                                               SWAP: t.pairs}[kind]
+    pick = pool[int(rng.integers(len(pool)))] if pool else None
+    edit = pick if kind == PRUNE or kind == SWAP else None
+    if pick is not None and edit is None:  # grow and change go on to a coordinate and a cut
+        at = t.at[pick]
+        deep = kind == GROW and rule.max_depth is not None and at.depth >= rule.max_depth
+        adm = [] if deep else at.admissible(d)
+        if adm:
+            j = adm[int(rng.integers(len(adm)))]
+            cuts = at.cuts_on(d, j)
+            edit = pick, j, float(cuts[int(rng.integers(cuts.size))])
+    if edit is not None:
         star = t.copy()
-        star.nodes.grow(t.leaves[i], j, s)
-        if not star.refresh(d, min_count):
-            return invalid
-        log_fwd = (
-            _log(move_probs[0]) - math.log(len(t.leaves))
-            - math.log(len(adm)) - math.log(cuts.size)
-        )
-        log_rev = _log(move_probs[1]) - math.log(len(star.prunable()))
-        return star, log_rev - log_fwd, kind
-
-    if kind == PRUNE:
-        prunable = t.prunable()
-        if not prunable:
-            return invalid
-        node = prunable[int(rng.integers(len(prunable)))]
-        star = t.copy()
-        star.nodes.prune(node)
-        if not star.refresh(d, min_count):
-            return invalid
-        log_fwd = _log(move_probs[1]) - math.log(len(prunable))
-        log_rev = (
-            _log(move_probs[0]) - math.log(len(star.leaves))
-            - math.log(len(t.at[node].admissible(d))) - math.log(t.n_cuts(node))
-        )
-        return star, log_rev - log_fwd, kind
-
-    if kind == CHANGE:
-        if not t.internals:
-            return invalid
-        node = t.internals[int(rng.integers(len(t.internals)))]
-        adm = t.at[node].admissible(d)
-        if not adm:
-            return invalid
-        j_new = adm[int(rng.integers(len(adm)))]
-        cuts_new = t.at[node].cuts_on(d, j_new)
-        s_new = float(cuts_new[int(rng.integers(cuts_new.size))])
-        star = t.copy()
-        star.nodes.feature[node], star.nodes.threshold[node] = j_new, s_new
-        if not star.refresh(d, min_count):
-            return invalid
-        return star, math.log(cuts_new.size) - math.log(t.n_cuts(node)), kind
-
-    # SWAP: exchange the split rules of a parent/child internal pair
-    if not t.pairs:
-        return invalid
-    pick = int(rng.integers(len(t.pairs)))
-    parent, child = t.pairs[pick]
-    star = t.copy()
-    f, s = star.nodes.feature, star.nodes.threshold
-    f[parent], f[child] = f[child], f[parent]
-    s[parent], s[child] = s[child], s[parent]
-    if not star.refresh(d, min_count):
-        return invalid
-    return star, 0.0, kind
+        f, s = star.nodes.feature, star.nodes.threshold
+        if kind == GROW:
+            star.nodes.grow(*edit)
+        elif kind == PRUNE:
+            star.nodes.prune(edit)
+        elif kind == CHANGE:
+            f[edit[0]], s[edit[0]] = edit[1:]
+        else:
+            a, b = edit
+            f[a], f[b], s[a], s[b] = f[b], f[a], s[b], s[a]
+        if star.refresh(d, rule.min_count(d.n)):
+            if kind == GROW:
+                log_q = _grow_log_q(move_probs, t, star, edit[0])
+            elif kind == PRUNE:
+                log_q = -_grow_log_q(move_probs, star, t, edit)
+            else:  # swap's is 0; change's counts the cuts of the new and the old coordinate
+                i = edit[0]
+                log_q = 0.0 if kind == SWAP else math.log(star.n_cuts(i)) - math.log(t.n_cuts(i))
+            return star, log_q, kind
+    return None, -np.inf, kind
 
 
 def mh_accept(t: SampledTree, t_star: SampledTree | None, R, hyper: PBartHyper,
@@ -357,20 +335,13 @@ def draw_gammas(t: SampledTree, b, hyper: PBartHyper, rng: np.random.Generator,
 
 def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -> float:
     """Posterior draw of the noise scale: sigma^2 ~ IG((nu+n)/2,
-    (nu lam + SSE)/2); with no data this falls back to the prior."""
+    (nu lam + SSE)/2); with no rows, (nu/2, nu lam/2) is the prior."""
     y = np.asarray(y, dtype=float)
     fit = np.asarray(full_fit, dtype=float)
     if y.shape != fit.shape:
         raise ValueError("y and full_fit must have the same length")
-    n = y.size
-    if n == 0:
-        shape, scale = hyper.nu / 2.0, hyper.nu * hyper.lam / 2.0
-    else:
-        sse = float(np.sum((y - fit) ** 2))
-        shape = (hyper.nu + n) / 2.0
-        scale = (hyper.nu * hyper.lam + sse) / 2.0
-    var = scale / rng.gamma(shape)
-    return math.sqrt(var)
+    sse = float(np.sum((y - fit) ** 2))
+    return math.sqrt((hyper.nu * hyper.lam + sse) / 2.0 / rng.gamma((hyper.nu + y.size) / 2.0))
 
 
 @dataclass
@@ -446,19 +417,21 @@ class PBartChain:
     def from_json(cls, text: str) -> "PBartChain":
         obj = read_model_json(text, "pbart")
         sigma = model_value(obj, "sigma", scales)
+        hyper = model_value(obj, "hyper", lambda h: PBartHyper(
+            **{**h, "move_probs": tuple(h["move_probs"])}))
         return cls(
             trees=model_value(obj, "snapshots", checked(lambda snaps: [
                 [FlatTree.from_dict(t, sigma.size) for t in snap] for snap in snaps],
-                lambda snaps: snaps and all(snaps), "snapshots of at least one tree")),
+                lambda snaps: snaps and all(len(snap) == hyper.m for snap in snaps),
+                f"snapshots of hyper.m = {hyper.m} trees each")),
             sigma_trace=model_value(obj, "sigma_trace", scales),
             acceptance_log=model_value(obj, "acceptance_log", dict),
             sigma=sigma,
             y_offset=model_value(obj, "y_offset", checked(float, math.isfinite, "a finite number")),
             y_scale=model_value(obj, "y_scale", checked(
                 float, lambda v: 0.0 < v < math.inf, "a finite positive number")),
-            hyper=model_value(obj, "hyper", lambda h: PBartHyper(
-                **{**h, "move_probs": tuple(h["move_probs"])})),
-            feature_names=obj["feature_names"],
+            hyper=hyper,
+            feature_names=_feature_names(obj, sigma.size),
         )
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field, fields
 from operator import index
 from typing import NamedTuple
@@ -76,9 +77,15 @@ def checked(kind, ok, what: str):
     def parse(v):
         v = kind(v)
         if not ok(v):
-            raise ValueError(f"expected {what}, got {v!r}")
+            raise ValueError(f"expected {what}, got {reprlib.repr(v)}")
         return v
     return parse
+
+
+def _feature_names(obj, p: int) -> tuple[str, ...]:
+    """The feature names of a model file over p features: none, or one per feature."""
+    return model_value(obj, "feature_names", checked(
+        tuple, lambda names: len(names) in (0, p), f"no names or {p} names"))
 
 
 @dataclass
@@ -534,7 +541,9 @@ class PRTree:
     @classmethod
     def from_json(cls, text: str) -> "PRTree":
         obj = read_model_json(text, "tree")
-        return cls.from_dict(obj, obj["feature_names"])
+        tree = cls.from_dict(obj, obj["feature_names"])
+        _feature_names(obj, tree.p)
+        return tree
 
 
 def _repeated_rows(d: Dataset, block: np.ndarray, j: int):

@@ -33,7 +33,6 @@ from prtree.kernel import build_membership, membership_columns
 from prtree.pbart import (
     PBartHyper,
     SampledTree,
-    _sigma0_terms,
     draw_gammas,
     draw_sigma_tilde,
     marginal_log_likelihood,
@@ -173,7 +172,9 @@ def test_criterion_4_recursion_vs_dense():
         st = float(rng.uniform(0.05, 3.0))
         ll = marginal_log_likelihood(V.T @ V, V.T @ R, R @ R, n, sg, st)
         ll_ref = dense_log_density(R, V, sg, st)
-        ld = _sigma0_terms(V.T @ V, np.zeros(K), 0.0, n, sg, st)[0]
+        # at b = 0 and RR = 0 the log density is -(n log 2 pi + log det Sigma0) / 2
+        ld = -2.0 * marginal_log_likelihood(V.T @ V, np.zeros(K), 0.0, n, sg, st) \
+            - n * math.log(2.0 * math.pi)
         ld_ref = dense_log_det(V, sg, st)
         worst_ll = max(worst_ll, abs(ll - ll_ref) / max(1.0, abs(ll_ref)))
         worst_det = max(worst_det, abs(ld - ld_ref) / max(1.0, abs(ld_ref)))

@@ -175,6 +175,31 @@ def test_validation_errors_exit_1(tmp_path, data_csv):
                  "--config", str(bad_cfg)]) == 1
 
 
+@pytest.mark.parametrize("command,config,fragment", [
+    ("fit", {"target": None}, "config key 'target' may not be null"),
+    ("cv", {"target": None}, "config key 'target' may not be null"),
+    ("fit", {"seed": None}, "config key 'seed' may not be null"),
+    ("biasvar", {"trials": None}, "config key 'trials' may not be null"),
+    ("biasvar", {"trials": "many"}, "config key 'trials'"),
+    ("fit", {"trees": [1]}, "config key 'trees'"),
+    ("fit", {"seed": "one"}, "config key 'seed'"),
+    ("fit", {"model": "pbart", "alpha": [0.9]}, "config key 'alpha'"),
+    ("fit", {"out": 7}, "config key 'out' must be text"),
+    ("cv", {"data": 1}, "config key 'data' must be text"),
+], ids=["fit null target", "cv null target", "null seed", "null trials", "text trials",
+        "list trees", "text seed", "list alpha", "numeric out", "numeric data"])
+def test_config_values_of_the_wrong_type_exit_1(tmp_path, data_csv, capsys, command, config,
+                                                fragment):
+    # each crashed with a traceback: in load_csv's matrix mode, in int() or,
+    # after the fit, in Path(7)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "out": str(tmp_path / "out.csv"),
+                               **config}))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--sigma", "0"]) == 1
+    assert f"error: {fragment}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["tree", "pbart"])
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0.1,-inf"])
 def test_non_finite_sigma_exits_1(tmp_path, data_csv, capsys, model, sigma):
@@ -508,6 +533,23 @@ BAD_KEYS = {
     "pbart with a zero y_scale": ("pbart", _set("y_scale", 0.0), "y_scale"),
     "pbart without snapshots": ("pbart", _set("snapshots", []), "snapshots"),
     "pbart with an empty snapshot": ("pbart", _set("snapshots", [[]]), "snapshots"),
+    # files that contradict themselves, which would load and predict wrong
+    # numbers or fail only when they predict
+    "pbart with fewer trees than hyper.m": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("m", 2), "snapshots"),
+    "pbart with more trees than hyper.m": (
+        "pbart", lambda obj: obj["snapshots"][0].append(dict(STUMP)), "snapshots"),
+    "pbart with three move_probs": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("move_probs", [0.4, 0.3, 0.3]), "hyper"),
+    "tree with three names over two features": (
+        "tree", _set("feature_names", ["a", "b", "c"]), "feature_names"),
+    "forest with one name over two features": ("forest", _set("feature_names", ["a"]),
+                                               "feature_names"),
+    "pbart with three names over two features": (
+        "pbart", _set("feature_names", ["a", "b", "c"]), "feature_names"),
+    "forest whose second tree has three sigmas": (
+        "forest", lambda obj: obj["trees"].append({**obj["trees"][0], "sigma": [0.0] * 3}),
+        "trees"),
 }
 LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
 

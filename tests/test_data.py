@@ -7,6 +7,7 @@ from prtree.data import (
     RngSpec,
     StandardScaler,
     load_csv,
+    read_csv,
     standard_scale,
 )
 
@@ -44,7 +45,7 @@ def test_load_csv_roundtrip(tmp_path):
     assert d.feature_names == ("a", "b")
     assert d.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
     assert d.target.tolist() == [10.0, 20.0]
-    assert load_csv(path, None).tolist() == [[1.0, 10.0, 2.0], [3.0, 20.0, 4.0]]
+    assert read_csv(path)[1].tolist() == [[1.0, 10.0, 2.0], [3.0, 20.0, 4.0]]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from prtree.pbart import (
     PBartChain,
     PBartHyper,
     SampledTree,
-    _sigma0_terms,
     draw_gammas,
     draw_sigma_tilde,
     fit_pbart,
@@ -125,7 +124,10 @@ def test_mll_matches_dense_oracle_on_hard_cases():
         st = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
         ll = marginal_log_likelihood(V.T @ V, V.T @ R, R @ R, n, sg, st)
         ll_ref = dense_log_density(R, V, sg, st)
-        ld, ld_ref = _sigma0_terms(V.T @ V, np.zeros(K), 0.0, n, sg, st)[0], dense_log_det(V, sg, st)
+        # at b = 0 and RR = 0 the log density is -(n log 2 pi + log det Sigma0) / 2
+        ld = -2.0 * marginal_log_likelihood(V.T @ V, np.zeros(K), 0.0, n, sg, st) \
+            - n * math.log(2.0 * math.pi)
+        ld_ref = dense_log_det(V, sg, st)
         assert abs(ll - ll_ref) <= 1e-8 * max(1.0, abs(ll_ref))
         assert abs(ld - ld_ref) <= 1e-8 * max(1.0, abs(ld_ref))
 
@@ -173,6 +175,43 @@ def test_grow_q_ratio_hand_count():
             break
     assert kind == "grow" and star is not None
     assert logq == pytest.approx(math.log(2.0))
+
+
+def test_prune_q_ratio_hand_count():
+    # a stump over 3 rows, symmetric move probabilities: forward prob p_p / 1
+    # (one prunable node), reverse grow prob p_g / (1 leaf * 1 variable * 2 cuts)
+    d = _line_data([0.0, 1.0, 2.0])
+    t = _refreshed(grown_tree((0, 0, 0.5)), d)
+    for seed in range(20):
+        star, logq, kind = propose_tree(
+            t, np.random.default_rng(seed), (0.5, 0.5, 0.0, 0.0), StoppingRule()
+        )
+        if kind == "prune":
+            break
+    assert kind == "prune" and star is not None and len(star.leaves) == 1
+    assert logq == pytest.approx(-math.log(2.0))
+
+
+def test_grow_and_the_prune_undoing_it_negate_their_log_q_ratios():
+    # skewed move probabilities, so that neither ratio is 0 by symmetry
+    probs = (0.4, 0.3, 0.2, 0.1)
+    d = random_dataset(np.random.default_rng(4), 40, 3)
+    t = _refreshed(grown_tree((0, 0, 0.0), (1, 1, 0.1)), d)
+    gen = np.random.default_rng(9)
+    pairs = 0
+    while pairs < 10:
+        star, grow_q, kind = propose_tree(t, gen, probs, StoppingRule())
+        if kind != "grow" or star is None:
+            continue
+        while True:
+            back, prune_q, kind = propose_tree(star, gen, probs, StoppingRule())
+            if kind == "prune" and back is not None and len(back.nodes.feature) == len(
+                    t.nodes.feature):
+                break
+        if (back.nodes.feature, back.nodes.threshold) == (t.nodes.feature, t.nodes.threshold):
+            assert np.isfinite(grow_q)
+            assert np.float64(prune_q).tobytes() == np.float64(-grow_q).tobytes()
+            pairs += 1
 
 
 def test_proposals_respect_min_leaf_size():
@@ -801,3 +840,12 @@ def test_hyper_validation():
         PBartHyper(it_burn=10, it_max=10)
     with pytest.raises(ValueError):
         PBartHyper(move_probs=(0.5, 0.5, 0.5, 0.5))
+
+
+@pytest.mark.parametrize("move_probs",
+                         [(0.2,) * 5, (0.5, 0.5), (), (float("nan"), 0.5, 0.25, 0.25)])
+def test_hyper_needs_one_probability_per_move(move_probs):
+    # five entries died with an IndexError in propose_tree, and two never drew
+    # change or swap
+    with pytest.raises(ValueError, match="move_probs"):
+        PBartHyper(move_probs=move_probs)
