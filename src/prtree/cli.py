@@ -199,6 +199,8 @@ def _predict_features(path, target: str, names) -> np.ndarray:
 def _cmd_predict(cfg) -> int:
     if not cfg.get("model_file"):
         raise ConfigError("--model-file is required")
+    if not cfg.get("data"):
+        raise ConfigError("--data is required")
     model = _load_model(cfg["model_file"])
     preds = model.predict(_predict_features(cfg["data"], cfg["target"], model.feature_names))
     out = cfg["out"] or "predictions.csv"

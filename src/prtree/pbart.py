@@ -7,7 +7,8 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
@@ -108,12 +109,15 @@ class SampledTree:
 
     A refreshed tree's structure does not change, since moves edit copies,
     so the tree keeps what depends on the structure alone: its membership
-    array V and Gram matrix G = V^T V, each formed on first use."""
+    array V, Gram matrix G = V^T V and `prior`, the (alpha, beta) last asked
+    of `tree_log_prior` and its value, each formed on first use. It also keeps
+    `b`, the read-only residual R last passed to `project` and V^T R, so that
+    one step's accept test and leaf-weight draw form it once."""
 
     def __init__(self, nodes: FlatTree, sigma: np.ndarray):
         self.nodes, self.sigma, self.data, self.paths = nodes, sigma, None, {}
         self.at, self.leaves, self.internals, self.pairs = {}, [], [], []
-        self.V = self.G = None
+        self.V = self.G = self.prior = self.b = None
 
     def copy(self) -> "SampledTree":
         """A tree on copies of the arrays at the same sigma, sharing the
@@ -129,7 +133,7 @@ class SampledTree:
         old = self.paths if self.data is d else {}
         self.data, self.paths, self.at = d, {}, {}
         self.leaves, self.internals, self.pairs = [], [], []
-        self.V = self.G = None
+        self.V = self.G = self.prior = self.b = None
         feature, threshold = self.nodes.feature, self.nodes.threshold
         left, right = self.nodes.left, self.nodes.right
         self.paths[()] = root = old.get(()) or _Node.root(d)
@@ -156,7 +160,7 @@ class SampledTree:
 
     def n_cuts(self, i: int) -> int:
         """The number of `cut_points` of internal node i's coordinate over its rows."""
-        return self.at[i].cuts_on(self.data, self.nodes.feature[i]).size
+        return self.at[i].cuts_on(self.data, self.nodes.feature[i])[1].size
 
     def gammas(self) -> np.ndarray:
         return np.array([self.nodes.value[i] for i in self.leaves])
@@ -179,6 +183,17 @@ class SampledTree:
             self.G = V.T @ V
         return self.G
 
+    def project(self, R: np.ndarray) -> np.ndarray:
+        """b = V^T R of `membership` and the residual R, formed once per
+        read-only R (as `fit_pbart` makes each step's), which cannot change
+        while the tree keeps it; a writable R's is formed at every call."""
+        if self.b is not None and self.b[0] is R:
+            return self.b[1]
+        b = self.membership().T @ R
+        if not R.flags.writeable:
+            self.b = R, b
+        return b
+
     def prunable(self) -> list[int]:
         """The internal nodes whose children are both leaves."""
         f, left, right = self.nodes.feature, self.nodes.left, self.nodes.right
@@ -187,7 +202,10 @@ class SampledTree:
 
 def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     """Log prior of a tree topology: depth-decaying split probabilities
-    plus uniform split-variable and cut-point factors."""
+    plus uniform split-variable and cut-point factors. It depends on t's
+    structure alone, so t keeps it for the last (alpha, beta) asked."""
+    if t.prior is not None and t.prior[0] == (alpha, beta):
+        return t.prior[1]
     total = 0.0
     p = t.data.p
     for node in t.internals:
@@ -198,6 +216,7 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
         total += -math.log(p) - math.log(n_cuts)
     for leaf in t.leaves:
         total += math.log1p(-alpha / (1.0 + t.at[leaf].depth) ** beta)
+    t.prior = (alpha, beta), total
     return total
 
 
@@ -241,20 +260,28 @@ def _grow_log_q(move_probs, t: SampledTree, star: SampledTree, i: int) -> float:
     return _log(move_probs[1]) - math.log(len(star.prunable())) - log_fwd
 
 
+@lru_cache(maxsize=16)
+def _move_cdf(move_probs: tuple) -> tuple:
+    """The cumulative move probabilities, normalised as `rng.choice` does."""
+    cdf = list(accumulate(move_probs))
+    return tuple(c / cdf[-1] for c in cdf)
+
+
 def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: StoppingRule):
     """Draw one local topology move of t on the dataset it was refreshed on.
 
     The edit is drawn first: grow and change draw a node (a leaf within
     `rule.max_depth`, or an internal node), one of its admissible coordinates
     and one of that coordinate's cuts; prune draws a node whose children are
-    leaves and swap a parent/child pair of internal nodes. Only then is t
-    copied, and the copy takes the edit and one refresh. Returns (candidate,
-    log q-ratio, kind); a move with no edit to draw, or whose edited copy is
-    invalid, carries log q-ratio = -inf and a None candidate."""
-    d = t.data
+    leaves and swap a parent/child pair of internal nodes. A grow or change
+    whose cut leaves either side of the node fewer than `rule.min_count` rows
+    ends there, since `refresh` would reject it and no draw follows. Only then
+    is t copied, and the copy takes the edit and one refresh. Returns
+    (candidate, log q-ratio, kind); a move with no edit to draw, or whose
+    edited copy is invalid, carries log q-ratio = -inf and a None candidate."""
+    d, min_count = t.data, rule.min_count(t.data.n)
     # the draw of rng.choice(4, p=move_probs), without its per-call array checks
-    cdf = list(accumulate(move_probs))
-    kind = MOVES[bisect_right([c / cdf[-1] for c in cdf], rng.random())]
+    kind = MOVES[bisect_right(_move_cdf(tuple(move_probs)), rng.random())]
     pool = t.prunable() if kind == PRUNE else {GROW: t.leaves, CHANGE: t.internals,
                                                SWAP: t.pairs}[kind]
     pick = pool[int(rng.integers(len(pool)))] if pool else None
@@ -265,8 +292,11 @@ def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: Sto
         adm = [] if deep else at.admissible(d)
         if adm:
             j = adm[int(rng.integers(len(adm)))]
-            cuts = at.cuts_on(d, j)
-            edit = pick, j, float(cuts[int(rng.integers(cuts.size))])
+            left, cuts = at.cuts_on(d, j)
+            c = int(rng.integers(cuts.size))
+            if min(left[c], at.rows.size - left[c]) < min_count:
+                return None, -np.inf, kind
+            edit = pick, j, float(cuts[c])
     if edit is not None:
         star = t.copy()
         f, s = star.nodes.feature, star.nodes.threshold
@@ -279,7 +309,7 @@ def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: Sto
         else:
             a, b = edit
             f[a], f[b], s[a], s[b] = f[b], f[a], s[b], s[a]
-        if star.refresh(d, rule.min_count(d.n)):
+        if star.refresh(d, min_count):
             if kind == GROW:
                 log_q = _grow_log_q(move_probs, t, star, edit[0])
             elif kind == PRUNE:
@@ -295,17 +325,17 @@ def mh_accept(t: SampledTree, t_star: SampledTree | None, R, hyper: PBartHyper,
               rng: np.random.Generator, sigma_tilde: float, log_q_ratio: float = 0.0) -> bool:
     """Metropolis-Hastings accept/reject for a proposed tree, using the
     weight-marginalized residual likelihood; a None proposal is rejected.
-    Each tree's V and G are its own (`membership`, `gram`); this forms
-    b = V^T R for both trees and R^T R once."""
+    Each tree keeps its V, G and log prior (`membership`, `gram`,
+    `tree_log_prior`), so this forms the proposal's alone, b = V^T R of both
+    trees (`project`, kept for the leaf-weight draw) and R^T R once."""
     if t_star is None or log_q_ratio == -np.inf:
         return False
     R = np.asarray(R, dtype=float)
     RR, sg = float(R @ R), hyper.sigma_gamma
     delta = (
         log_q_ratio
-        + marginal_log_likelihood(t_star.gram(), t_star.membership().T @ R, RR, R.size,
-                                  sg, sigma_tilde)
-        - marginal_log_likelihood(t.gram(), t.membership().T @ R, RR, R.size, sg, sigma_tilde)
+        + marginal_log_likelihood(t_star.gram(), t_star.project(R), RR, R.size, sg, sigma_tilde)
+        - marginal_log_likelihood(t.gram(), t.project(R), RR, R.size, sg, sigma_tilde)
         + tree_log_prior(t_star, hyper.alpha, hyper.beta)
         - tree_log_prior(t, hyper.alpha, hyper.beta)
     )
@@ -348,8 +378,8 @@ def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -
 class PBartChain:
     """Post-burn-in posterior trace of the additive tree model: per retained
     iteration, the node arrays of each of the m trees, leaf weights included.
-    `snapshots` holds the same iterations as (regions tuple, gamma array) per
-    tree, leaves in preorder, derived from the arrays once."""
+    `snapshots` gives the same iterations as (regions tuple, gamma array) per
+    tree, leaves in preorder, derived from the arrays when read."""
 
     trees: list[list[FlatTree]]
     sigma_trace: np.ndarray
@@ -359,32 +389,35 @@ class PBartChain:
     y_scale: float
     hyper: PBartHyper
     feature_names: tuple[str, ...] = ()
-    snapshots: list = field(init=False, repr=False)
 
     def __post_init__(self):
-        # each distinct tree structure is walked once. Identical regions recur
-        # across snapshots; their weights are summed once here, in first-seen
-        # order, so that predict evaluates each distinct region's column once
+        # identical regions recur across snapshots; their weights are summed
+        # once here, in first-seen order, so that predict evaluates each
+        # distinct region's column once. Each distinct tree structure is
+        # walked, and its leaves matched to their regions' sums, once
         p = self.sigma.shape[0]
-        walked: dict[tuple, tuple[list[int], tuple]] = {}
+        walked: dict[tuple, list[tuple[int, list]]] = {}
         groups: dict[bytes, list] = {}
-        self.snapshots = []
         for snap in self.trees:
-            pairs = []
             for t in snap:
                 key = (tuple(t.feature), tuple(t.threshold), tuple(t.left), tuple(t.right))
                 if key not in walked:
-                    found = t.leaf_regions(p)
-                    walked[key] = [i for i, _ in found], tuple(r for _, r in found)
-                leaves, regions = walked[key]
-                gammas = np.array([t.value[i] for i in leaves])
-                pairs.append((regions, gammas))
-                for region, g in zip(regions, gammas):
-                    bounds = region.lower.tobytes() + region.upper.tobytes()
-                    groups.setdefault(bounds, [region, 0.0])[1] += float(g)
-            self.snapshots.append(pairs)
+                    walked[key] = [(i, groups.setdefault(r.lower.tobytes() + r.upper.tobytes(),
+                                                         [r, 0.0]))
+                                   for i, r in t.leaf_regions(p)]
+                for i, group in walked[key]:
+                    group[1] += t.value[i]
         self._regions = [region for region, _ in groups.values()]
         self._gsums = [gsum for _, gsum in groups.values()]
+
+    @property
+    def snapshots(self) -> list:
+        p = self.sigma.shape[0]
+
+        def pair(t: FlatTree):
+            found = t.leaf_regions(p)
+            return tuple(r for _, r in found), np.array([t.value[i] for i, _ in found])
+        return [[pair(t) for t in snap] for snap in self.trees]
 
     @property
     def n_snapshots(self) -> int:
@@ -479,15 +512,14 @@ def fit_pbart(
 
     for it in range(1, hyper.it_max + 1):
         for ell in range(hyper.m):
-            R = y_norm - (total_fit - fits[ell])
+            R = _read_only(y_norm - (total_fit - fits[ell]))
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, rule)
             accepted = mh_accept(t, star, R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star
-            V = t.membership()
-            new_fit = V @ draw_gammas(t, V.T @ R, hyper, gen, sigma_tilde)
+            new_fit = t.membership() @ draw_gammas(t, t.project(R), hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)

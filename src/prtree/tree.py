@@ -296,17 +296,17 @@ class _Node:
     The greedy fit keeps a leaf's `order` block (its row ids, sorted stably
     by each of the fit's coordinates, which the children filter), its split
     `search` (`_leaf_cuts`) and the raw F `tables` of a search, its parent's
-    until it searches, then its own; the sampler builds on demand the rows x
-    p `block` sorted by column, the admissible coordinates and their cuts."""
+    until it searches, then its own; the sampler builds on demand the
+    admissible coordinates and, per coordinate, its `cut_points` pair."""
 
     __slots__ = ("depth", "lower", "upper", "rows", "F", "col", "order", "search", "tables",
-                 "block", "adm", "cuts")
+                 "adm", "cuts")
 
     def __init__(self, depth: int, lower: np.ndarray, upper: np.ndarray, rows: np.ndarray,
                  F: list, n: int):
         self.depth, self.lower, self.upper, self.rows, self.F = depth, lower, upper, rows, F
         self.col = box_mass(filter(None, F), n)
-        self.order = self.search = self.tables = self.block = self.adm = None
+        self.order = self.search = self.tables = self.adm = None
         self.cuts = {}
 
     @classmethod
@@ -340,22 +340,18 @@ class _Node:
             left.order, right.order = _partition_block(self.order, go)
         return left, right
 
-    def sorted_block(self, d: Dataset) -> np.ndarray:
-        if self.block is None:
-            self.block = np.sort(d.features[self.rows], axis=0)
-        return self.block
-
     def admissible(self, d: Dataset) -> list[int]:
         """Coordinates with at least two distinct values over the rows."""
         if self.adm is None:
-            X = self.sorted_block(d)
-            self.adm = np.flatnonzero((X[1:] != X[:-1]).any(axis=0)).tolist()
+            X = d.features[self.rows]
+            self.adm = np.flatnonzero((X != X[0]).any(axis=0)).tolist()
         return self.adm
 
-    def cuts_on(self, d: Dataset, j: int) -> np.ndarray:
-        """The `cut_points` of coordinate j over the rows, from the sorted block."""
+    def cuts_on(self, d: Dataset, j: int):
+        """The `cut_points` (left, cuts) of coordinate j over the rows: cut i
+        sends left[i] of them to x_j <= cuts[i]."""
         if j not in self.cuts:
-            self.cuts[j] = cut_points(self.sorted_block(d)[:, j])[1]
+            self.cuts[j] = cut_points(np.sort(d.features[self.rows, j]))
         return self.cuts[j]
 
 

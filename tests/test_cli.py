@@ -483,6 +483,15 @@ def test_model_file_that_is_not_an_object_is_rejected(tmp_path, data_csv, capsys
     assert "a model file holds a JSON object" in capsys.readouterr().err
 
 
+def test_predict_without_data_says_so(tmp_path, capsys):
+    model_path = tmp_path / "tree.json"
+    model_path.write_text(_stump_file("tree"))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model-file", str(model_path), "--out", str(out)]) == 1
+    assert "error: --data is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _model_file(kind):
     """A tree, forest, gbt or one-snapshot P-BART file over features a and b
     whose trees are STUMP."""

@@ -56,13 +56,42 @@ def test_prior_stump_one_cut():
 
 
 def test_prior_matches_recursive_oracle():
+    # the tree keeps its prior for the last (alpha, beta) asked: each call on
+    # the one tree, a repeat after another (alpha, beta) included, matches
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 40, 2)
     nodes = grown_tree((0, 0, 0.1), (1, 1, -0.2))
     t = _refreshed(nodes, d)
-    got = tree_log_prior(t, 0.95, 2.0)
-    want = recursive_log_prior(nodes, Region.root(2), d, 0.95, 2.0)
-    assert got == pytest.approx(want, abs=1e-10)
+    for alpha, beta in [(0.95, 2.0), (0.5, 0.5), (0.95, 2.0), (0.95, 0.0)]:
+        want = recursive_log_prior(nodes, Region.root(2), d, alpha, beta)
+        assert tree_log_prior(t, alpha, beta) == pytest.approx(want, abs=1e-10)
+
+
+def test_kept_prior_equals_that_of_a_fresh_tree():
+    # after each move of a chain, the prior the current tree and the proposal
+    # keep equals, bit for bit, that of a tree refreshed afresh from their arrays
+    d = random_dataset(np.random.default_rng(2), 60, 3)
+    sigma = 0.3 * d.features.std(axis=0, ddof=1)
+    rule = StoppingRule(min_leaf_fraction=0.05)
+    hyper = PBartHyper(m=1, lam=1.0, sigma_gamma=0.25)
+    gen = np.random.default_rng(6)
+    t = SampledTree(FlatTree.leaf(), sigma)
+    assert t.refresh(d, rule.min_count(d.n))
+    kept = 0
+    for _ in range(300):
+        star, log_q, _ = propose_tree(t, gen, hyper.move_probs, rule)
+        accepted = mh_accept(t, star, d.target, hyper, gen, 0.5, log_q)
+        for tree in (t, star):
+            if tree is not None and tree.prior is not None:
+                fresh = SampledTree(tree.nodes.copy(), sigma)
+                assert fresh.refresh(d, rule.min_count(d.n))
+                want = tree_log_prior(fresh, hyper.alpha, hyper.beta)
+                got = tree_log_prior(tree, hyper.alpha, hyper.beta)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                kept += 1
+        if accepted:
+            t = star
+    assert kept > 300 and len(t.leaves) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +254,82 @@ def test_proposals_respect_min_leaf_size():
     assert star is None and logq == -np.inf
 
 
+def test_project_keeps_b_of_a_read_only_residual_only():
+    # b = V^T R is kept for the read-only residual of a step, and formed
+    # anew for a writable one, which may have changed in place since
+    d = random_dataset(np.random.default_rng(3), 30, 2)
+    t = _refreshed(grown_tree((0, 0, 0.0)), d)
+    R = np.random.default_rng(4).normal(size=d.n)
+    b = t.project(R)
+    R += 1.0
+    assert np.array_equal(t.project(R), t.membership().T @ R) and not np.array_equal(b, t.project(R))
+    R.setflags(write=False)
+    assert t.project(R) is t.project(R)
+
+
+class _Scripted:
+    """A generator for `propose_tree` that draws given values: random()
+    returns 0.5, which falls in the one move of probability 1, and
+    integers(k) the next of `draws`."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self):
+        return 0.5
+
+    def integers(self, k):
+        draw = self.draws.pop(0)
+        assert 0 <= draw < k
+        return draw
+
+
+@pytest.mark.parametrize("kind", ["hard", "soft", "tied"])
+def test_leaf_size_precheck_rejects_only_what_refresh_rejects(kind, monkeypatch):
+    # every grow draw (leaf, coordinate, cut) and change draw (internal node,
+    # coordinate, cut) on the distinct trees of a chain at min_leaf_fraction
+    # 0.2: propose_tree returns a candidate exactly when an edited copy
+    # refreshes, and a move that ends before any copy is one whose copy would not
+    d = random_dataset(np.random.default_rng(11), 40, 3)
+    if kind == "tied":
+        d = Dataset(np.round(d.features), d.target, d.feature_names)
+    sigma = np.zeros(3) if kind == "hard" else 0.3 * d.features.std(axis=0, ddof=1)
+    rule = StoppingRule(min_leaf_fraction=0.2)
+    min_count = rule.min_count(d.n)
+    chain = fit_pbart(d, PBartHyper(m=3, it_burn=10, it_max=30), sigma, RngSpec(2), rule)
+    distinct = {(tuple(nodes.feature), tuple(nodes.threshold), tuple(nodes.left)): nodes
+                for snap in chain.trees for nodes in snap}
+    copies, copy = [], SampledTree.copy
+    monkeypatch.setattr(SampledTree, "copy", lambda self: copies.append(self) or copy(self))
+    precheck = refresh_rejects = valid = 0
+    for nodes in distinct.values():
+        t = SampledTree(nodes.copy(), sigma)
+        assert t.refresh(d, min_count)
+        for move, probs, pool in (("grow", (1.0, 0.0, 0.0, 0.0), t.leaves),
+                                  ("change", (0.0, 0.0, 1.0, 0.0), t.internals)):
+            for a, i in enumerate(pool):
+                X = d.features[t.at[i].rows]
+                adm = [j for j in range(d.p) if np.unique(X[:, j]).size > 1]
+                for b, j in enumerate(adm):
+                    for c, s in enumerate(cut_points(np.sort(X[:, j]))[1]):
+                        before = len(copies)
+                        star, log_q, got = propose_tree(t, _Scripted(a, b, c), probs, rule)
+                        oracle = SampledTree(t.nodes.copy(), sigma)
+                        if move == "grow":
+                            oracle.nodes.grow(i, j, float(s))
+                        else:
+                            oracle.nodes.feature[i], oracle.nodes.threshold[i] = j, float(s)
+                        ok = oracle.refresh(d, min_count)
+                        assert got == move and (star is not None) == ok
+                        if len(copies) == before:
+                            assert not ok and log_q == -np.inf
+                            precheck += 1
+                        else:
+                            refresh_rejects += not ok
+                            valid += ok
+    assert precheck > 0 and valid > 0 and refresh_rejects > 0
+
+
 def test_change_and_swap_moves():
     rng = np.random.default_rng(7)
     d = random_dataset(rng, 50, 2)
@@ -287,10 +392,11 @@ def _check_node_caches(t, d, sigma):
         if node.adm is not None:
             distinct = [np.unique(d.features[rows, j]).size for j in range(d.p)]
             assert node.adm == [j for j in range(d.p) if distinct[j] > 1]
-        for j, cuts in node.cuts.items():
+        for j, (left, cuts) in node.cuts.items():
             assert cuts.tobytes() == cut_points(np.sort(d.features[rows, j]))[1].tobytes()
-            # every cut leaves rows on both sides, and no two cuts partition alike
-            left = np.count_nonzero(d.features[rows, j, None] <= cuts, axis=0)
+            # left counts the rows at or below each cut; every cut leaves rows
+            # on both sides, and no two cuts partition alike
+            assert np.array_equal(left, np.count_nonzero(d.features[rows, j, None] <= cuts, axis=0))
             assert np.all(np.diff(np.concatenate(([0], left, [rows.size]))) > 0)
         if node.col is not None:
             want = membership_column(d.features, regions[i], sigma)
@@ -600,7 +706,7 @@ def test_fit_pbart_deterministic(small_data):
 
 
 def test_fit_pbart_builds_one_root_node_for_all_trees(small_data, monkeypatch):
-    # the trees share the root's _Node, so its sorted rows x p block exists once
+    # the trees share the root's _Node, so its admissible set and cuts are found once
     init, depths = _Node.__init__, []
 
     def counting(self, depth, *bounds_and_rows):
