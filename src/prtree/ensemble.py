@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, RngSpec
+from .data import Dataset, RngSpec, check_features
 from .tree import (PRTree, StoppingRule, _feature_names, checked, fit_prtree, model_json,
                    model_value, read_model_json)
 
@@ -38,7 +38,8 @@ class Forest:
         return len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        preds = np.stack([t.predict(X) for t in self.trees])
+        X = check_features(X, self.trees[0].p)
+        preds = np.stack([t.leaf_sum(X) for t in self.trees])
         # sort per point before averaging so the result is exactly invariant
         # to the order the trees are stored in
         return np.sort(preds, axis=0).mean(axis=0)
@@ -78,10 +79,10 @@ class BoostedEnsemble:
         return len(self.trees)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
+        X = check_features(X, self.trees[0].p)
         total = np.zeros(X.shape[0])
         for t in self.trees:
-            total += self.shrinkage * t.predict(X)
+            total += self.shrinkage * t.leaf_sum(X)
         return total
 
     def to_json(self) -> str:

@@ -1,7 +1,12 @@
-"""Soft region membership: Gaussian mass of a hyper-rectangle around a point."""
+"""Soft region membership: Gaussian mass of a hyper-rectangle around a point.
+
+A model keeps for prediction its regions compiled once at its sigma
+(`Boxes`): each coordinate's distinct finite bounds and each region's rows of
+the F tables a predict evaluates, one `cdf` call per coordinate."""
 
 from __future__ import annotations
 
+from itertools import chain
 from math import inf
 
 import numpy as np
@@ -55,34 +60,50 @@ def box_mass(bounds, n: int) -> np.ndarray:
     return np.ones(n) if col is None else col
 
 
+class Boxes:
+    """Regions compiled once at one sigma for prediction. `coords` holds, per
+    coordinate j that some region bounds, ascending, (j, its sorted distinct
+    finite bounds as a column, sigma_j); `pairs` holds, per region, the
+    (lower, upper) rows of its bounded coordinates in ascending j, among the
+    rows `columns` lays out: F = 0 (at -inf), F = 1 (at +inf), then each
+    coordinate's F table, one row per bound."""
+
+    __slots__ = ("coords", "pairs")
+
+    def __init__(self, regions, sigma):
+        boxes = [[(j, a, b) for j, (a, b) in enumerate(zip(r.lower.tolist(), r.upper.tolist()))
+                  if a > -inf or b < inf] for r in regions]
+        bounds, row, self.coords = {}, {}, []
+        for j, a, b in chain.from_iterable(boxes):
+            bounds.setdefault(j, set()).update((a, b))
+        for j in sorted(bounds):
+            s = sorted(bounds[j] - {-inf, inf})
+            row.update({(j, v): len(row) + 2 + k for k, v in enumerate(s)})
+            self.coords.append((j, np.array(s)[:, None], float(sigma[j])))
+        self.pairs = [[(row.get((j, a), 0), row.get((j, b), 1)) for j, a, b in box]
+                      for box in boxes]
+
+    def columns(self, X: np.ndarray):
+        """Yield the membership column of every row of X in each region, in
+        order: the `box_mass` of its F pairs, F being `cdf` in one call per
+        coordinate. Only the F tables and the current column are held."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        rows = [0.0, 1.0]
+        for j, s, sigma_j in self.coords:
+            rows.extend(cdf(X[:, j], s, sigma_j))
+        for pairs in self.pairs:
+            yield box_mass([(rows[a], rows[b]) for a, b in pairs], X.shape[0])
+
+
 def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
     """Yield the soft membership column of every row of X in each region (a
     `Region`, or anything else with `lower` and `upper` bound arrays): the
     `box_mass` of its bounded coordinates in ascending j (a coordinate
-    bounded on neither side has mass 1).
-
-    F is `cdf`, evaluated once per row for each distinct finite bound (j, s)
-    of the regions, in one call per coordinate. Only that table and the
-    current column are held, never an n x len(regions) matrix. Predictions
-    call this; a fit's columns come from `tree._Node.split`, bit for bit the same."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    sigma = np.asarray(sigma, dtype=float).tolist()
-    # (j, lower, upper) over each region's bounded coordinates, and the
-    # bounds of every such coordinate
-    boxes, bounds = [], {}
-    for region in regions:
-        pairs = enumerate(zip(region.lower.tolist(), region.upper.tolist()))
-        box = [(j, a, b) for j, (a, b) in pairs if a > -inf or b < inf]
-        for j, a, b in box:
-            bounds.setdefault(j, set()).update((a, b))
-        boxes.append(box)
-    table = {}
-    for j, values in bounds.items():
-        s = [v for v in values if -inf < v < inf]
-        table.update(zip([(j, v) for v in s], cdf(X[:, j], np.array(s)[:, None], sigma[j])))
-    for box in boxes:
-        yield box_mass([(table.get((j, a), 0.0), table.get((j, b), 1.0)) for j, a, b in box],
-                       X.shape[0])
+    bounded on neither side has mass 1), F being `cdf`, evaluated once per
+    row for each distinct finite bound (j, s) of the regions: `Boxes(regions,
+    sigma).columns(X)`. Models keep their `Boxes`; a fit's columns come from
+    `tree._Node.split`, bit for bit the same."""
+    return Boxes(regions, sigma).columns(X)
 
 
 def build_membership(d: Dataset, regions, sigma) -> np.ndarray:

@@ -17,7 +17,7 @@ from scipy.special import gammainccinv
 
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
-from .kernel import membership_column, membership_columns  # noqa: F401
+from .kernel import Boxes, membership_column  # noqa: F401
 from .tree import (FlatTree, StoppingRule, _feature_names, _Node, _read_only, checked,
                    model_json, model_value, read_model_json, scales)
 
@@ -392,9 +392,10 @@ class PBartChain:
 
     def __post_init__(self):
         # identical regions recur across snapshots; their weights are summed
-        # once here, in first-seen order, so that predict evaluates each
-        # distinct region's column once. Each distinct tree structure is
-        # walked, and its leaves matched to their regions' sums, once
+        # once here, in first-seen order, and the distinct regions compiled
+        # (`kernel.Boxes`), so that predict evaluates each distinct region's
+        # column once. Each distinct tree structure is walked, and its leaves
+        # matched to their regions' sums, once
         p = self.sigma.shape[0]
         walked: dict[tuple, list[tuple[int, list]]] = {}
         groups: dict[bytes, list] = {}
@@ -407,7 +408,7 @@ class PBartChain:
                                    for i, r in t.leaf_regions(p)]
                 for i, group in walked[key]:
                     group[1] += t.value[i]
-        self._regions = [region for region, _ in groups.values()]
+        self._boxes = Boxes([region for region, _ in groups.values()], self.sigma)
         self._gsums = [gsum for _, gsum in groups.values()]
 
     @property
@@ -426,7 +427,7 @@ class PBartChain:
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = check_features(X, self.sigma.shape[0])
         total = np.zeros(X.shape[0])
-        for gsum, col in zip(self._gsums, membership_columns(X, self._regions, self.sigma)):
+        for gsum, col in zip(self._gsums, self._boxes.columns(X)):
             total += gsum * col
         norm = total / self.n_snapshots
         return (norm + 0.5) * self.y_scale + self.y_offset

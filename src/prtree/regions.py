@@ -37,19 +37,28 @@ class Region:
         return cls(np.full(p, -np.inf), np.full(p, np.inf))
 
     def split(self, j: int, s: float) -> tuple["Region", "Region"]:
-        """Split at s on coordinate j into (lower-side, upper-side) children."""
+        """Split at s on coordinate j into (lower-side, upper-side) children.
+        Only the bound that changes is checked; the children keep this
+        region's other, valid bounds without a second check."""
         if not (self.lower[j] < s < self.upper[j]):
             raise ValueError(
                 f"split value {s} outside open interval "
                 f"({self.lower[j]}, {self.upper[j]}) on coordinate {j}"
             )
-        left_hi = self.upper.copy()
-        left_hi[j] = s
-        right_lo = self.lower.copy()
-        right_lo[j] = s
-        return Region(self.lower, left_hi), Region(right_lo, self.upper)
+        left_hi, right_lo = self.upper.copy(), self.lower.copy()
+        left_hi[j] = right_lo[j] = s
+        return _unchecked(self.lower, left_hi), _unchecked(right_lo, self.upper)
 
     def contains(self, X: np.ndarray) -> np.ndarray:
         """Hard half-open membership 1{lower < x <= upper}, vectorized over rows."""
         X = np.atleast_2d(X)
         return np.all((X > self.lower) & (X <= self.upper), axis=1)
+
+
+def _unchecked(lower: np.ndarray, upper: np.ndarray) -> Region:
+    """The Region of valid float bounds, made read-only, left unchecked."""
+    region = object.__new__(Region)
+    for name, bound in (("lower", lower), ("upper", upper)):
+        bound.setflags(write=False)
+        object.__setattr__(region, name, bound)
+    return region

@@ -17,7 +17,7 @@ import numpy as np
 from .data import Dataset, check_features
 # membership_column and normal_cdf are unused here; bench/test_bench.py checks that the
 # tracer patches these bindings
-from .kernel import box_mass, cdf, membership_column, membership_columns, normal_cdf  # noqa: F401
+from .kernel import Boxes, box_mass, cdf, membership_column, normal_cdf  # noqa: F401
 from .regions import Region
 
 log = logging.getLogger(__name__)
@@ -493,18 +493,21 @@ class PRTree:
     Prediction is the gamma-weighted sum of soft memberships over all
     leaves; with sigma = 0 this degenerates to the usual piecewise-constant
     lookup. The node arrays are the whole model; `leaves`, each leaf's
-    region and weight in preorder, is derived from them once. Immutable in
-    practice once fitted.
+    region and weight in preorder, and `boxes`, the leaves' regions compiled
+    at sigma (`kernel.Boxes`), are derived from them once and never stored.
+    Immutable in practice once fitted.
     """
 
     nodes: FlatTree
     sigma: np.ndarray
     feature_names: tuple[str, ...] = ()
     leaves: list[Leaf] = field(init=False, repr=False)
+    boxes: Boxes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.leaves = [Leaf(region, self.nodes.value[i])
                        for i, region in self.nodes.leaf_regions(self.p)]
+        self.boxes = Boxes([leaf.region for leaf in self.leaves], self.sigma)
 
     @property
     def leaf_count(self) -> int:
@@ -515,11 +518,13 @@ class PRTree:
         return self.sigma.shape[0]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = check_features(X, self.p)
-        regions = [leaf.region for leaf in self.leaves]
-        V = np.column_stack(list(membership_columns(X, regions, self.sigma)))
-        gammas = np.array([leaf.gamma for leaf in self.leaves])
-        return V @ gammas
+        return self.leaf_sum(check_features(X, self.p))
+
+    def leaf_sum(self, X: np.ndarray) -> np.ndarray:
+        """V @ gamma, the leaves' membership columns of X, which the caller
+        has checked (`check_features`), weighted by the leaf weights."""
+        V = np.column_stack(list(self.boxes.columns(X)))
+        return V @ np.array([leaf.gamma for leaf in self.leaves])
 
     def to_dict(self) -> dict:
         """sigma and the node arrays; the feature names are kept by the file,
@@ -576,8 +581,8 @@ def fit_prtree(
     candidate, scored by `find_best_split`) until it lowers the training SSE
     by no more than GAIN_TOL; `fit_weights` then solves the leaf weights once.
 
-    `features`, when given, restricts splits to that coordinate subset
-    (used by forests). Growth is deterministic.
+    `features`, when given, restricts splits to that coordinate subset,
+    distinct integers in [0, p) (used by forests). Growth is deterministic.
 
     Rows that repeat exactly (features and target), as in a bootstrap sample,
     are fitted once each with their multiplicity w as an integer weight: the
@@ -589,6 +594,13 @@ def fit_prtree(
     n = d.n
     if n < 2:
         raise ValueError("need at least 2 rows to fit a tree")
+    try:
+        cols = list(range(d.p)) if features is None else [index(j) for j in features]
+    except TypeError:
+        cols = []
+    if not cols or len(set(cols)) < len(cols) or not 0 <= min(cols) <= max(cols) < d.p:
+        raise ValueError(f"features must be distinct integers in [0, {d.p}), at least one; "
+                         f"got {reprlib.repr(features)}")
     # sums of y reach n max|y|, and their squares overflow past 2^512: beyond
     # 2^500 the fit is of y * 2^-e (exact) and the leaf weights are scaled
     # back by 2^e
@@ -598,7 +610,6 @@ def fit_prtree(
         d = Dataset(d.features, np.ldexp(d.target, -e), d.feature_names)
 
     # the root's rows are sorted once, and every other leaf inherits its order
-    cols = list(range(d.p) if features is None else features)
     block = np.argsort(d.features[:, cols], axis=0, kind="stable")
     w = sw = None
     repeated = _repeated_rows(d, block, cols[0])
@@ -627,7 +638,7 @@ def fit_prtree(
                 leaf.tables = None  # it never searches: its parent's tables go
                 continue
             if leaf.search is None:
-                vars = sorted(candidate_variables(d, 3, features, leaf.order, w))
+                vars = sorted(candidate_variables(d, 3, cols, leaf.order, w))
                 leaf.search = _leaf_cuts(d, leaf, vars, sigma, min_count,
                                          leaf.order[:, [cols.index(j) for j in vars]], w)
             if not leaf.search[1]:

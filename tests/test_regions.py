@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prtree.regions import Region
+from prtree.tree import FlatTree
 
 
 def test_root_region_covers_everything():
@@ -42,3 +43,20 @@ def test_children_partition_parent_rows():
     inp = parent.contains(X)
     assert np.array_equal(inp, left.contains(X) | right.contains(X))
     assert not np.any(left.contains(X) & right.contains(X))
+
+
+def test_leaf_regions_equal_regions_built_through_the_constructor():
+    # Region.split builds its children unchecked; every leaf region must still
+    # be what the validated constructor gives for the same bounds
+    nodes = FlatTree.leaf()
+    for i, j, s in ((0, 0, 0.5), (1, 1, -1.0), (2, 0, 2.0), (4, 2, 0.0), (3, 1, -3.0)):
+        nodes.grow(i, j, s)
+    found = nodes.leaf_regions(3)
+    assert len(found) == 6
+    for _, r in found:
+        checked = Region(r.lower.tolist(), r.upper.tolist())
+        for got, want in ((r.lower, checked.lower), (r.upper, checked.upper)):
+            assert got.dtype == want.dtype == float and got.shape == want.shape == (3,)
+            assert np.array_equal(got, want) and not got.flags.writeable
+    with pytest.raises(ValueError, match="outside open interval"):
+        found[0][1].split(0, 0.5)

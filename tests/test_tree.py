@@ -10,7 +10,7 @@ from prtree.data import Dataset, RngSpec
 from prtree.ensemble import fit_prgbt, fit_prrf
 from prtree.kernel import build_membership, cdf, membership_columns
 from prtree.regions import Region
-from prtree import ensemble, tree
+from prtree import ensemble, regions, tree
 from prtree.tree import (
     GAIN_TOL,
     FlatTree,
@@ -391,22 +391,29 @@ def test_repeating_every_row_fits_the_same_tree():
 
 def test_growth_builds_no_region(monkeypatch):
     # leaves grow as _Nodes; the fit's 2K - 1 Regions are those of its final
-    # leaf walk: the root and the two children of each split
+    # leaf walk: the root, checked by the constructor, and the two children of
+    # each split, which Region.split builds unchecked
     rng = np.random.default_rng(27)
     d = random_dataset(rng, 120, 3)
-    built, post_init = [], Region.__post_init__
+    built, post_init, unchecked = [], Region.__post_init__, regions._unchecked
 
     def counting(self):
-        built.append(1)
+        built.append("checked")
         post_init(self)
 
+    def counting_unchecked(lower, upper):
+        built.append("split")
+        return unchecked(lower, upper)
+
     monkeypatch.setattr(Region, "__post_init__", counting)
+    monkeypatch.setattr(regions, "_unchecked", counting_unchecked)
     boot = d.subset(rng.integers(d.n, size=d.n))
     for data in (d, boot):
         for sigma in (np.zeros(3), 0.3 * d.features.std(axis=0, ddof=1), [0.3, 0.0, 0.2]):
             built.clear()
             t = fit_prtree(data, sigma, StoppingRule(min_leaf_fraction=0.05))
             assert t.leaf_count >= 4 and len(built) == 2 * t.leaf_count - 1
+            assert built.count("checked") == 1
 
 
 def test_forest_searches_each_repeated_row_once(monkeypatch):
@@ -620,6 +627,18 @@ def test_feature_restriction():
     for leaf in t.leaves:
         for j in (0, 2):
             assert leaf.region.lower[j] == -np.inf and leaf.region.upper[j] == np.inf
+
+
+@pytest.mark.parametrize("features", [[-1], [], [3], [1, 1], [0.5], [1.0], ["a"], 2],
+                         ids=["negative", "empty", "past p", "repeated", "fraction",
+                              "integral float", "text", "no list"])
+def test_a_bad_feature_subset_is_rejected(features):
+    # -1 is the leaf marker of the node arrays: a split on it would write a
+    # tree that loads as a leaf with children
+    rng = np.random.default_rng(6)
+    d = random_dataset(rng, 40, 3)
+    with pytest.raises(ValueError, match="features"):
+        fit_prtree(d, np.zeros(3), features=features)
 
 
 def test_soft_tree_prediction_and_row_sums(small_data):
