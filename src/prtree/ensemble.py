@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, RngSpec, check_features
-from .tree import (PRTree, StoppingRule, _feature_names, checked, fit_prtree, model_json,
-                   model_value, read_model_json)
+from .tree import (Model, PRTree, StoppingRule, _feature_names, checked, fit_prtree,
+                   model_json, model_value, read_model_json)
 
 log = logging.getLogger(__name__)
 
@@ -24,8 +24,8 @@ def _read_trees(obj) -> list[PRTree]:
     return trees
 
 
-@dataclass
-class Forest:
+@dataclass(eq=False)
+class Forest(Model):
     """Average of independently fitted PR trees (bootstrap bagging)."""
 
     trees: list[PRTree]
@@ -66,8 +66,8 @@ class Forest:
         )
 
 
-@dataclass
-class BoostedEnsemble:
+@dataclass(eq=False)
+class BoostedEnsemble(Model):
     """Stagewise additive PR trees, each fit to the running residuals."""
 
     trees: list[PRTree]

@@ -18,8 +18,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import Boxes, membership_column  # noqa: F401
-from .tree import (FlatTree, StoppingRule, _feature_names, _Node, _read_only, checked,
-                   model_json, model_value, read_model_json, scales)
+from .tree import (FlatTree, Model, StoppingRule, _feature_names, _Node, _read_only, checked,
+                   finite, model_json, model_value, read_model_json, scales)
 
 log = logging.getLogger(__name__)
 
@@ -374,8 +374,21 @@ def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -
     return math.sqrt((hyper.nu * hyper.lam + sse) / 2.0 / rng.gamma((hyper.nu + y.size) / 2.0))
 
 
-@dataclass
-class PBartChain:
+def _weighted(structures: list[FlatTree], pair) -> FlatTree:
+    """The tree of a P-BART file's [k, weights] pair: structure k, sharing its
+    node arrays, with the weights on its leaves in node order."""
+    k, weights = pair
+    if type(k) is not int or not 0 <= k < len(structures):
+        raise ValueError(f"expected a structure index in [0, {len(structures)})")
+    t, w = structures[k], iter(weights)
+    if len(weights) != t.feature.count(-1):
+        raise ValueError(f"structure {k} has {t.feature.count(-1)} leaves, not {len(weights)}")
+    return FlatTree(t.feature, t.threshold, t.left, t.right,
+                    [finite(next(w)) if j < 0 else 0.0 for j in t.feature])
+
+
+@dataclass(eq=False)
+class PBartChain(Model):
     """Post-burn-in posterior trace of the additive tree model: per retained
     iteration, the node arrays of each of the m trees, leaf weights included.
     `snapshots` gives the same iterations as (regions tuple, gamma array) per
@@ -395,19 +408,24 @@ class PBartChain:
         # once here, in first-seen order, and the distinct regions compiled
         # (`kernel.Boxes`), so that predict evaluates each distinct region's
         # column once. Each distinct tree structure is walked, and its leaves
-        # matched to their regions' sums, once
+        # matched to their regions' sums, once; `to_json` writes the
+        # structures in this first-seen order, and each tree's position in it
         p = self.sigma.shape[0]
-        walked: dict[tuple, list[tuple[int, list]]] = {}
+        walked: dict[tuple, tuple[int, list[tuple[int, list]]]] = {}
         groups: dict[bytes, list] = {}
+        self._index = []
         for snap in self.trees:
             for t in snap:
                 key = (tuple(t.feature), tuple(t.threshold), tuple(t.left), tuple(t.right))
                 if key not in walked:
-                    walked[key] = [(i, groups.setdefault(r.lower.tobytes() + r.upper.tobytes(),
-                                                         [r, 0.0]))
-                                   for i, r in t.leaf_regions(p)]
-                for i, group in walked[key]:
+                    walked[key] = len(walked), [
+                        (i, groups.setdefault(r.lower.tobytes() + r.upper.tobytes(), [r, 0.0]))
+                        for i, r in t.leaf_regions(p)]
+                k, leaves = walked[key]
+                self._index.append(k)
+                for i, group in leaves:
                     group[1] += t.value[i]
+        self._structures = list(walked)
         self._boxes = Boxes([region for region, _ in groups.values()], self.sigma)
         self._gsums = [gsum for _, gsum in groups.values()]
 
@@ -433,6 +451,8 @@ class PBartChain:
         return (norm + 0.5) * self.y_scale + self.y_offset
 
     def to_json(self) -> str:
+        """Each distinct structure once; per snapshot tree, its index and leaf weights."""
+        k = iter(self._index)
         return model_json(
             {
                 "kind": "pbart",
@@ -443,7 +463,10 @@ class PBartChain:
                 "y_scale": self.y_scale,
                 "sigma_trace": [float(v) for v in self.sigma_trace],
                 "acceptance_log": self.acceptance_log,
-                "snapshots": [[vars(t) for t in snap] for snap in self.trees],
+                "structures": [dict(zip(("feature", "threshold", "left", "right"), key))
+                               for key in self._structures],
+                "snapshots": [[[next(k), [v for v, j in zip(t.value, t.feature) if j < 0]]
+                               for t in snap] for snap in self.trees],
             }
         )
 
@@ -453,15 +476,17 @@ class PBartChain:
         sigma = model_value(obj, "sigma", scales)
         hyper = model_value(obj, "hyper", lambda h: PBartHyper(
             **{**h, "move_probs": tuple(h["move_probs"])}))
+        structures = model_value(obj, "structures", lambda ss: [
+            FlatTree.from_dict({**s, "value": [0.0] * len(s["feature"])}, sigma.size) for s in ss])
         return cls(
             trees=model_value(obj, "snapshots", checked(lambda snaps: [
-                [FlatTree.from_dict(t, sigma.size) for t in snap] for snap in snaps],
+                [_weighted(structures, pair) for pair in snap] for snap in snaps],
                 lambda snaps: snaps and all(len(snap) == hyper.m for snap in snaps),
                 f"snapshots of hyper.m = {hyper.m} trees each")),
             sigma_trace=model_value(obj, "sigma_trace", scales),
             acceptance_log=model_value(obj, "acceptance_log", dict),
             sigma=sigma,
-            y_offset=model_value(obj, "y_offset", checked(float, math.isfinite, "a finite number")),
+            y_offset=model_value(obj, "y_offset", finite),
             y_scale=model_value(obj, "y_scale", checked(
                 float, lambda v: 0.0 < v < math.inf, "a finite positive number")),
             hyper=hyper,

@@ -27,7 +27,7 @@ GAIN_TOL = 1e-12
 # Singular values below PINV_RCOND * largest are treated as zero.
 PINV_RCOND = 1e-10
 # Layout version of every model file; a file of any other version is rejected.
-SCHEMA = "prtree/3"
+SCHEMA = "prtree/4"
 
 
 def model_json(obj: dict) -> str:
@@ -82,6 +82,15 @@ def checked(kind, ok, what: str):
     return parse
 
 
+finite = checked(float, math.isfinite, "a finite number")
+
+
+class Model:
+    def __eq__(self, other) -> bool:
+        """Of one class and writing the same file (a dataclass subclass takes eq=False)."""
+        return type(other) is type(self) and other.to_json() == self.to_json()
+
+
 def _feature_names(obj, p: int) -> tuple[str, ...]:
     """The feature names of a model file over p features: none, or one per feature."""
     return model_value(obj, "feature_names", checked(
@@ -109,13 +118,10 @@ class FlatTree:
     @classmethod
     def from_dict(cls, obj: dict, p: int) -> "FlatTree":
         """The node arrays of a model file's tree over p coordinates; a
-        ValueError unless they form one binary tree rooted at node 0, each
-        child numbered after its parent, as `grow` and `prune` keep them."""
-        try:
-            tree = cls(*([kind(v) for v in obj[f.name]]
-                         for f, kind in zip(fields(cls), (index, float, index, index, float))))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed node arrays: {exc!r}") from None
+        ValueError unless the weights are finite and the arrays form one tree
+        rooted at node 0, each child after its parent, as `grow` and `prune` keep them."""
+        tree = cls(*(model_value(obj, f.name, lambda a, kind=kind: [kind(v) for v in a])
+                     for f, kind in zip(fields(cls), (index, float, index, index, finite))))
         n = len(tree.feature)
         if n == 0 or {len(a) for a in vars(tree).values()} != {n}:
             raise ValueError("node arrays must be non-empty and of equal length")
@@ -486,8 +492,8 @@ class Leaf(NamedTuple):
     gamma: float
 
 
-@dataclass
-class PRTree:
+@dataclass(eq=False)
+class PRTree(Model):
     """A fitted probabilistic regression tree.
 
     Prediction is the gamma-weighted sum of soft memberships over all
@@ -502,7 +508,7 @@ class PRTree:
     sigma: np.ndarray
     feature_names: tuple[str, ...] = ()
     leaves: list[Leaf] = field(init=False, repr=False)
-    boxes: Boxes = field(init=False, repr=False, compare=False)
+    boxes: Boxes = field(init=False, repr=False)
 
     def __post_init__(self):
         self.leaves = [Leaf(region, self.nodes.value[i])

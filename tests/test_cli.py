@@ -40,6 +40,17 @@ PRTREE2_PBART = (
     '"upper": [[0.5, Infinity], [Infinity, Infinity]]}]]}'
 )
 
+# A P-BART file in the prtree/3 layout: each snapshot tree stored as its full
+# node arrays, weights included.
+PRTREE3_PBART = (
+    '{"schema": "prtree/3", "kind": "pbart", "feature_names": ["a", "b"], '
+    '"hyper": {"m": 1, "alpha": 0.95, "beta": 2.0, "nu": 3.0, "lam": 1.0, "sigma_gamma": 0.25, '
+    '"it_burn": 0, "it_max": 1, "move_probs": [0.25, 0.25, 0.25, 0.25]}, '
+    '"sigma": [0.0, 0.0], "y_offset": 0.0, "y_scale": 1.0, "sigma_trace": [1.0], '
+    '"acceptance_log": {}, "snapshots": [[{"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], '
+    '"left": [1, -1, -1], "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}]]}'
+)
+
 # Node arrays of a split at 0.5 on feature 0 into leaves of weight 1 and 2.
 STUMP = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, -1, -1],
          "right": [2, -1, -1], "value": [0.0, 1.0, 2.0]}
@@ -401,20 +412,30 @@ def test_unversioned_tree_file_is_rejected(tmp_path, data_csv, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_prtree2_pbart_file_is_rejected(tmp_path, data_csv, capsys):
-    message = f"schema 'prtree/2', expected {SCHEMA!r}"
+def _old_pbart_file_is_rejected(tmp_path, data_csv, capsys, text, schema):
+    message = f"schema {schema!r}, expected {SCHEMA!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        PBartChain.from_json(PRTREE2_PBART)
+        PBartChain.from_json(text)
     model_path = tmp_path / "old.json"
-    model_path.write_text(PRTREE2_PBART)
+    model_path.write_text(text)
     assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
                  "--target", "y", "--out", str(tmp_path / "p.csv")]) == 1
     assert message in capsys.readouterr().err
 
 
+def test_prtree2_pbart_file_is_rejected(tmp_path, data_csv, capsys):
+    _old_pbart_file_is_rejected(tmp_path, data_csv, capsys, PRTREE2_PBART, "prtree/2")
+
+
+def test_prtree3_pbart_file_is_rejected(tmp_path, data_csv, capsys):
+    _old_pbart_file_is_rejected(tmp_path, data_csv, capsys, PRTREE3_PBART, "prtree/3")
+
+
 def _stump_file(kind, **change):
     """A tree or a one-snapshot P-BART file over features a and b whose
-    (first) tree is STUMP with the arrays in `change` replaced."""
+    (first) tree is STUMP with the arrays in `change` replaced. A P-BART
+    file's change applies to its first structure, and a changed `value` to
+    the weights of the first snapshot tree, its leaves' entries in node order."""
     nodes = FlatTree(**STUMP)
     if kind == "tree":
         text = PRTree(nodes, np.zeros(2), ("a", "b")).to_json()
@@ -424,10 +445,13 @@ def _stump_file(kind, **change):
                           hyper=PBartHyper(m=1, lam=1.0, sigma_gamma=0.25),
                           feature_names=("a", "b")).to_json()
     obj = json.loads(text)
-    tree = obj if kind == "tree" else obj["snapshots"][0][0]
+    tree = obj if kind == "tree" else obj["structures"][0]
     tree.update(change)
     for key in [k for k, v in change.items() if v is None]:
         del tree[key]
+    if kind == "pbart" and "value" in tree:
+        obj["snapshots"][0][0][1] = [v for v, j in zip(tree.pop("value"), tree["feature"])
+                                     if j == -1]
     return json.dumps(obj)
 
 
@@ -436,11 +460,12 @@ BAD_TREES = {
     "both children are node 1": ({"left": [1, -1, -1], "right": [1, -1, -1]}, ONCE),
     "child out of range": ({"right": [3, -1, -1]}, ONCE),
     "child is the root": ({"right": [0, -1, -1]}, "node 0 has feature 0 and children [1, 0]"),
-    "missing threshold": ({"threshold": None}, "malformed node arrays: KeyError('threshold')"),
-    "unequal lengths": ({"value": [0.0, 1.0]}, "non-empty and of equal length"),
+    "missing threshold": ({"threshold": None}, "model file key 'threshold' missing or malformed"),
+    "unequal lengths": ({"threshold": [0.5, 0.0]}, "non-empty and of equal length"),
     "leaf with a child": ({"left": [1, 2, -1]}, "node 1 has feature -1 and children [2, -1]"),
     "feature out of range": ({"feature": [2, -1, -1]}, "node 0 has feature 2 and children"),
-    "fractional feature": ({"feature": [0.5, -1, -1]}, "malformed node arrays: TypeError"),
+    "fractional feature": ({"feature": [0.5, -1, -1]},
+                           "model file key 'feature' missing or malformed"),
     # nodes 3 and 4 are each other's child, unreachable from the root
     "unreachable loop": (
         {"feature": [0, -1, -1, 0, 1, -1, -1], "threshold": [0.5, 0, 0, 0.1, 0.2, 0, 0],
@@ -509,6 +534,13 @@ def _set(key, value):
     return change
 
 
+def _tree_entry(i, value):
+    """Set item i of the first snapshot tree's [structure index, leaf weights] pair."""
+    def change(obj):
+        obj["snapshots"][0][0][i] = value
+    return change
+
+
 BAD_KEYS = {
     "tree without sigma": ("tree", lambda obj: obj.pop("sigma"), "sigma"),
     "tree with a text sigma": ("tree", _set("sigma", "wide"), "sigma"),
@@ -547,7 +579,27 @@ BAD_KEYS = {
     "pbart with fewer trees than hyper.m": (
         "pbart", lambda obj: obj["hyper"].__setitem__("m", 2), "snapshots"),
     "pbart with more trees than hyper.m": (
-        "pbart", lambda obj: obj["snapshots"][0].append(dict(STUMP)), "snapshots"),
+        "pbart", lambda obj: obj["snapshots"][0].append(obj["snapshots"][0][0]), "snapshots"),
+    # P-BART snapshot trees that name no structure or do not fit theirs
+    "pbart without structures": ("pbart", lambda obj: obj.pop("structures"), "structures"),
+    "pbart with a structure index out of range": ("pbart", _tree_entry(0, 1), "snapshots"),
+    "pbart with a negative structure index": ("pbart", _tree_entry(0, -1), "snapshots"),
+    "pbart with a bool structure index": ("pbart", _tree_entry(0, False), "snapshots"),
+    "pbart with a float structure index": ("pbart", _tree_entry(0, 0.0), "snapshots"),
+    "pbart with too few leaf weights": ("pbart", _tree_entry(1, [1.0]), "snapshots"),
+    "pbart with too many leaf weights": ("pbart", _tree_entry(1, [1.0, 2.0, 3.0]), "snapshots"),
+    "pbart snapshot tree that is no pair": (
+        "pbart", lambda obj: obj["snapshots"][0].__setitem__(0, [0]), "snapshots"),
+    "pbart snapshot tree as node arrays": (
+        "pbart", lambda obj: obj["snapshots"][0].__setitem__(0, dict(STUMP)), "snapshots"),
+    # non-finite leaf weights would load and predict nan for every row
+    "tree with a NaN leaf weight": (
+        "tree", lambda obj: obj["value"].__setitem__(1, float("nan")), "value"),
+    "tree with an infinite leaf weight": (
+        "tree", lambda obj: obj["value"].__setitem__(2, float("inf")), "value"),
+    "pbart with a NaN leaf weight": ("pbart", _tree_entry(1, [float("nan"), 2.0]), "snapshots"),
+    "pbart with an infinite leaf weight": (
+        "pbart", _tree_entry(1, [1.0, float("inf")]), "snapshots"),
     "pbart with three move_probs": (
         "pbart", lambda obj: obj["hyper"].__setitem__("move_probs", [0.4, 0.3, 0.3]), "hyper"),
     "tree with three names over two features": (
@@ -561,6 +613,24 @@ BAD_KEYS = {
         "trees"),
 }
 LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
+
+
+@pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
+def test_model_equals_its_reloaded_copy_only(data_csv, model):
+    d = load_csv(data_csv, "y")
+    hyper = PBartHyper(m=3, it_burn=2, it_max=6) if model == "pbart" else None
+    fitted = fit_model(LearnerSpec(kind=model, n_trees=3, hyper=hyper), d,
+                       np.full(d.p, 0.3), RngSpec(4))
+    obj = json.loads(fitted.to_json())
+    reloaded = type(fitted).from_json(json.dumps(obj))
+    if model == "pbart":
+        obj["snapshots"][0][0][1][0] += 1.0
+    else:
+        tree = obj if model == "tree" else obj["trees"][0]
+        tree["value"][tree["feature"].index(-1)] += 1.0
+    changed = type(fitted).from_json(json.dumps(obj))
+    assert fitted == reloaded and not fitted != reloaded
+    assert fitted != changed and not fitted == changed
 
 
 @pytest.mark.parametrize("case", sorted(BAD_KEYS))

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import asdict
 
@@ -890,6 +891,29 @@ def test_chain_json_roundtrip(small_data):
     assert np.array_equal(chain.predict(X), again.predict(X))
     assert chain.to_json() == again.to_json()
     assert chain.trees == again.trees
+
+
+def test_chain_file_writes_each_structure_once(small_data):
+    sigma = 0.3 * small_data.features.std(axis=0, ddof=1)
+    chain = fit_pbart(small_data, PBartHyper(m=5, it_burn=5, it_max=25), sigma, RngSpec(4))
+    obj = json.loads(chain.to_json())
+    arrays = ("feature", "threshold", "left", "right")
+    distinct = []
+    for snap in chain.trees:
+        for t in snap:
+            if [getattr(t, a) for a in arrays] not in distinct:
+                distinct.append([getattr(t, a) for a in arrays])
+    assert [[s[a] for a in arrays] for s in obj["structures"]] == distinct
+    assert len(distinct) < 5 * 20  # structures recur, so the file is shorter
+    assert {k for snap in obj["snapshots"] for k, _ in snap} == set(range(len(distinct)))
+    for snap, entries in zip(chain.trees, obj["snapshots"]):
+        for t, (k, weights) in zip(snap, entries):
+            assert distinct[k] == [getattr(t, a) for a in arrays]
+            assert weights == [v for v, j in zip(t.value, t.feature) if j == -1]
+    again = PBartChain.from_json(chain.to_json())
+    assert again.trees == chain.trees and again == chain
+    X = small_data.features
+    assert np.array_equal(again.predict(X), chain.predict(X))
 
 
 def test_reloaded_chain_snapshots_equal_fitted(small_data):
