@@ -166,17 +166,11 @@ def _cmd_fit(cfg) -> int:
 
 
 def _load_model(path):
-    text = Path(path).read_text()
-    kind = read_model_json(text).get("kind", "tree")
-    loader = {
-        "tree": PRTree.from_json,
-        "forest": Forest.from_json,
-        "gbt": BoostedEnsemble.from_json,
-        "pbart": PBartChain.from_json,
-    }.get(kind)
-    if loader is None:
-        raise ConfigError(f"unrecognized model kind {kind!r} in {path}")
-    return loader(text)
+    obj = read_model_json(Path(path).read_text())
+    for cls in (PRTree, Forest, BoostedEnsemble, PBartChain):
+        if cls.kind == obj.get("kind", PRTree.kind):
+            return cls.from_obj(obj)
+    raise ConfigError(f"unrecognized model kind {obj['kind']!r} in {path}")
 
 
 def _predict_features(path, target: str, names) -> np.ndarray:

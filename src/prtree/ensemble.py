@@ -8,19 +8,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, RngSpec, check_features
-from .tree import (Model, PRTree, StoppingRule, _feature_names, checked, fit_prtree,
-                   model_json, model_value, read_model_json)
+from .tree import (Model, PRTree, StoppingRule, _array, _feature_names, _integer, _number,
+                   _typed, checked, fit_prtree, model_value)
 
 log = logging.getLogger(__name__)
 
 
 def _read_trees(obj) -> list[PRTree]:
-    """The trees of a forest or boosted model file: at least one, all over
-    the same p features, of which the file names none or all."""
+    """The trees of a forest or boosted model file: at least one, all over the
+    same p features, each with the file's feature names."""
     trees = model_value(obj, "trees", checked(
-        lambda ts: [PRTree.from_dict(t, obj["feature_names"]) for t in ts],
-        lambda ts: len({t.p for t in ts}) == 1, "at least one tree, all over the same features"))
-    _feature_names(obj, trees[0].p)
+        _array(PRTree.read), lambda ts: len({t.p for t in ts}) == 1,
+        "at least one tree, all over the same features"))
+    for t in trees:
+        t.feature_names = _feature_names(obj, t.p)
     return trees
 
 
@@ -28,6 +29,7 @@ def _read_trees(obj) -> list[PRTree]:
 class Forest(Model):
     """Average of independently fitted PR trees (bootstrap bagging)."""
 
+    kind = "forest"
     trees: list[PRTree]
     bootstrap: bool = True
     feature_subsets: list[tuple[int, ...]] = field(default_factory=list)
@@ -44,32 +46,25 @@ class Forest(Model):
         # to the order the trees are stored in
         return np.sort(preds, axis=0).mean(axis=0)
 
-    def to_json(self) -> str:
-        return model_json(
-            {
-                "kind": "forest",
-                "feature_names": list(self.feature_names),
-                "bootstrap": self.bootstrap,
+    def fields(self) -> dict:
+        return {"bootstrap": self.bootstrap,
                 "feature_subsets": [list(fs) for fs in self.feature_subsets],
-                "trees": [t.to_dict() for t in self.trees],
-            }
-        )
+                "trees": [t.fields() for t in self.trees]}
 
     @classmethod
-    def from_json(cls, text: str) -> "Forest":
-        obj = read_model_json(text, "forest")
-        return cls(
-            trees=_read_trees(obj),
-            bootstrap=model_value(obj, "bootstrap", bool),
-            feature_subsets=model_value(obj, "feature_subsets", lambda v: [tuple(fs) for fs in v]),
-            feature_names=obj["feature_names"],
-        )
+    def read(cls, obj: dict) -> "Forest":
+        trees = _read_trees(obj)
+        subset = checked(lambda fs: tuple(_array(_integer)(fs)), lambda fs: len(set(fs)) == len(fs)
+                         and set(fs) <= set(range(trees[0].p)), "distinct features of the trees")
+        return cls(trees, model_value(obj, "bootstrap", _typed("true or false", bool)),
+                   model_value(obj, "feature_subsets", _array(subset)), trees[0].feature_names)
 
 
 @dataclass(eq=False)
 class BoostedEnsemble(Model):
     """Stagewise additive PR trees, each fit to the running residuals."""
 
+    kind = "gbt"
     trees: list[PRTree]
     shrinkage: float = 1.0
     feature_names: tuple[str, ...] = ()
@@ -85,25 +80,14 @@ class BoostedEnsemble(Model):
             total += self.shrinkage * t.leaf_sum(X)
         return total
 
-    def to_json(self) -> str:
-        return model_json(
-            {
-                "kind": "gbt",
-                "feature_names": list(self.feature_names),
-                "shrinkage": float(self.shrinkage),
-                "trees": [t.to_dict() for t in self.trees],
-            }
-        )
+    def fields(self) -> dict:
+        return {"shrinkage": float(self.shrinkage), "trees": [t.fields() for t in self.trees]}
 
     @classmethod
-    def from_json(cls, text: str) -> "BoostedEnsemble":
-        obj = read_model_json(text, "gbt")
-        return cls(
-            trees=_read_trees(obj),
-            shrinkage=model_value(obj, "shrinkage",
-                                  checked(float, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")),
-            feature_names=obj["feature_names"],
-        )
+    def read(cls, obj: dict) -> "BoostedEnsemble":
+        trees = _read_trees(obj)
+        return cls(trees, model_value(obj, "shrinkage", checked(
+            _number, lambda v: 0.0 < v <= 1.0, "a number in (0, 1]")), trees[0].feature_names)
 
 
 def fit_prrf(

@@ -18,8 +18,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import Boxes, membership_column  # noqa: F401
-from .tree import (FlatTree, Model, StoppingRule, _feature_names, _Node, _read_only, checked,
-                   finite, model_json, model_value, read_model_json, scales)
+from .tree import (FlatTree, Model, StoppingRule, _array, _feature_names, _integer, _Node,
+                   _number, _object, _read_only, checked, finite, model_value, scales)
 
 log = logging.getLogger(__name__)
 
@@ -378,13 +378,13 @@ def _weighted(structures: list[FlatTree], pair) -> FlatTree:
     """The tree of a P-BART file's [k, weights] pair: structure k, sharing its
     node arrays, with the weights on its leaves in node order."""
     k, weights = pair
-    if type(k) is not int or not 0 <= k < len(structures):
+    if not 0 <= _integer(k) < len(structures):
         raise ValueError(f"expected a structure index in [0, {len(structures)})")
-    t, w = structures[k], iter(weights)
+    t, w = structures[k], iter(_array(finite)(weights))
     if len(weights) != t.feature.count(-1):
         raise ValueError(f"structure {k} has {t.feature.count(-1)} leaves, not {len(weights)}")
     return FlatTree(t.feature, t.threshold, t.left, t.right,
-                    [finite(next(w)) if j < 0 else 0.0 for j in t.feature])
+                    [next(w) if j < 0 else 0.0 for j in t.feature])
 
 
 @dataclass(eq=False)
@@ -394,6 +394,7 @@ class PBartChain(Model):
     `snapshots` gives the same iterations as (regions tuple, gamma array) per
     tree, leaves in preorder, derived from the arrays when read."""
 
+    kind = "pbart"
     trees: list[list[FlatTree]]
     sigma_trace: np.ndarray
     acceptance_log: dict
@@ -408,7 +409,7 @@ class PBartChain(Model):
         # once here, in first-seen order, and the distinct regions compiled
         # (`kernel.Boxes`), so that predict evaluates each distinct region's
         # column once. Each distinct tree structure is walked, and its leaves
-        # matched to their regions' sums, once; `to_json` writes the
+        # matched to their regions' sums, once; `fields` writes the
         # structures in this first-seen order, and each tree's position in it
         p = self.sigma.shape[0]
         walked: dict[tuple, tuple[int, list[tuple[int, list]]]] = {}
@@ -450,45 +451,45 @@ class PBartChain(Model):
         norm = total / self.n_snapshots
         return (norm + 0.5) * self.y_scale + self.y_offset
 
-    def to_json(self) -> str:
+    def fields(self) -> dict:
         """Each distinct structure once; per snapshot tree, its index and leaf weights."""
         k = iter(self._index)
-        return model_json(
-            {
-                "kind": "pbart",
-                "feature_names": list(self.feature_names),
-                "hyper": asdict(self.hyper),
-                "sigma": [float(v) for v in self.sigma],
-                "y_offset": self.y_offset,
-                "y_scale": self.y_scale,
-                "sigma_trace": [float(v) for v in self.sigma_trace],
-                "acceptance_log": self.acceptance_log,
-                "structures": [dict(zip(("feature", "threshold", "left", "right"), key))
-                               for key in self._structures],
-                "snapshots": [[[next(k), [v for v, j in zip(t.value, t.feature) if j < 0]]
-                               for t in snap] for snap in self.trees],
-            }
-        )
+        return {
+            "hyper": asdict(self.hyper),
+            "sigma": [float(v) for v in self.sigma],
+            "y_offset": self.y_offset,
+            "y_scale": self.y_scale,
+            "sigma_trace": [float(v) for v in self.sigma_trace],
+            "acceptance_log": self.acceptance_log,
+            "structures": [dict(zip(("feature", "threshold", "left", "right"), key))
+                           for key in self._structures],
+            "snapshots": [[[next(k), [v for v, j in zip(t.value, t.feature) if j < 0]]
+                           for t in snap] for snap in self.trees],
+        }
 
     @classmethod
-    def from_json(cls, text: str) -> "PBartChain":
-        obj = read_model_json(text, "pbart")
+    def read(cls, obj: dict) -> "PBartChain":
         sigma = model_value(obj, "sigma", scales)
-        hyper = model_value(obj, "hyper", lambda h: PBartHyper(
-            **{**h, "move_probs": tuple(h["move_probs"])}))
-        structures = model_value(obj, "structures", lambda ss: [
-            FlatTree.from_dict({**s, "value": [0.0] * len(s["feature"])}, sigma.size) for s in ss])
+        hyper = model_value(obj, "hyper", lambda h: PBartHyper(**{
+            **h, **{key: _integer(h[key]) for key in ("m", "it_burn", "it_max")},
+            "move_probs": tuple(_array(_number)(h["move_probs"]))}))
+        structures = model_value(obj, "structures", _array(lambda s: FlatTree.from_dict(
+            {**s, "value": [0.0] * len(s["feature"])}, sigma.size)))
         return cls(
-            trees=model_value(obj, "snapshots", checked(lambda snaps: [
-                [_weighted(structures, pair) for pair in snap] for snap in snaps],
+            trees=model_value(obj, "snapshots", checked(
+                _array(_array(lambda pair: _weighted(structures, pair))),
                 lambda snaps: snaps and all(len(snap) == hyper.m for snap in snaps),
                 f"snapshots of hyper.m = {hyper.m} trees each")),
             sigma_trace=model_value(obj, "sigma_trace", scales),
-            acceptance_log=model_value(obj, "acceptance_log", dict),
+            acceptance_log=model_value(obj, "acceptance_log", checked(
+                _object, lambda log: set(log) <= set(MOVES) and all(
+                    _object(c).keys() == {"accepted", "rejected"}
+                    and all(_integer(v) >= 0 for v in c.values()) for c in log.values()),
+                f"accepted and rejected counts of moves of {MOVES}")),
             sigma=sigma,
             y_offset=model_value(obj, "y_offset", finite),
             y_scale=model_value(obj, "y_scale", checked(
-                float, lambda v: 0.0 < v < math.inf, "a finite positive number")),
+                _number, lambda v: 0.0 < v < math.inf, "a finite positive number")),
             hyper=hyper,
             feature_names=_feature_names(obj, sigma.size),
         )

@@ -30,15 +30,9 @@ PINV_RCOND = 1e-10
 SCHEMA = "prtree/4"
 
 
-def model_json(obj: dict) -> str:
-    """A model file: `obj` as JSON, led by the schema key."""
-    return json.dumps({"schema": SCHEMA, **obj})
-
-
-def read_model_json(text: str, kind: str | None = None) -> dict:
-    """The object of a model file of `kind`, or of any kind if None (a file
-    naming no kind holds a tree), its feature names a tuple (empty if absent);
-    a ValueError unless it has this schema."""
+def read_model_json(text: str) -> dict:
+    """The object of a model file of any kind, decoded once for `Model.from_obj`;
+    a ValueError unless it is an object of this schema."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("a model file holds a JSON object")
@@ -46,16 +40,14 @@ def read_model_json(text: str, kind: str | None = None) -> dict:
         raise ValueError(
             f"model file schema {obj.get('schema')!r}, expected {SCHEMA!r}: refit the model"
         )
-    if kind is not None and obj.get("kind", "tree") != kind:
-        raise ValueError(f"not a {kind} model")
-    obj.setdefault("feature_names", [])
-    obj["feature_names"] = model_value(obj, "feature_names", tuple)
     return obj
 
 
 def scales(v, p: int | None = None) -> np.ndarray:
-    """A list of finite non-negative numbers (sigma, sigma_trace) as a float
-    vector; given p, the sigma of a fit over p features, so of length p."""
+    """A list of finite non-negative numbers as a float vector: given p, a fit's
+    sigma over p features; else a model file's (sigma, sigma_trace), JSON numbers."""
+    if p is None:
+        v = _array(_number)(v)
     a = np.array(v, dtype=float) if np.ndim(v) == 1 else None
     if a is None or not np.all(np.isfinite(a) & (a >= 0)) or p not in (None, a.size):
         raise ValueError("expected a list of finite non-negative numbers" if p is None
@@ -68,7 +60,7 @@ def model_value(obj, key: str, kind):
     key if obj is no object, lacks the key or holds a value kind rejects."""
     try:
         return kind(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"model file key {key!r} missing or malformed: {exc}") from None
 
 
@@ -82,19 +74,58 @@ def checked(kind, ok, what: str):
     return parse
 
 
-finite = checked(float, math.isfinite, "a finite number")
+def _typed(what: str, *types):
+    """A `model_value` kind: a value of exactly one of the types json.loads gives,
+    as the last; so a bool (a subclass of int) is no integer, and a number a float."""
+    def parse(v):
+        if type(v) not in types:
+            raise ValueError(f"expected {what}, got {reprlib.repr(v)}")
+        return types[-1](v)
+    return parse
+
+
+_integer = _typed("an integer", int)
+_number = _typed("a number", int, float)
+_list = _typed("a list", list)
+_object = _typed("an object", dict)
+finite = checked(_number, math.isfinite, "a finite number")
+
+
+def _array(kind):
+    """A `model_value` kind: a JSON list, each item read by kind."""
+    return lambda v: [kind(x) for x in _list(v)]
+
+
+def _feature_names(obj, p: int) -> tuple[str, ...]:
+    """A model file's feature names over p features: none (or no key) or p strings."""
+    return model_value({"feature_names": [], **obj}, "feature_names", checked(
+        lambda v: tuple(_array(_typed("a string", str))(v)), lambda names: len(names) in (0, p),
+        f"no names or {p} names"))
 
 
 class Model:
+    """A fitted model and the codec of its file: the schema, the class's `kind` (none
+    for a tree), the feature names, then the kind's own `fields()`, which `read(obj)` reads."""
+
     def __eq__(self, other) -> bool:
         """Of one class and writing the same file (a dataclass subclass takes eq=False)."""
         return type(other) is type(self) and other.to_json() == self.to_json()
 
+    def to_json(self) -> str:
+        kind = {} if self.kind == "tree" else {"kind": self.kind}
+        return json.dumps({"schema": SCHEMA, **kind, "feature_names": list(self.feature_names),
+                           **self.fields()})
 
-def _feature_names(obj, p: int) -> tuple[str, ...]:
-    """The feature names of a model file over p features: none, or one per feature."""
-    return model_value(obj, "feature_names", checked(
-        tuple, lambda names: len(names) in (0, p), f"no names or {p} names"))
+    @classmethod
+    def from_json(cls, text: str):
+        return cls.from_obj(read_model_json(text))
+
+    @classmethod
+    def from_obj(cls, obj: dict):
+        """The model of a decoded model file (`read_model_json`) of this class's kind."""
+        if obj.get("kind", "tree") != cls.kind:
+            raise ValueError(f"not a {cls.kind} model")
+        return cls.read(obj)
 
 
 @dataclass
@@ -120,8 +151,8 @@ class FlatTree:
         """The node arrays of a model file's tree over p coordinates; a
         ValueError unless the weights are finite and the arrays form one tree
         rooted at node 0, each child after its parent, as `grow` and `prune` keep them."""
-        tree = cls(*(model_value(obj, f.name, lambda a, kind=kind: [kind(v) for v in a])
-                     for f, kind in zip(fields(cls), (index, float, index, index, finite))))
+        kinds = (_integer, _number, _integer, _integer, finite)
+        tree = cls(*(model_value(obj, f.name, _array(kind)) for f, kind in zip(fields(cls), kinds)))
         n = len(tree.feature)
         if n == 0 or {len(a) for a in vars(tree).values()} != {n}:
             raise ValueError("node arrays must be non-empty and of equal length")
@@ -504,6 +535,7 @@ class PRTree(Model):
     Immutable in practice once fitted.
     """
 
+    kind = "tree"
     nodes: FlatTree
     sigma: np.ndarray
     feature_names: tuple[str, ...] = ()
@@ -532,25 +564,14 @@ class PRTree(Model):
         V = np.column_stack(list(self.boxes.columns(X)))
         return V @ np.array([leaf.gamma for leaf in self.leaves])
 
-    def to_dict(self) -> dict:
-        """sigma and the node arrays; the feature names are kept by the file,
-        once for a forest or a boosted model."""
+    def fields(self) -> dict:
+        """sigma and the node arrays; a forest's or gbt's file keeps the feature names once."""
         return {"sigma": [float(v) for v in self.sigma], **asdict(self.nodes)}
 
-    def to_json(self) -> str:
-        return model_json({"feature_names": list(self.feature_names), **self.to_dict()})
-
     @classmethod
-    def from_dict(cls, obj: dict, feature_names=()) -> "PRTree":
+    def read(cls, obj: dict) -> "PRTree":
         sigma = model_value(obj, "sigma", scales)
-        return cls(FlatTree.from_dict(obj, sigma.size), sigma, tuple(feature_names))
-
-    @classmethod
-    def from_json(cls, text: str) -> "PRTree":
-        obj = read_model_json(text, "tree")
-        tree = cls.from_dict(obj, obj["feature_names"])
-        _feature_names(obj, tree.p)
-        return tree
+        return cls(FlatTree.from_dict(obj, sigma.size), sigma, _feature_names(obj, sigma.size))
 
 
 def _repeated_rows(d: Dataset, block: np.ndarray, j: int):

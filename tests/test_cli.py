@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,6 +467,11 @@ BAD_TREES = {
     "feature out of range": ({"feature": [2, -1, -1]}, "node 0 has feature 2 and children"),
     "fractional feature": ({"feature": [0.5, -1, -1]},
                            "model file key 'feature' missing or malformed"),
+    # JSON values of the wrong type, which would load as a split on feature 1
+    # at 0.5 with leaf weights 1 and 2
+    "bool feature": ({"feature": [True, -1, -1]}, "expected an integer, got True"),
+    "string threshold": ({"threshold": ["0.5", 0, 0]}, "expected a number, got '0.5'"),
+    "string weight": ({"value": [0, "1", 2]}, "expected a number, got '1'"),
     # nodes 3 and 4 are each other's child, unreachable from the root
     "unreachable loop": (
         {"feature": [0, -1, -1, 0, 1, -1, -1], "threshold": [0.5, 0, 0, 0.1, 0.2, 0, 0],
@@ -611,8 +617,71 @@ BAD_KEYS = {
     "forest whose second tree has three sigmas": (
         "forest", lambda obj: obj["trees"].append({**obj["trees"][0], "sigma": [0.0] * 3}),
         "trees"),
+    # JSON values of the wrong type, each of which would load as the number,
+    # bool or list it spells
+    "tree with a bool feature": ("tree", _set("feature", [True, -1, -1]), "feature"),
+    "tree with a text threshold": ("tree", _set("threshold", ["0.5", 0, 0]), "threshold"),
+    "tree with a text leaf weight": ("tree", _set("value", [0, "1", 2]), "value"),
+    "tree with a text and a bool sigma": ("tree", _set("sigma", ["0.5", True]), "sigma"),
+    # an integer beyond the float range, which would fail inside the loader
+    "tree with a threshold beyond the floats": ("tree", _set("threshold", [10**400, 0, 0]),
+                                                 "threshold"),
+    "pbart with a text and a bool sigma": ("pbart", _set("sigma", ["0.5", True]), "sigma"),
+    "pbart with a text sigma_trace": ("pbart", _set("sigma_trace", ["1.0"]), "sigma_trace"),
+    "tree with names as one text": ("tree", _set("feature_names", "ab"), "feature_names"),
+    "tree with names that are numbers": ("tree", _set("feature_names", [1, 2]), "feature_names"),
+    "gbt with a text shrinkage": ("gbt", _set("shrinkage", "0.5"), "shrinkage"),
+    "forest with a text bootstrap": ("forest", _set("bootstrap", "no"), "bootstrap"),
+    "forest with a subset of no features": (
+        "forest", _set("feature_subsets", [["x", None]]), "feature_subsets"),
+    "forest with a subset out of range": ("forest", _set("feature_subsets", [[0, 2]]),
+                                          "feature_subsets"),
+    "forest with a repeated subset feature": ("forest", _set("feature_subsets", [[1, 1]]),
+                                              "feature_subsets"),
+    "forest with a bool subset feature": ("forest", _set("feature_subsets", [[False, True]]),
+                                          "feature_subsets"),
+    "pbart with a float m": ("pbart", lambda obj: obj["hyper"].__setitem__("m", 1.0), "hyper"),
+    "pbart with a bool it_burn": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("it_burn", True), "hyper"),
+    "pbart with a float it_max": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("it_max", 1000.0), "hyper"),
+    "pbart with bool move_probs": (
+        "pbart", lambda obj: obj["hyper"].__setitem__("move_probs", [True, False, False, False]),
+        "hyper"),
+    "pbart with a text y_offset": ("pbart", _set("y_offset", "1.5"), "y_offset"),
+    "pbart with a bool y_scale": ("pbart", _set("y_scale", True), "y_scale"),
+    "pbart with a bool leaf weight": ("pbart", _tree_entry(1, [True, 2.0]), "snapshots"),
+    "pbart with an acceptance log as a list": ("pbart", _set("acceptance_log", []),
+                                                "acceptance_log"),
+    "pbart with counts of an unknown move": (
+        "pbart", _set("acceptance_log", {"jump": {"accepted": 1, "rejected": 0}}),
+        "acceptance_log"),
+    "pbart with a negative count": (
+        "pbart", _set("acceptance_log", {"grow": {"accepted": -1, "rejected": 0}}),
+        "acceptance_log"),
+    "pbart with a text count": (
+        "pbart", _set("acceptance_log", {"grow": {"accepted": "1", "rejected": 0}}),
+        "acceptance_log"),
+    "pbart with a count missing": (
+        "pbart", _set("acceptance_log", {"grow": {"accepted": 1}}), "acceptance_log"),
 }
 LOADERS = {"tree": PRTree, "forest": Forest, "gbt": BoostedEnsemble, "pbart": PBartChain}
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_predict_decodes_the_model_file_once(tmp_path, data_csv, monkeypatch, kind):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(_model_file(kind))
+    decoded = []
+
+    def loads(text, **kwargs):
+        decoded.append(text)
+        return json.loads(text, **kwargs)
+
+    monkeypatch.setattr(prtree.tree, "json", SimpleNamespace(loads=loads, dumps=json.dumps))
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(tmp_path / "p.csv")]) == 0
+    assert decoded == [model_path.read_text()]
 
 
 @pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])

@@ -586,7 +586,7 @@ def test_target_override_matches_dataset_target():
     want = fit_prtree(Dataset(X, y - first.predict(X), names), np.zeros(6),
                       StoppingRule(max_leaves=2))
     assert got.to_json() == want.to_json()
-    assert got.to_dict()["feature"][0] == 4
+    assert got.fields()["feature"][0] == 4
     with pytest.raises(ValueError):
         Dataset(X, np.full(300, np.nan), names)
 
