@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import CsvFormatError, Dataset, RngSpec, load_csv, read_csv
-from .ensemble import BoostedEnsemble, Forest
 from .evaluate import (
     DEFAULT_TREES,
     LearnerSpec,
@@ -30,8 +29,8 @@ from .evaluate import (
     write_biasvar_csv,
     write_cv_csv,
 )
-from .pbart import PBartChain, PBartHyper
-from .tree import PRTree, StoppingRule, read_model_json
+from .pbart import PBartHyper
+from .tree import Model, StoppingRule
 
 log = logging.getLogger("prtree")
 
@@ -61,18 +60,13 @@ class ConfigError(ValueError):
 
 
 def _parse_sigma(text, p):
-    parts = [v.strip() for v in str(text).split(",") if v.strip() != ""]
+    """--sigma over p features, one value for all or one each; the fitters
+    check the values (`tree.scales`)."""
     try:
-        values = [float(v) for v in parts]
+        values = [float(v) for v in str(text).split(",") if v.strip() != ""]
     except ValueError:
         raise ConfigError(f"--sigma must be numeric, got {text!r}") from None
-    if not all(0 <= v < np.inf for v in values):
-        raise ConfigError(f"--sigma entries must be finite and non-negative, got {text!r}")
-    if len(values) == 1:
-        return np.full(p, values[0])
-    if len(values) != p:
-        raise ConfigError(f"--sigma needs 1 or {p} entries, got {len(values)}")
-    return np.array(values)
+    return np.full(p, values[0]) if len(values) == 1 else np.array(values)
 
 
 def _parse_int_list(text):
@@ -129,7 +123,9 @@ def _given(cfg, kind, **keys) -> dict:
     return {arg: _value(cfg, key, kind) for arg, key in keys.items() if cfg[key] is not None}
 
 
-def _spec(cfg) -> LearnerSpec:
+def _spec(cfg, p: int) -> LearnerSpec:
+    """The learner the config names, over p features; its sigma is the
+    config's, or None to tune one."""
     model = cfg["model"]
     n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else _value(cfg, "trees", int)
     hyper = None
@@ -142,6 +138,7 @@ def _spec(cfg) -> LearnerSpec:
         rule=StoppingRule(**_given(cfg, float, min_leaf_fraction="min_leaf"),
                           **_given(cfg, int, max_leaves="max_leaves")),
         hyper=hyper,
+        sigma=None if cfg["sigma"] is None else _parse_sigma(cfg["sigma"], p),
         **_given(cfg, float, shrinkage="shrinkage"),
     )
 
@@ -150,11 +147,10 @@ def _cmd_fit(cfg) -> int:
     """Fit the configured model on the whole dataset, tuning sigma on an
     internal 65/15-style holdout when no explicit --sigma is given."""
     d = _load_dataset(cfg)
-    spec = _spec(cfg)
+    spec = _spec(cfg, d.p)
     rng = RngSpec(_value(cfg, "seed", int))
-    if cfg["sigma"] is not None:
-        sigma = _parse_sigma(cfg["sigma"], d.p)
-    else:
+    sigma = spec.sigma
+    if sigma is None:
         cut = min(max(1, int(round(0.8125 * d.n))), d.n - 1)
         sigma = tune_on_holdout(d, spec, rng.stream(999), cut)
         log.info("tuned sigma: %s", sigma.tolist())
@@ -163,14 +159,6 @@ def _cmd_fit(cfg) -> int:
     Path(out).write_text(model.to_json() + "\n")
     log.info("wrote model to %s", out)
     return 0
-
-
-def _load_model(path):
-    obj = read_model_json(Path(path).read_text())
-    for cls in (PRTree, Forest, BoostedEnsemble, PBartChain):
-        if cls.kind == obj.get("kind", PRTree.kind):
-            return cls.from_obj(obj)
-    raise ConfigError(f"unrecognized model kind {obj['kind']!r} in {path}")
 
 
 def _predict_features(path, target: str, names) -> np.ndarray:
@@ -195,7 +183,7 @@ def _cmd_predict(cfg) -> int:
         raise ConfigError("--model-file is required")
     if not cfg.get("data"):
         raise ConfigError("--data is required")
-    model = _load_model(cfg["model_file"])
+    model = Model.from_json(Path(cfg["model_file"]).read_text())
     preds = model.predict(_predict_features(cfg["data"], cfg["target"], model.feature_names))
     out = cfg["out"] or "predictions.csv"
     with open(out, "w", newline="") as fh:
@@ -209,9 +197,7 @@ def _cmd_predict(cfg) -> int:
 
 def _cmd_cv(cfg) -> int:
     d = _load_dataset(cfg)
-    spec = _spec(cfg)
-    if cfg["sigma"] is not None:
-        spec.sigma = _parse_sigma(cfg["sigma"], d.p)
+    spec = _spec(cfg, d.p)
     plan = make_cv_plan(d, **_given(cfg, int, n_folds="folds"))
     result = cross_validate(d, spec, plan, RngSpec(_value(cfg, "seed", int)))
     name = Path(cfg["data"]).stem
@@ -232,12 +218,10 @@ def _cmd_biasvar(cfg) -> int:
     # the swept knob: the leaf cap of a single tree, else the tree count
     key, default = ("max_leaves", [2, 4, 8, 16]) if model == "tree" else ("trees", [1, 10, 50])
     knobs = _parse_int_list(cfg[key]) if cfg[key] is not None else default
-    sigma = _parse_sigma(cfg["sigma"], d.p) if cfg["sigma"] is not None else None
     rng = RngSpec(_value(cfg, "seed", int))
     rows = []
     for knob in knobs:
-        spec = _spec({**cfg, key: knob})
-        spec.sigma = sigma
+        spec = _spec({**cfg, key: knob}, d.p)
         report = bias_variance(d, spec, _value(cfg, "trials", int), rng)
         log.info(
             "%s knob=%d bias_sq=%.6g variance=%.6g mse=%.6g",
@@ -249,44 +233,41 @@ def _cmd_biasvar(cfg) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--data", help="input CSV path")
-    p.add_argument("--target", help="target column name (default: y)")
-    p.add_argument("--model", choices=["tree", "rf", "gbt", "pbart"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--trees", help="tree count (comma list for biasvar sweeps)")
-    p.add_argument("--shrinkage", type=float)
-    p.add_argument("--iters", type=int, help="sampler iterations")
-    p.add_argument("--burn", type=int, help="burn-in iterations")
-    p.add_argument("--alpha", type=float, help="depth prior base")
-    p.add_argument("--beta", type=float, help="depth prior decay")
-    p.add_argument("--nu", type=float, help="noise prior degrees of freedom")
-    p.add_argument("--min-leaf", dest="min_leaf", type=float, help="min leaf fraction")
-    p.add_argument("--max-leaves", dest="max_leaves", help="leaf cap (comma list for sweeps)")
-    p.add_argument("--sigma", help="noise scale: one value or p comma-separated")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--trials", type=int, help="bias-variance subsample count")
-    p.add_argument("--out", help="output path")
-    p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--verbose", action="store_true")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each taking only the flags it reads: the
+    shared ones, the learner's (all but predict) and its own."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--data", help="input CSV path")
+    shared.add_argument("--target", help="target column name (default: y)")
+    shared.add_argument("--out", help="output path")
+    shared.add_argument("--config", help="JSON config file (flags override it)")
+    shared.add_argument("--verbose", action="store_true")
+    learner = argparse.ArgumentParser(add_help=False)
+    learner.add_argument("--model", choices=["tree", "rf", "gbt", "pbart"])
+    learner.add_argument("--seed", type=int)
+    learner.add_argument("--trees", help="tree count (comma list for biasvar sweeps)")
+    learner.add_argument("--shrinkage", type=float)
+    learner.add_argument("--iters", type=int, help="sampler iterations")
+    learner.add_argument("--burn", type=int, help="burn-in iterations")
+    learner.add_argument("--alpha", type=float, help="depth prior base")
+    learner.add_argument("--beta", type=float, help="depth prior decay")
+    learner.add_argument("--nu", type=float, help="noise prior degrees of freedom")
+    learner.add_argument("--min-leaf", type=float, help="min leaf fraction")
+    learner.add_argument("--max-leaves", help="leaf cap (comma list for sweeps)")
+    learner.add_argument("--sigma", help="noise scale: one value or p comma-separated")
     parser = argparse.ArgumentParser(
-        prog="prtree",
-        description="Probabilistic regression trees: fit, predict, and benchmark.",
-    )
+        prog="prtree", description="Probabilistic regression trees: fit, predict, and benchmark.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-        ("fit", "fit a model and write it as JSON"),
-        ("predict", "predict with a fitted model JSON"),
-        ("cv", "stratified cross-validation RMSE"),
-        ("biasvar", "bias-variance decomposition sweep"),
-    ]:
-        p = sub.add_parser(name, help=helptext)
-        _add_common(p)
-        if name == "predict":
-            p.add_argument("--model-file", dest="model_file", help="fitted model JSON")
+
+    def command(name, helptext, *parents):
+        # no abbreviations: predict would read --model as --model-file
+        return sub.add_parser(name, help=helptext, parents=[shared, *parents], allow_abbrev=False)
+    command("fit", "fit a model and write it as JSON", learner)
+    command("predict", "predict with a fitted model JSON").add_argument(
+        "--model-file", help="fitted model JSON")
+    command("cv", "stratified cross-validation RMSE", learner).add_argument("--folds", type=int)
+    command("biasvar", "bias-variance decomposition sweep", learner).add_argument(
+        "--trials", type=int, help="bias-variance subsample count")
     return parser
 
 

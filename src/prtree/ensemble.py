@@ -57,7 +57,10 @@ class Forest(Model):
         subset = checked(lambda fs: tuple(_array(_integer)(fs)), lambda fs: len(set(fs)) == len(fs)
                          and set(fs) <= set(range(trees[0].p)), "distinct features of the trees")
         return cls(trees, model_value(obj, "bootstrap", _typed("true or false", bool)),
-                   model_value(obj, "feature_subsets", _array(subset)), trees[0].feature_names)
+                   model_value(obj, "feature_subsets", checked(
+                       _array(subset), lambda subsets: len(subsets) in (0, len(trees)),
+                       f"no subsets or one for each of the {len(trees)} trees")),
+                   trees[0].feature_names)
 
 
 @dataclass(eq=False)

@@ -472,6 +472,7 @@ class PBartChain(Model):
         sigma = model_value(obj, "sigma", scales)
         hyper = model_value(obj, "hyper", lambda h: PBartHyper(**{
             **h, **{key: _integer(h[key]) for key in ("m", "it_burn", "it_max")},
+            **{key: _number(h[key]) for key in ("alpha", "beta", "nu", "lam", "sigma_gamma")},
             "move_probs": tuple(_array(_number)(h["move_probs"]))}))
         structures = model_value(obj, "structures", _array(lambda s: FlatTree.from_dict(
             {**s, "value": [0.0] * len(s["feature"])}, sigma.size)))

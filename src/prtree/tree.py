@@ -30,19 +30,6 @@ PINV_RCOND = 1e-10
 SCHEMA = "prtree/4"
 
 
-def read_model_json(text: str) -> dict:
-    """The object of a model file of any kind, decoded once for `Model.from_obj`;
-    a ValueError unless it is an object of this schema."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("a model file holds a JSON object")
-    if obj.get("schema") != SCHEMA:
-        raise ValueError(
-            f"model file schema {obj.get('schema')!r}, expected {SCHEMA!r}: refit the model"
-        )
-    return obj
-
-
 def scales(v, p: int | None = None) -> np.ndarray:
     """A list of finite non-negative numbers as a float vector: given p, a fit's
     sigma over p features; else a model file's (sigma, sigma_trace), JSON numbers."""
@@ -107,6 +94,11 @@ class Model:
     """A fitted model and the codec of its file: the schema, the class's `kind` (none
     for a tree), the feature names, then the kind's own `fields()`, which `read(obj)` reads."""
 
+    _kinds: dict[str, type] = {}  # each kind's class, which joins as it is defined
+
+    def __init_subclass__(cls):
+        Model._kinds[cls.kind] = cls
+
     def __eq__(self, other) -> bool:
         """Of one class and writing the same file (a dataclass subclass takes eq=False)."""
         return type(other) is type(self) and other.to_json() == self.to_json()
@@ -118,14 +110,21 @@ class Model:
 
     @classmethod
     def from_json(cls, text: str):
-        return cls.from_obj(read_model_json(text))
-
-    @classmethod
-    def from_obj(cls, obj: dict):
-        """The model of a decoded model file (`read_model_json`) of this class's kind."""
-        if obj.get("kind", "tree") != cls.kind:
-            raise ValueError(f"not a {cls.kind} model")
-        return cls.read(obj)
+        """The model of a model file, decoded once: of the kind the file names
+        when called on Model, else of this class's kind only; a ValueError
+        unless the file is an object of this schema."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError("a model file holds a JSON object")
+        if obj.get("schema") != SCHEMA:
+            raise ValueError(f"model file schema {obj.get('schema')!r}, expected {SCHEMA!r}: "
+                             "refit the model")
+        kind = obj.get("kind", "tree")
+        kinds = Model._kinds if cls is Model else {cls.kind: cls}
+        if not isinstance(kind, str) or kind not in kinds:
+            expected = " or ".join(map(repr, kinds))
+            raise ValueError(f"model file of kind {kind!r}, expected {expected}")
+        return kinds[kind].read(obj)
 
 
 @dataclass

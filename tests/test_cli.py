@@ -12,12 +12,12 @@ import pytest
 
 import prtree
 from prtree import evaluate
-from prtree.cli import DEFAULTS, _spec, main
+from prtree.cli import DEFAULTS, _spec, build_parser, main
 from prtree.data import RngSpec, load_csv
 from prtree.ensemble import BoostedEnsemble, Forest
 from prtree.evaluate import LearnerSpec, fit_model, tune_on_holdout
 from prtree.pbart import PBartChain, PBartHyper
-from prtree.tree import SCHEMA, FlatTree, PRTree
+from prtree.tree import SCHEMA, FlatTree, Model, PRTree
 
 # A tree file in the layout before model files carried a schema: nested node
 # records, each leaf storing its region with non-standard infinite bounds.
@@ -219,7 +219,7 @@ def test_non_finite_sigma_exits_1(tmp_path, data_csv, capsys, model, sigma):
     assert main(["fit", "--model", model, "--trees", "2", "--iters", "3", "--burn", "1",
                  "--data", str(data_csv), "--target", "y", "--sigma", sigma,
                  "--out", str(out)]) == 1
-    assert "--sigma entries must be finite and non-negative" in capsys.readouterr().err
+    assert "sigma must be 2 finite non-negative numbers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -258,6 +258,48 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded():
 
 def test_missing_data_flag():
     assert main(["fit", "--target", "y"]) == 1
+
+
+# Each command's flags, each with a value that reads back as itself: the
+# shared ones, the learner's (all but predict) and the command's own.
+SHARED_FLAGS = {"--data": "d.csv", "--target": "y", "--out": "o.csv", "--config": "c.json"}
+LEARNER_FLAGS = {"--model": "gbt", "--seed": "1", "--trees": "2", "--shrinkage": "0.5",
+                 "--iters": "9", "--burn": "3", "--alpha": "0.9", "--beta": "1.5", "--nu": "4.5",
+                 "--min-leaf": "0.1", "--max-leaves": "4", "--sigma": "0.2"}
+FLAGS = {"fit": {**SHARED_FLAGS, **LEARNER_FLAGS},
+         "predict": {**SHARED_FLAGS, "--model-file": "m.json"},
+         "cv": {**SHARED_FLAGS, **LEARNER_FLAGS, "--folds": "5"},
+         "biasvar": {**SHARED_FLAGS, **LEARNER_FLAGS, "--trials": "3"}}
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_command_takes_the_flags_it_reads(command):
+    argv = [command, "--verbose", *(item for pair in FLAGS[command].items() for item in pair)]
+    args = vars(build_parser().parse_args(argv))
+    # and no other: argparse sets every flag a command takes
+    assert {key: str(value) for key, value in args.items()} == {
+        "command": command, "verbose": "True",
+        **{flag[2:].replace("-", "_"): value for flag, value in FLAGS[command].items()}}
+
+
+EVERY_FLAG = {flag: value for flags in FLAGS.values() for flag, value in flags.items()}
+
+
+@pytest.mark.parametrize("command,flag", [(command, flag) for command in sorted(FLAGS)
+                                          for flag in sorted(EVERY_FLAG.keys() - FLAGS[command])])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, data_csv, capsys, command,
+                                                          flag):
+    # all but --model-file were accepted and ignored: predict --sigma 5 predicted as without it
+    model_path = tmp_path / "model.json"
+    model_path.write_text(_model_file("tree"))
+    out = tmp_path / "out.csv"
+    model_file = ["--model-file", str(model_path)] if command == "predict" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *model_file, "--data", str(data_csv), "--target", "y",
+              flag, EVERY_FLAG[flag], "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {EVERY_FLAG[flag]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "cv"])
@@ -316,7 +358,7 @@ def test_fit_tunes_and_fits_like_the_harness(tmp_path, data_csv, model):
 
 @pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
 def test_cli_and_library_default_to_the_same_tree_count(model):
-    cli_spec, spec = _spec({**DEFAULTS, "model": model}), LearnerSpec(kind=model)
+    cli_spec, spec = _spec({**DEFAULTS, "model": model}, 2), LearnerSpec(kind=model)
     assert cli_spec.n_trees == spec.n_trees == {"tree": 1, "rf": 100, "gbt": 50, "pbart": 50}[model]
     if model == "pbart":
         assert cli_spec.hyper.m == spec.hyper.m == PBartHyper().m
@@ -565,6 +607,10 @@ BAD_KEYS = {
     "pbart with a zero nu": ("pbart", lambda obj: obj["hyper"].__setitem__("nu", 0.0), "hyper"),
     "pbart with a negative sigma_gamma": (
         "pbart", lambda obj: obj["hyper"].__setitem__("sigma_gamma", -0.5), "hyper"),
+    # a fitted chain writes every prior calibrated, as a number
+    "pbart with a bool beta": ("pbart", lambda obj: obj["hyper"].__setitem__("beta", True),
+                               "hyper"),
+    "pbart with a null lam": ("pbart", lambda obj: obj["hyper"].__setitem__("lam", None), "hyper"),
     # values no fitter writes, which would load and predict nan, inf, scaled
     # or constant values, or fail inside numpy
     "gbt with a NaN shrinkage": ("gbt", _set("shrinkage", float("nan")), "shrinkage"),
@@ -640,6 +686,8 @@ BAD_KEYS = {
                                               "feature_subsets"),
     "forest with a bool subset feature": ("forest", _set("feature_subsets", [[False, True]]),
                                           "feature_subsets"),
+    "forest of two trees and one subset": (
+        "forest", lambda obj: obj["trees"].append(obj["trees"][0]), "feature_subsets"),
     "pbart with a float m": ("pbart", lambda obj: obj["hyper"].__setitem__("m", 1.0), "hyper"),
     "pbart with a bool it_burn": (
         "pbart", lambda obj: obj["hyper"].__setitem__("it_burn", True), "hyper"),
@@ -682,6 +730,30 @@ def test_predict_decodes_the_model_file_once(tmp_path, data_csv, monkeypatch, ki
     assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
                  "--target", "y", "--out", str(tmp_path / "p.csv")]) == 0
     assert decoded == [model_path.read_text()]
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_model_loads_a_file_of_any_kind_and_a_kind_only_its_own(kind):
+    text = _model_file(kind)
+    assert Model.from_json(text) == LOADERS[kind].from_json(text)
+    for other in sorted(LOADERS.keys() - {kind}):
+        with pytest.raises(ValueError, match=f"model file of kind '{kind}', expected '{other}'"):
+            LOADERS[other].from_json(text)
+
+
+@pytest.mark.parametrize("kind", ["bogus", ["tree"]])
+def test_predict_names_a_kind_it_does_not_know(tmp_path, data_csv, capsys, kind):
+    obj = {**json.loads(_model_file("forest")), "kind": kind}
+    message = f"model file of kind {kind!r}, expected 'tree' or 'forest' or 'gbt' or 'pbart'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Model.from_json(json.dumps(obj))
+    model_path = tmp_path / "bogus.json"
+    model_path.write_text(json.dumps(obj))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model-file", str(model_path), "--data", str(data_csv),
+                 "--target", "y", "--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
