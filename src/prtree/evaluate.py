@@ -6,7 +6,10 @@ from __future__ import annotations
 
 import csv
 import logging
+import multiprocessing as mp
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,15 +45,9 @@ class CVPlan:
 
     def round_indices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(rest, test) index arrays for round i; test is folds i and i+1."""
-        test = np.array(self.folds[i] + self.folds[(i + 1) % self.n_folds])
-        rest = np.array(
-            [
-                idx
-                for k, fold in enumerate(self.folds)
-                if k not in (i, (i + 1) % self.n_folds)
-                for idx in fold
-            ]
-        )
+        held = (i, (i + 1) % self.n_folds)
+        test = np.array(self.folds[i] + self.folds[held[1]])
+        rest = np.array([idx for k, fold in enumerate(self.folds) if k not in held for idx in fold])
         return rest, test
 
 
@@ -94,9 +91,8 @@ def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
         if rmse < best_rmse:
             best_sigma, best_rmse = sigma, rmse
     if best_sigma is None:
-        raise ValueError(
-            f"no sigma grid multiplier in {list(GRID_MULTIPLIERS)} gave a finite validation RMSE"
-        )
+        raise ValueError(f"no sigma grid multiplier in {list(GRID_MULTIPLIERS)} gave a finite "
+                         "validation RMSE")
     return best_sigma
 
 
@@ -165,8 +161,7 @@ def tune_on_holdout(d: Dataset, spec: LearnerSpec, rng: RngSpec, cut: int) -> np
 def _train_valid_split(rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 15 of the remaining 80 points of each round go to validation: spread
     # 3 of every 16 positions so the stratified fold interleaving carries over
-    pos = np.arange(rest.size)
-    valid_mask = (pos % 16) < 3
+    valid_mask = np.arange(rest.size) % 16 < 3
     return rest[~valid_mask], rest[valid_mask]
 
 
@@ -177,34 +172,82 @@ class CVResult:
     std: float
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (one where the OS does not say)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _map_forked(task: Callable[[int], object], n: int) -> list:
+    """[task(i) for i in range(n)], bit for bit, in W = min(n, usable CPUs) forked
+    children: child w runs i = w, w + W, ... up to its first failure and pipes back what
+    it got. A child inherits task, so only results and exceptions are pickled. The lowest
+    failing i raises, as in a loop, and no child outlives the call. Runs here with one
+    CPU or task, without the fork start method, or in a multiprocessing child."""
+    workers = min(n, _usable_cpus())
+    if workers < 2 or "fork" not in mp.get_all_start_methods() or mp.parent_process():
+        return [task(i) for i in range(n)]
+
+    def serve(w: int, conn) -> None:
+        done = {}  # i: (True, result) or (False, exception)
+        try:
+            for i in range(w, n, workers):
+                done[i] = True, task(i)
+        except Exception as exc:
+            done[i] = False, exc
+        conn.send(done)
+
+    ctx, got, children = mp.get_context("fork"), {}, []
+    try:
+        for w in range(workers):
+            reader, writer = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=serve, args=(w, writer), daemon=True)
+            child.start()
+            children.append((child, reader))
+            writer.close()
+        for child, reader in children:
+            got.update(reader.recv())
+            child.join()
+    except EOFError:
+        raise RuntimeError("a worker process ended without sending its results") from None
+    finally:
+        for child, reader in children:
+            child.terminate()  # a no-op once joined
+            child.join()
+            reader.close()
+    for i in range(n):  # a child stops at its first failure, so that comes first
+        if not got[i][0]:
+            raise got[i][1]
+    return [got[i][1] for i in range(n)]
+
+
+def _cv_round(d: Dataset, spec: LearnerSpec, plan: CVPlan, rng: RngSpec, i: int) -> float:
+    """Round i's test RMSE; the round draws from rng.stream(i) alone."""
+    rest, test = plan.round_indices(i)
+    fold_rng = rng.stream(i)
+    d_rest, scaler = standard_scale(d.subset(rest))
+    d_test = Dataset(scaler.transform(d.features[test]), d.target[test], d.feature_names)
+    if spec.sigma is not None:
+        sigma = np.asarray(spec.sigma, dtype=float)
+    else:
+        tr_idx, va_idx = _train_valid_split(np.arange(rest.size))
+        sigma = tune_sigma(d_rest.subset(tr_idx), d_rest.subset(va_idx),
+                           _tuning_learner(spec, fold_rng))
+    pred = fit_model(spec, d_rest, sigma, fold_rng).predict(d_test.features)
+    return float(np.sqrt(np.mean((pred - d_test.target) ** 2)))
+
+
 def cross_validate(d: Dataset, spec: LearnerSpec, plan: CVPlan, rng: RngSpec) -> CVResult:
     """Per-round test RMSE plus mean and sample std across rounds.
 
     Each round scales features on its training portion, tunes sigma on the
-    validation portion when the spec asks for it, refits on the full
-    training portion, and scores the held-out 20%."""
+    validation portion when the spec asks for it, refits on the full training
+    portion and scores the held-out 20%, in a forked worker (`_map_forked`)."""
     if d.n < 10:
         raise ValueError("need at least 10 rows for cross-validation")
-    rmses = np.empty(plan.n_folds)
-    for i in range(plan.n_folds):
-        rest, test = plan.round_indices(i)
-        fold_rng = rng.stream(i)
-        d_rest, scaler = standard_scale(d.subset(rest))
-        d_test = Dataset(scaler.transform(d.features[test]), d.target[test], d.feature_names)
-        if spec.sigma is not None:
-            sigma = np.asarray(spec.sigma, dtype=float)
-        else:
-            tr_idx, va_idx = _train_valid_split(np.arange(rest.size))
-            sigma = tune_sigma(
-                d_rest.subset(tr_idx), d_rest.subset(va_idx), _tuning_learner(spec, fold_rng)
-            )
-        model = fit_model(spec, d_rest, sigma, fold_rng)
-        pred = model.predict(d_test.features)
-        rmses[i] = np.sqrt(np.mean((pred - d_test.target) ** 2))
-        log.info("round %d test rmse %.6g", i, rmses[i])
-    return CVResult(
-        fold_rmse=rmses, mean=float(rmses.mean()), std=float(rmses.std(ddof=1))
-    )
+    rmses = np.array(_map_forked(partial(_cv_round, d, spec, plan, rng), plan.n_folds))
+    for i, rmse in enumerate(rmses):
+        log.info("round %d test rmse %.6g", i, rmse)
+    return CVResult(fold_rmse=rmses, mean=float(rmses.mean()), std=float(rmses.std(ddof=1)))
 
 
 @dataclass(frozen=True)
@@ -222,13 +265,19 @@ class BiasVarReport:
     per_point_variance: np.ndarray | None = None
 
 
+def _bv_trial(d: Dataset, spec: LearnerSpec, sigma, n_train: int, pool_X: np.ndarray,
+              rng: RngSpec, t: int) -> np.ndarray:
+    """Trial t's predictions on the pool, fitted on n_train rows drawn from rng.stream(t)."""
+    train = d.subset(rng.stream(t).generator().permutation(d.n)[:n_train])
+    return fit_model(spec, train, sigma, rng.stream(t)).predict(pool_X)
+
+
 def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> BiasVarReport:
     """Repeated 80/20 subsampling: fit on each trial's 80%, predict the
     fixed pool (the first trial's held-out 20%), and decompose the error."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    n_train = int(round(0.8 * d.n))
-    n_train = min(max(n_train, 1), d.n - 1)
+    n_train = min(max(int(round(0.8 * d.n)), 1), d.n - 1)
 
     if spec.sigma is not None:
         sigma = np.asarray(spec.sigma, dtype=float)
@@ -237,30 +286,14 @@ def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> B
         cut = max(1, int(round(0.8 * d.n * 0.8125)))
         sigma = tune_on_holdout(d, spec, rng.stream(1_000_003), cut)
 
-    pool_X = pool_y = None
-    preds = []
-    for t in range(trials):
-        gen = rng.stream(t).generator()
-        perm = gen.permutation(d.n)
-        train = d.subset(perm[:n_train])
-        if pool_X is None:
-            pool_X = d.features[perm[n_train:]]
-            pool_y = d.target[perm[n_train:]]
-        model = fit_model(spec, train, sigma, rng.stream(t))
-        preds.append(model.predict(pool_X))
-    preds = np.stack(preds)  # trials x pool
-    mean_pred = preds.mean(axis=0)
-    pt_bias = (pool_y - mean_pred) ** 2
+    pool = rng.stream(0).generator().permutation(d.n)[n_train:]
+    pool_X, pool_y = d.features[pool], d.target[pool]
+    # trials x pool, the trials run in forked workers (`_map_forked`)
+    preds = np.stack(_map_forked(partial(_bv_trial, d, spec, sigma, n_train, pool_X, rng), trials))
+    pt_bias = (pool_y - preds.mean(axis=0)) ** 2
     pt_var = preds.var(axis=0, ddof=1)
     mse = float(np.mean((preds - pool_y[None, :]) ** 2))
-    return BiasVarReport(
-        bias_sq=float(pt_bias.mean()),
-        variance=float(pt_var.mean()),
-        mse=mse,
-        trials=trials,
-        per_point_bias_sq=pt_bias,
-        per_point_variance=pt_var,
-    )
+    return BiasVarReport(float(pt_bias.mean()), float(pt_var.mean()), mse, trials, pt_bias, pt_var)
 
 
 def write_cv_csv(path, rows) -> None:

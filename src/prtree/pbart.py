@@ -18,8 +18,8 @@ from scipy.special import gammainccinv
 from .data import Dataset, RngSpec, check_features
 # membership_column is unused here; bench/test_bench.py checks that the tracer patches this binding
 from .kernel import Boxes, membership_column  # noqa: F401
-from .tree import (FlatTree, Model, StoppingRule, _array, _feature_names, _integer, _Node,
-                   _number, _object, _read_only, checked, finite, model_value, scales)
+from .tree import (FlatTree, Model, StoppingRule, _array, _feature_names, _integer, _list,
+                   _Node, _number, _object, _read_only, checked, finite, model_value, scales)
 
 log = logging.getLogger(__name__)
 
@@ -374,17 +374,24 @@ def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -
     return math.sqrt((hyper.nu * hyper.lam + sse) / 2.0 / rng.gamma((hyper.nu + y.size) / 2.0))
 
 
-def _weighted(structures: list[FlatTree], pair) -> FlatTree:
-    """The tree of a P-BART file's [k, weights] pair: structure k, sharing its
-    node arrays, with the weights on its leaves in node order."""
-    k, weights = pair
-    if not 0 <= _integer(k) < len(structures):
-        raise ValueError(f"expected a structure index in [0, {len(structures)})")
-    t, w = structures[k], iter(_array(finite)(weights))
-    if len(weights) != t.feature.count(-1):
-        raise ValueError(f"structure {k} has {t.feature.count(-1)} leaves, not {len(weights)}")
-    return FlatTree(t.feature, t.threshold, t.left, t.right,
-                    [next(w) if j < 0 else 0.0 for j in t.feature])
+def _snapshots(structures: list[FlatTree], snaps) -> list[list[FlatTree]]:
+    """The trees of a P-BART file's snapshots, lists of [k, weights] pairs: structure k,
+    sharing its node arrays, with the weights on its leaves in node order. All the
+    weights are checked in one pass (by `finite` item by item only to name a bad one)."""
+    snaps = [[(_integer(k), _list(ws)) for k, ws in _list(snap)] for snap in _list(snaps)]
+    w = [v for snap in snaps for _, ws in snap for v in ws]
+    ok = {int, float}.issuperset(map(type, w)) and all(map(math.isfinite, w))
+    w = iter(list(map(float, w)) if ok else [finite(v) for v in w])
+
+    def tree(k: int, n_weights: int) -> FlatTree:
+        if not 0 <= k < len(structures):
+            raise ValueError(f"expected a structure index in [0, {len(structures)})")
+        t = structures[k]
+        if n_weights != t.feature.count(-1):
+            raise ValueError(f"structure {k} has {t.feature.count(-1)} leaves, not {n_weights}")
+        return FlatTree(t.feature, t.threshold, t.left, t.right,
+                        [next(w) if j < 0 else 0.0 for j in t.feature])
+    return [[tree(k, len(ws)) for k, ws in snap] for snap in snaps]
 
 
 @dataclass(eq=False)
@@ -478,7 +485,7 @@ class PBartChain(Model):
             {**s, "value": [0.0] * len(s["feature"])}, sigma.size)))
         return cls(
             trees=model_value(obj, "snapshots", checked(
-                _array(_array(lambda pair: _weighted(structures, pair))),
+                lambda snaps: _snapshots(structures, snaps),
                 lambda snaps: snaps and all(len(snap) == hyper.m for snap in snaps),
                 f"snapshots of hyper.m = {hyper.m} trees each")),
             sigma_trace=model_value(obj, "sigma_trace", scales),

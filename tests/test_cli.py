@@ -313,12 +313,16 @@ def test_pbart_leaf_cap_is_rejected_before_tuning(tmp_path, data_csv, capsys, mo
         return fit_prtree(*args, **kwargs)
 
     monkeypatch.setattr(evaluate, "fit_prtree", counting)
+    # a fit in a forked worker would not reach `fits`, so no worker may start either
+    forked, map_forked = [], evaluate._map_forked
+    monkeypatch.setattr(evaluate, "_map_forked",
+                        lambda task, n: forked.append(n) or map_forked(task, n))
     out = tmp_path / "out"
     assert main([command, "--model", "pbart", "--trees", "2", "--iters", "3", "--burn", "1",
                  "--data", str(data_csv), "--target", "y", "--max-leaves", "4",
                  "--out", str(out)]) == 1
     assert "max_leaves" in capsys.readouterr().err
-    assert not fits and not out.exists()
+    assert not fits and not forked and not out.exists()
 
 
 def test_pbart_with_a_leaf_cap_exits_1(tmp_path, data_csv, capsys):

@@ -1,3 +1,6 @@
+import multiprocessing as mp
+import os
+
 import numpy as np
 import pytest
 
@@ -30,6 +33,11 @@ class _Constant:
 def _fit_with(monkeypatch, fit):
     """Make the harness fit `fit(train)` whatever the spec names."""
     monkeypatch.setattr(evaluate, "fit_model", lambda spec, tr, sigma, rng: fit(tr))
+
+
+def _cpus(monkeypatch, count):
+    """Make the harness see `count` usable CPUs: 1 runs rounds and trials serially."""
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: count)
 
 
 def test_plan_partitions_and_stratifies():
@@ -235,3 +243,87 @@ def test_pbart_spec_rejects_another_tree_count_and_a_leaf_cap():
 def test_unknown_learner_kind():
     with pytest.raises(ValueError):
         LearnerSpec(kind="mystery")
+
+
+# each learner kind, small enough for a quick CV; sigma=None tunes it per round
+FORKED_SPECS = {
+    "tree": LearnerSpec(kind="tree"),
+    "rf": LearnerSpec(kind="rf", n_trees=3),
+    "gbt": LearnerSpec(kind="gbt", n_trees=3, shrinkage=0.5),
+    "pbart": LearnerSpec(kind="pbart", n_trees=2, hyper=PBartHyper(m=2, it_burn=1, it_max=3)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FORKED_SPECS))
+def test_forked_rounds_and_trials_equal_the_serial_loop(small_data, monkeypatch, kind):
+    spec, plan, runs = FORKED_SPECS[kind], make_cv_plan(small_data), []
+    for count in (1, 2, 3):
+        _cpus(monkeypatch, count)
+        cv = cross_validate(small_data, spec, plan, RngSpec(211))
+        bv = bias_variance(small_data, spec, 3, RngSpec(5))
+        assert mp.active_children() == []
+        runs.append([cv.fold_rmse.tobytes(), bv.per_point_bias_sq.tobytes(),
+                     bv.per_point_variance.tobytes(), repr((bv.bias_sq, bv.variance, bv.mse))])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_forked_tasks_run_in_one_child_per_cpu(monkeypatch):
+    _cpus(monkeypatch, 2)
+    pids = evaluate._map_forked(lambda i: os.getpid(), 5)
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    assert pids[0::2] == [pids[0]] * 3 and pids[1::2] == [pids[1]] * 2  # i = w (mod 2)
+    assert evaluate._map_forked(lambda i: os.getpid(), 1) == [os.getpid()]
+    assert mp.active_children() == []
+
+
+def test_a_worker_that_ends_without_results_is_an_error(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match="ended without sending its results"):
+        evaluate._map_forked(lambda i: os._exit(3) if i == 1 else i, 4)
+    assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("count,failing", [(1, (3, 5)), (2, (3, 5)), (3, (3, 5)), (2, (4, 3))])
+def test_the_lowest_failing_round_raises(small_data, monkeypatch, count, failing):
+    # with 3 children, rounds 3 and 5 fail in different ones; with 2 and
+    # rounds 3 and 4, the child of the even rounds fails at the higher one
+    def fit(spec, tr, sigma, rng):
+        i = rng.stream_id
+        if i in failing:
+            raise (ArithmeticError if i == 3 else LookupError)(f"round {i} failed")
+        return _Constant(0.0)
+
+    monkeypatch.setattr(evaluate, "fit_model", fit)
+    _cpus(monkeypatch, count)
+    with pytest.raises(ArithmeticError, match="^round 3 failed$") as info:
+        cross_validate(small_data, LearnerSpec(sigma=np.zeros(3)), make_cv_plan(small_data),
+                       RngSpec(0))
+    assert type(info.value) is ArithmeticError
+    assert mp.active_children() == []
+
+
+def _cv_in_a_daemon(conn, d):
+    try:
+        conn.send(cross_validate(d, LearnerSpec(sigma=np.zeros(3)), make_cv_plan(d),
+                                 RngSpec(0)).fold_rmse.tobytes())
+    except Exception as exc:  # reported to the test, which fails on it
+        conn.send(repr(exc))
+
+
+def test_cross_validate_inside_a_daemonic_worker_runs_serially(small_data, monkeypatch):
+    _cpus(monkeypatch, 2)  # the worker inherits it, and forks no child of its own
+    ctx = mp.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    worker = ctx.Process(target=_cv_in_a_daemon, args=(writer, small_data), daemon=True)
+    worker.start()
+    writer.close()
+    try:
+        assert reader.poll(120)
+        got = reader.recv()
+    finally:
+        worker.join(timeout=60)
+        reader.close()
+    assert not worker.is_alive() and worker.exitcode == 0
+    expected = cross_validate(small_data, LearnerSpec(sigma=np.zeros(3)),
+                              make_cv_plan(small_data), RngSpec(0)).fold_rmse.tobytes()
+    assert got == expected
