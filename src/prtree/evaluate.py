@@ -45,9 +45,15 @@ class CVPlan:
 
     def round_indices(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """(rest, test) index arrays for round i; test is folds i and i+1."""
-        held = (i, (i + 1) % self.n_folds)
-        test = np.array(self.folds[i] + self.folds[held[1]])
-        rest = np.array([idx for k, fold in enumerate(self.folds) if k not in held for idx in fold])
+        test = np.array(self.folds[i] + self.folds[(i + 1) % self.n_folds])
+        rest = np.array(
+            [
+                idx
+                for k, fold in enumerate(self.folds)
+                if k not in (i, (i + 1) % self.n_folds)
+                for idx in fold
+            ]
+        )
         return rest, test
 
 
@@ -91,8 +97,9 @@ def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
         if rmse < best_rmse:
             best_sigma, best_rmse = sigma, rmse
     if best_sigma is None:
-        raise ValueError(f"no sigma grid multiplier in {list(GRID_MULTIPLIERS)} gave a finite "
-                         "validation RMSE")
+        raise ValueError(
+            f"no sigma grid multiplier in {list(GRID_MULTIPLIERS)} gave a finite validation RMSE"
+        )
     return best_sigma
 
 
@@ -161,7 +168,8 @@ def tune_on_holdout(d: Dataset, spec: LearnerSpec, rng: RngSpec, cut: int) -> np
 def _train_valid_split(rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # 15 of the remaining 80 points of each round go to validation: spread
     # 3 of every 16 positions so the stratified fold interleaving carries over
-    valid_mask = np.arange(rest.size) % 16 < 3
+    pos = np.arange(rest.size)
+    valid_mask = (pos % 16) < 3
     return rest[~valid_mask], rest[valid_mask]
 
 
@@ -208,7 +216,7 @@ def _map_forked(task: Callable[[int], object], n: int) -> list:
             got.update(reader.recv())
             child.join()
     except EOFError:
-        raise RuntimeError("a worker process ended without sending its results") from None
+        raise ChildProcessError("a worker process ended without sending its results") from None
     finally:
         for child, reader in children:
             child.terminate()  # a no-op once joined
@@ -277,7 +285,8 @@ def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> B
     fixed pool (the first trial's held-out 20%), and decompose the error."""
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    n_train = min(max(int(round(0.8 * d.n)), 1), d.n - 1)
+    n_train = int(round(0.8 * d.n))
+    n_train = min(max(n_train, 1), d.n - 1)
 
     if spec.sigma is not None:
         sigma = np.asarray(spec.sigma, dtype=float)
@@ -293,7 +302,14 @@ def bias_variance(d: Dataset, spec: LearnerSpec, trials: int, rng: RngSpec) -> B
     pt_bias = (pool_y - preds.mean(axis=0)) ** 2
     pt_var = preds.var(axis=0, ddof=1)
     mse = float(np.mean((preds - pool_y[None, :]) ** 2))
-    return BiasVarReport(float(pt_bias.mean()), float(pt_var.mean()), mse, trials, pt_bias, pt_var)
+    return BiasVarReport(
+        bias_sq=float(pt_bias.mean()),
+        variance=float(pt_var.mean()),
+        mse=mse,
+        trials=trials,
+        per_point_bias_sq=pt_bias,
+        per_point_variance=pt_var,
+    )
 
 
 def write_cv_csv(path, rows) -> None:

@@ -376,12 +376,10 @@ def draw_sigma_tilde(y, full_fit, hyper: PBartHyper, rng: np.random.Generator) -
 
 def _snapshots(structures: list[FlatTree], snaps) -> list[list[FlatTree]]:
     """The trees of a P-BART file's snapshots, lists of [k, weights] pairs: structure k,
-    sharing its node arrays, with the weights on its leaves in node order. All the
-    weights are checked in one pass (by `finite` item by item only to name a bad one)."""
+    sharing its node arrays, with the weights on its leaves in node order. One pass of
+    `finite` over the weights of all snapshots checks them."""
     snaps = [[(_integer(k), _list(ws)) for k, ws in _list(snap)] for snap in _list(snaps)]
-    w = [v for snap in snaps for _, ws in snap for v in ws]
-    ok = {int, float}.issuperset(map(type, w)) and all(map(math.isfinite, w))
-    w = iter(list(map(float, w)) if ok else [finite(v) for v in w])
+    w = iter([finite(v) for snap in snaps for _, ws in snap for v in ws])
 
     def tree(k: int, n_weights: int) -> FlatTree:
         if not 0 <= k < len(structures):

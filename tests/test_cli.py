@@ -238,6 +238,17 @@ def test_pbart_hyper_that_breaks_the_chain_exits_1(tmp_path, data_csv, capsys, f
     assert not out.exists()
 
 
+def test_cv_whose_worker_dies_exits_1(tmp_path, data_csv, capsys, monkeypatch):
+    # a worker killed from outside (say, for memory) sends nothing back
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(evaluate, "_cv_round", lambda *args: os._exit(9))
+    out = tmp_path / "cv.csv"
+    assert main(["cv", "--model", "tree", "--data", str(data_csv), "--target", "y",
+                 "--sigma", "0", "--out", str(out)]) == 1
+    assert "error: a worker process ended without sending its results" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("folds", ["1", "2"])
 def test_cv_with_too_few_folds_says_why(tmp_path, data_csv, capsys, folds):
     assert main(["cv", "--model", "tree", "--data", str(data_csv), "--target", "y",

@@ -278,7 +278,7 @@ def test_forked_tasks_run_in_one_child_per_cpu(monkeypatch):
 
 def test_a_worker_that_ends_without_results_is_an_error(monkeypatch):
     _cpus(monkeypatch, 2)
-    with pytest.raises(RuntimeError, match="ended without sending its results"):
+    with pytest.raises(ChildProcessError, match="ended without sending its results"):
         evaluate._map_forked(lambda i: os._exit(3) if i == 1 else i, 4)
     assert mp.active_children() == []
 
