@@ -20,6 +20,7 @@ import numpy as np
 from .data import CsvFormatError, Dataset, RngSpec, load_csv, read_csv
 from .evaluate import (
     DEFAULT_TREES,
+    READS,
     LearnerSpec,
     bias_variance,
     cross_validate,
@@ -30,7 +31,7 @@ from .evaluate import (
     write_cv_csv,
 )
 from .pbart import PBartHyper
-from .tree import Model, StoppingRule
+from .tree import Model, StoppingRule, _typed
 
 log = logging.getLogger("prtree")
 
@@ -53,6 +54,13 @@ DEFAULTS = {
     "trials": 20,
     "out": None,
 }
+# the config keys that set each knob of evaluate.READS
+KNOB_KEYS = {"n_trees": ("trees",), "shrinkage": ("shrinkage",),
+             "hyper": ("iters", "burn", "alpha", "beta", "nu")}
+# a config value as json.loads gives it, or as text from a flag: a bool is
+# neither, and an integer no fraction
+_integer = _typed("an integer", str, int)
+_number = _typed("a number", str, int, float)
 
 
 class ConfigError(ValueError):
@@ -69,11 +77,9 @@ def _parse_sigma(text, p):
     return np.full(p, values[0]) if len(values) == 1 else np.array(values)
 
 
-def _parse_int_list(text):
-    try:
-        return [int(v.strip()) for v in str(text).split(",") if v.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"expected a comma-separated integer list, got {text!r}") from None
+def _int_list(text) -> list[int]:
+    """A comma-separated integer list, as --trees 1,5 gives, or one integer."""
+    return [int(v) for v in str(text).split(",") if v.strip() != ""]
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
@@ -96,7 +102,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = value
     wrong = [f"{key!r} may not be null" for key, value in DEFAULTS.items()
              if value is not None and cfg[key] is None]
-    wrong += [f"{key!r} must be text" for key in ("data", "model_file", "out")
+    wrong += [f"{key!r} must be text" for key in ("model", "data", "model_file", "out")
               if cfg.get(key) is not None and not isinstance(cfg[key], str)]
     if wrong:
         raise ConfigError(f"config key {', '.join(wrong)}")
@@ -127,19 +133,24 @@ def _spec(cfg, p: int) -> LearnerSpec:
     """The learner the config names, over p features; its sigma is the
     config's, or None to tune one."""
     model = cfg["model"]
-    n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else _value(cfg, "trees", int)
+    # an unknown model is LearnerSpec's to reject
+    unread = [key for knob, keys in KNOB_KEYS.items() if knob not in READS.get(model, KNOB_KEYS)
+              for key in keys if cfg[key] is not None]
+    if unread:
+        raise ConfigError(f"model {model!r} does not read {', '.join(unread)}")
+    n_trees = DEFAULT_TREES.get(model) if cfg["trees"] is None else _value(cfg, "trees", _integer)
     hyper = None
     if model == "pbart":
-        hyper = PBartHyper(m=n_trees, **_given(cfg, float, alpha="alpha", beta="beta", nu="nu"),
-                           **_given(cfg, int, it_burn="burn", it_max="iters"))
+        hyper = PBartHyper(m=n_trees, **_given(cfg, _number, alpha="alpha", beta="beta", nu="nu"),
+                           **_given(cfg, _integer, it_burn="burn", it_max="iters"))
     return LearnerSpec(
         kind=model,
         n_trees=n_trees,
-        rule=StoppingRule(**_given(cfg, float, min_leaf_fraction="min_leaf"),
-                          **_given(cfg, int, max_leaves="max_leaves")),
+        rule=StoppingRule(**_given(cfg, _number, min_leaf_fraction="min_leaf"),
+                          **_given(cfg, _integer, max_leaves="max_leaves")),
         hyper=hyper,
         sigma=None if cfg["sigma"] is None else _parse_sigma(cfg["sigma"], p),
-        **_given(cfg, float, shrinkage="shrinkage"),
+        **_given(cfg, _number, shrinkage="shrinkage"),
     )
 
 
@@ -148,7 +159,7 @@ def _cmd_fit(cfg) -> int:
     internal 65/15-style holdout when no explicit --sigma is given."""
     d = _load_dataset(cfg)
     spec = _spec(cfg, d.p)
-    rng = RngSpec(_value(cfg, "seed", int))
+    rng = RngSpec(_value(cfg, "seed", _integer))
     sigma = spec.sigma
     if sigma is None:
         cut = min(max(1, int(round(0.8125 * d.n))), d.n - 1)
@@ -198,8 +209,8 @@ def _cmd_predict(cfg) -> int:
 def _cmd_cv(cfg) -> int:
     d = _load_dataset(cfg)
     spec = _spec(cfg, d.p)
-    plan = make_cv_plan(d, **_given(cfg, int, n_folds="folds"))
-    result = cross_validate(d, spec, plan, RngSpec(_value(cfg, "seed", int)))
+    plan = make_cv_plan(d, **_given(cfg, _integer, n_folds="folds"))
+    result = cross_validate(d, spec, plan, RngSpec(_value(cfg, "seed", _integer)))
     name = Path(cfg["data"]).stem
     rows = [
         (name, cfg["model"], i, rmse) for i, rmse in enumerate(result.fold_rmse)
@@ -217,12 +228,12 @@ def _cmd_biasvar(cfg) -> int:
     model = cfg["model"]
     # the swept knob: the leaf cap of a single tree, else the tree count
     key, default = ("max_leaves", [2, 4, 8, 16]) if model == "tree" else ("trees", [1, 10, 50])
-    knobs = _parse_int_list(cfg[key]) if cfg[key] is not None else default
-    rng = RngSpec(_value(cfg, "seed", int))
+    knobs = _value(cfg, key, _int_list) if cfg[key] is not None else default
+    rng = RngSpec(_value(cfg, "seed", _integer))
     rows = []
     for knob in knobs:
         spec = _spec({**cfg, key: knob}, d.p)
-        report = bias_variance(d, spec, _value(cfg, "trials", int), rng)
+        report = bias_variance(d, spec, _value(cfg, "trials", _integer), rng)
         log.info(
             "%s knob=%d bias_sq=%.6g variance=%.6g mse=%.6g",
             model, knob, report.bias_sq, report.variance, report.mse,

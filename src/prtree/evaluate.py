@@ -103,8 +103,11 @@ def tune_sigma(train: Dataset, valid: Dataset, learner: Callable) -> np.ndarray:
     return best_sigma
 
 
-# The tree count of each learner kind when none is given; the CLI reads it too.
+# The tree count of each learner kind when none is given, and the knobs of
+# LearnerSpec other than rule and sigma that each kind reads; the CLI reads both.
 DEFAULT_TREES = {"tree": 1, "rf": 100, "gbt": 50, "pbart": 50}
+READS = {"tree": (), "rf": ("n_trees",), "gbt": ("n_trees", "shrinkage"),
+         "pbart": ("n_trees", "hyper")}
 
 
 @dataclass
@@ -112,7 +115,8 @@ class LearnerSpec:
     """What to fit inside the harness: model kind plus its knobs.
 
     sigma=None requests per-fold grid tuning; an explicit vector skips it.
-    n_trees=None takes the kind's DEFAULT_TREES. For pbart, hyper defaults to
+    n_trees=None takes the kind's DEFAULT_TREES. A knob the kind does not read
+    (READS) must keep its default. For pbart, hyper defaults to
     PBartHyper(m=n_trees); a hyper.m other than n_trees, or a leaf cap, is
     rejected here, before any tuning fit."""
 
@@ -124,8 +128,13 @@ class LearnerSpec:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("tree", "rf", "gbt", "pbart"):
+        if self.kind not in READS:
             raise ValueError(f"unknown learner kind {self.kind!r}")
+        changed = {"n_trees": self.n_trees not in (None, DEFAULT_TREES[self.kind]),
+                   "shrinkage": self.shrinkage != 1.0, "hyper": self.hyper is not None}
+        unread = [knob for knob, set_ in changed.items() if set_ and knob not in READS[self.kind]]
+        if unread:
+            raise ValueError(f"a {self.kind} learner does not read {', '.join(unread)}")
         if self.n_trees is None:
             self.n_trees = DEFAULT_TREES[self.kind]
         if self.kind == "pbart":

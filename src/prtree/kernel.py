@@ -34,8 +34,8 @@ def normal_cdf(t):
 
 
 def membership_column(X: np.ndarray, region: Region, sigma: np.ndarray) -> np.ndarray:
-    """Soft membership of every row of X in `region`, by membership_columns."""
-    return next(membership_columns(X, (region,), sigma))
+    """Soft membership of every row of X in `region`, by `Boxes`."""
+    return next(Boxes((region,), sigma).columns(X))
 
 
 def cdf(x: np.ndarray, t, sigma_j: float) -> np.ndarray:
@@ -61,7 +61,9 @@ def box_mass(bounds, n: int) -> np.ndarray:
 
 
 class Boxes:
-    """Regions compiled once at one sigma for prediction. `coords` holds, per
+    """Regions (each a `Region`, or anything else with `lower` and `upper`
+    bound arrays) compiled once at one sigma for prediction; a fit's columns
+    come from `tree._Node.split`, bit for bit the same. `coords` holds, per
     coordinate j that some region bounds, ascending, (j, its sorted distinct
     finite bounds as a column, sigma_j); `pairs` holds, per region, the
     (lower, upper) rows of its bounded coordinates in ascending j, among the
@@ -95,17 +97,6 @@ class Boxes:
             yield box_mass([(rows[a], rows[b]) for a, b in pairs], X.shape[0])
 
 
-def membership_columns(X: np.ndarray, regions, sigma: np.ndarray):
-    """Yield the soft membership column of every row of X in each region (a
-    `Region`, or anything else with `lower` and `upper` bound arrays): the
-    `box_mass` of its bounded coordinates in ascending j (a coordinate
-    bounded on neither side has mass 1), F being `cdf`, evaluated once per
-    row for each distinct finite bound (j, s) of the regions: `Boxes(regions,
-    sigma).columns(X)`. Models keep their `Boxes`; a fit's columns come from
-    `tree._Node.split`, bit for bit the same."""
-    return Boxes(regions, sigma).columns(X)
-
-
 def build_membership(d: Dataset, regions, sigma) -> np.ndarray:
     """The n x K membership array of a dataset over K regions: column k
     holds every row's soft membership in regions[k]. Rows sum to 1 whenever
@@ -113,5 +104,5 @@ def build_membership(d: Dataset, regions, sigma) -> np.ndarray:
     regions = tuple(regions)
     if not regions:
         raise ValueError("at least one region is required")
-    return np.column_stack(list(membership_columns(d.features, regions, sigma)))
+    return np.column_stack(list(Boxes(regions, sigma).columns(d.features)))
 

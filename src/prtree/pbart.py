@@ -108,16 +108,13 @@ class SampledTree:
     rows ends the refresh before its columns are evaluated.
 
     A refreshed tree's structure does not change, since moves edit copies,
-    so the tree keeps what depends on the structure alone: its membership
-    array V, Gram matrix G = V^T V and `prior`, the (alpha, beta) last asked
-    of `tree_log_prior` and its value, each formed on first use. It also keeps
-    `b`, the read-only residual R last passed to `project` and V^T R, so that
-    one step's accept test and leaf-weight draw form it once."""
+    so the tree keeps its membership array V and Gram matrix G = V^T V, each
+    formed on first use."""
 
     def __init__(self, nodes: FlatTree, sigma: np.ndarray):
         self.nodes, self.sigma, self.data, self.paths = nodes, sigma, None, {}
-        self.at, self.leaves, self.internals, self.pairs = {}, [], [], []
-        self.V = self.G = self.prior = self.b = None
+        self.at, self.leaves, self.internals = {}, [], []
+        self.V = self.G = None
 
     def copy(self) -> "SampledTree":
         """A tree on copies of the arrays at the same sigma, sharing the
@@ -132,8 +129,8 @@ class SampledTree:
         # the children's own paths being (that key, 0) and (that key, 1)
         old = self.paths if self.data is d else {}
         self.data, self.paths, self.at = d, {}, {}
-        self.leaves, self.internals, self.pairs = [], [], []
-        self.V = self.G = self.prior = self.b = None
+        self.leaves, self.internals = [], []
+        self.V = self.G = None
         feature, threshold = self.nodes.feature, self.nodes.threshold
         left, right = self.nodes.left, self.nodes.right
         self.paths[()] = root = old.get(()) or _Node.root(d)
@@ -149,7 +146,6 @@ class SampledTree:
             if not (node.lower[j] < s < node.upper[j]):
                 return False
             self.internals.append(i)
-            self.pairs += [(i, c) for c in (left[i], right[i]) if feature[c] >= 0]
             key = (path, j, s)
             pair = old.get(key) or node.split(d, j, s, self.sigma, min_count)
             if pair is None:
@@ -183,29 +179,21 @@ class SampledTree:
             self.G = V.T @ V
         return self.G
 
-    def project(self, R: np.ndarray) -> np.ndarray:
-        """b = V^T R of `membership` and the residual R, formed once per
-        read-only R (as `fit_pbart` makes each step's), which cannot change
-        while the tree keeps it; a writable R's is formed at every call."""
-        if self.b is not None and self.b[0] is R:
-            return self.b[1]
-        b = self.membership().T @ R
-        if not R.flags.writeable:
-            self.b = R, b
-        return b
-
     def prunable(self) -> list[int]:
         """The internal nodes whose children are both leaves."""
         f, left, right = self.nodes.feature, self.nodes.left, self.nodes.right
         return [i for i in self.internals if f[left[i]] < 0 and f[right[i]] < 0]
 
+    def pairs(self) -> list[tuple[int, int]]:
+        """The (parent, child) pairs of internal nodes: parents in preorder,
+        then the left child before the right."""
+        f, left, right = self.nodes.feature, self.nodes.left, self.nodes.right
+        return [(i, c) for i in self.internals for c in (left[i], right[i]) if f[c] >= 0]
+
 
 def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
     """Log prior of a tree topology: depth-decaying split probabilities
-    plus uniform split-variable and cut-point factors. It depends on t's
-    structure alone, so t keeps it for the last (alpha, beta) asked."""
-    if t.prior is not None and t.prior[0] == (alpha, beta):
-        return t.prior[1]
+    plus uniform split-variable and cut-point factors."""
     total = 0.0
     p = t.data.p
     for node in t.internals:
@@ -216,7 +204,6 @@ def tree_log_prior(t: SampledTree, alpha: float, beta: float) -> float:
         total += -math.log(p) - math.log(n_cuts)
     for leaf in t.leaves:
         total += math.log1p(-alpha / (1.0 + t.at[leaf].depth) ** beta)
-    t.prior = (alpha, beta), total
     return total
 
 
@@ -282,8 +269,8 @@ def propose_tree(t: SampledTree, rng: np.random.Generator, move_probs, rule: Sto
     d, min_count = t.data, rule.min_count(t.data.n)
     # the draw of rng.choice(4, p=move_probs), without its per-call array checks
     kind = MOVES[bisect_right(_move_cdf(tuple(move_probs)), rng.random())]
-    pool = t.prunable() if kind == PRUNE else {GROW: t.leaves, CHANGE: t.internals,
-                                               SWAP: t.pairs}[kind]
+    pool = (t.leaves if kind == GROW else t.prunable() if kind == PRUNE
+            else t.internals if kind == CHANGE else t.pairs())
     pick = pool[int(rng.integers(len(pool)))] if pool else None
     edit = pick if kind == PRUNE or kind == SWAP else None
     if pick is not None and edit is None:  # grow and change go on to a coordinate and a cut
@@ -325,17 +312,17 @@ def mh_accept(t: SampledTree, t_star: SampledTree | None, R, hyper: PBartHyper,
               rng: np.random.Generator, sigma_tilde: float, log_q_ratio: float = 0.0) -> bool:
     """Metropolis-Hastings accept/reject for a proposed tree, using the
     weight-marginalized residual likelihood; a None proposal is rejected.
-    Each tree keeps its V, G and log prior (`membership`, `gram`,
-    `tree_log_prior`), so this forms the proposal's alone, b = V^T R of both
-    trees (`project`, kept for the leaf-weight draw) and R^T R once."""
+    Each tree keeps its V and G (`membership`, `gram`), so a step forms the
+    proposal's alone; this forms b = V^T R of both trees and R^T R."""
     if t_star is None or log_q_ratio == -np.inf:
         return False
     R = np.asarray(R, dtype=float)
     RR, sg = float(R @ R), hyper.sigma_gamma
     delta = (
         log_q_ratio
-        + marginal_log_likelihood(t_star.gram(), t_star.project(R), RR, R.size, sg, sigma_tilde)
-        - marginal_log_likelihood(t.gram(), t.project(R), RR, R.size, sg, sigma_tilde)
+        + marginal_log_likelihood(t_star.gram(), t_star.membership().T @ R, RR, R.size, sg,
+                                  sigma_tilde)
+        - marginal_log_likelihood(t.gram(), t.membership().T @ R, RR, R.size, sg, sigma_tilde)
         + tree_log_prior(t_star, hyper.alpha, hyper.beta)
         - tree_log_prior(t, hyper.alpha, hyper.beta)
     )
@@ -545,14 +532,15 @@ def fit_pbart(
 
     for it in range(1, hyper.it_max + 1):
         for ell in range(hyper.m):
-            R = _read_only(y_norm - (total_fit - fits[ell]))
+            R = y_norm - (total_fit - fits[ell])
             t = trees[ell]
             star, log_q, kind = propose_tree(t, gen, hyper.move_probs, rule)
             accepted = mh_accept(t, star, R, hyper, gen, sigma_tilde, log_q)
             accept_log[kind]["accepted" if accepted else "rejected"] += 1
             if accepted:
                 trees[ell] = t = star
-            new_fit = t.membership() @ draw_gammas(t, t.project(R), hyper, gen, sigma_tilde)
+            V = t.membership()
+            new_fit = V @ draw_gammas(t, V.T @ R, hyper, gen, sigma_tilde)
             total_fit += new_fit - fits[ell]
             fits[ell] = new_fit
         sigma_tilde = draw_sigma_tilde(y_norm, total_fit, hyper, gen)

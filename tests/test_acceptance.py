@@ -29,7 +29,7 @@ from conftest import (
 )
 from prtree.data import Dataset, RngSpec, load_csv
 from prtree.evaluate import LearnerSpec, bias_variance, cross_validate, make_cv_plan
-from prtree.kernel import build_membership, membership_columns
+from prtree.kernel import Boxes, build_membership
 from prtree.pbart import (
     PBartHyper,
     SampledTree,
@@ -148,7 +148,7 @@ def test_criterion_3_membership_properties():
         s = float(rng.uniform(lo, hi))
         if not (r.lower[j] < s < r.upper[j]):
             continue
-        left, right = membership_columns(d.features, r.split(j, s), sigma)
+        left, right = Boxes(r.split(j, s), sigma).columns(d.features)
         child_sum = left + right
         worst_add = max(worst_add, float(np.max(np.abs(child_sum - V[:, k]))))
     ok = worst_sum <= 1e-9 and worst_add <= 1e-9

@@ -64,6 +64,12 @@ def _standard_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _model_flags(model, trees, iters, burn):
+    """Of --trees, --iters and --burn, the flags that `model` reads."""
+    flags = [] if model == "tree" else ["--trees", str(trees)]
+    return flags + (["--iters", str(iters), "--burn", str(burn)] if model == "pbart" else [])
+
+
 @pytest.fixture
 def data_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -168,9 +174,9 @@ def test_config_file_and_flag_precedence(tmp_path, data_csv):
     assert json.loads(out.read_text())["kind"] == "gbt"
     # flag overrides config
     rc = main(["fit", "--data", str(data_csv), "--target", "y", "--config", str(cfg),
-               "--model", "tree", "--out", str(out)])
+               "--model", "rf", "--out", str(out)])
     assert rc == 0
-    assert "kind" not in json.loads(out.read_text())
+    assert json.loads(out.read_text())["kind"] == "forest"
 
 
 def test_validation_errors_exit_1(tmp_path, data_csv):
@@ -193,7 +199,7 @@ def test_validation_errors_exit_1(tmp_path, data_csv):
     ("fit", {"seed": None}, "config key 'seed' may not be null"),
     ("biasvar", {"trials": None}, "config key 'trials' may not be null"),
     ("biasvar", {"trials": "many"}, "config key 'trials'"),
-    ("fit", {"trees": [1]}, "config key 'trees'"),
+    ("fit", {"model": "rf", "trees": [1]}, "config key 'trees'"),
     ("fit", {"seed": "one"}, "config key 'seed'"),
     ("fit", {"model": "pbart", "alpha": [0.9]}, "config key 'alpha'"),
     ("fit", {"out": 7}, "config key 'out' must be text"),
@@ -212,11 +218,90 @@ def test_config_values_of_the_wrong_type_exit_1(tmp_path, data_csv, capsys, comm
     assert f"error: {fragment}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,model,flags,named", [
+    ("fit", "tree", ["--sigma", "0.2", "--shrinkage", "0.1", "--iters", "5", "--trees", "7"],
+     "trees, shrinkage, iters"),
+    ("fit", "tree", ["--trees", "1"], "trees"),
+    ("fit", "rf", ["--burn", "3"], "burn"),
+    ("fit", "gbt", ["--alpha", "0.9", "--beta", "1.5"], "alpha, beta"),
+    ("fit", "pbart", ["--shrinkage", "0.5"], "shrinkage"),
+    ("cv", "rf", ["--shrinkage", "0.5"], "shrinkage"),
+    ("cv", "tree", ["--nu", "4"], "nu"),
+    ("biasvar", "tree", ["--trees", "1,5"], "trees"),
+    ("biasvar", "gbt", ["--iters", "9"], "iters"),
+])
+def test_a_model_flag_the_model_does_not_read_exits_1(tmp_path, data_csv, capsys, command,
+                                                      model, flags, named):
+    # fit --model tree wrote the same bytes with --shrinkage 0.1 --iters 5 --trees 7 as without
+    out = tmp_path / "out"
+    assert main([command, "--model", model, *flags, "--data", str(data_csv), "--target", "y",
+                 "--out", str(out)]) == 1
+    assert f"error: model {model!r} does not read {named}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,config", [
+    ("fit", {"seed": 3}), ("fit", {"seed": "3"}), ("fit", {"model": "rf", "trees": 2}),
+    ("fit", {"max_leaves": 4}), ("fit", {"model": "pbart", "trees": 2, "iters": 4, "burn": 1}),
+    ("cv", {"folds": 5}), ("biasvar", {"model": "rf", "trees": 2, "trials": 2}),
+])
+def test_integer_config_keys_take_an_integer_or_its_text(tmp_path, data_csv, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "out": str(tmp_path / "out"), **config}))
+    assert main([command, "--config", str(cfg), "--sigma", "0"]) == 0
+
+
+INTEGER_KEYS = {"seed": ("fit", {}), "trees": ("fit", {"model": "rf"}),
+                "max_leaves": ("fit", {}), "iters": ("fit", {"model": "pbart"}),
+                "burn": ("fit", {"model": "pbart"}), "folds": ("cv", {}),
+                "trials": ("biasvar", {}), "biasvar trees": ("biasvar", {"model": "rf"}),
+                "biasvar max_leaves": ("biasvar", {})}
+
+
+@pytest.mark.parametrize("value", [True, 2.7, 3.0])
+@pytest.mark.parametrize("case", sorted(INTEGER_KEYS))
+def test_integer_config_keys_reject_a_bool_or_a_float(tmp_path, data_csv, capsys, case, value):
+    # "trees": 2.7 fitted 2 trees and "trees": true one, each with exit 0
+    command, config = INTEGER_KEYS[case]
+    key = case.split()[-1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "out": str(tmp_path / "out"), **config,
+                               key: value}))
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--sigma", "0"]) == 1
+    assert f"error: config key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key,model", [("shrinkage", "gbt"), ("min_leaf", "tree"),
+                                       ("alpha", "pbart"), ("beta", "pbart"), ("nu", "pbart")])
+def test_number_config_keys_reject_a_bool(tmp_path, data_csv, capsys, key, model):
+    # "nu": true read as 1.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "out": str(tmp_path / "out"),
+                               "model": model, key: True}))
+    capsys.readouterr()
+    assert main(["fit", "--config", str(cfg), "--sigma", "0"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: config key {key!r}: cannot read True: expected a number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model,fragment", [(["tree"], "config key 'model' must be text"),
+                                            ("mystery", "unknown learner kind 'mystery'")])
+def test_a_model_that_is_no_kind_exits_1(tmp_path, data_csv, capsys, model, fragment):
+    # a list crashed with a traceback: the dict of tree counts could not hash it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"data": str(data_csv), "model": model, "trees": 2}))
+    assert main(["fit", "--config", str(cfg), "--sigma", "0", "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {fragment}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", ["tree", "pbart"])
 @pytest.mark.parametrize("sigma", ["nan", "inf", "0.1,-inf"])
 def test_non_finite_sigma_exits_1(tmp_path, data_csv, capsys, model, sigma):
     out = tmp_path / "m.json"
-    assert main(["fit", "--model", model, "--trees", "2", "--iters", "3", "--burn", "1",
+    assert main(["fit", "--model", model, *_model_flags(model, 2, 3, 1),
                  "--data", str(data_csv), "--target", "y", "--sigma", sigma,
                  "--out", str(out)]) == 1
     assert "sigma must be 2 finite non-negative numbers" in capsys.readouterr().err
@@ -360,12 +445,12 @@ def test_pbart_cli_fit(tmp_path, data_csv):
 def test_fit_tunes_and_fits_like_the_harness(tmp_path, data_csv, model):
     # one dispatch and one tuning rule: gbt tunes sigma with gbt itself
     out = tmp_path / "model.json"
-    assert main(["fit", "--model", model, "--trees", "3", "--iters", "6", "--burn", "2",
+    assert main(["fit", "--model", model, *_model_flags(model, 3, 6, 2),
                  "--data", str(data_csv), "--target", "y", "--seed", "4",
                  "--out", str(out)]) == 0
     d = load_csv(data_csv, "y")
     hyper = PBartHyper(m=3, it_burn=2, it_max=6) if model == "pbart" else None
-    spec = LearnerSpec(kind=model, n_trees=3, hyper=hyper)
+    spec = LearnerSpec(kind=model, n_trees=None if model == "tree" else 3, hyper=hyper)
     cut = min(max(1, round(0.8125 * d.n)), d.n - 1)
     sigma = tune_on_holdout(d, spec, RngSpec(4).stream(999), cut)
     assert out.read_text() == fit_model(spec, d, sigma, RngSpec(4)).to_json() + "\n"
@@ -391,7 +476,7 @@ def _write_features(path, header, X):
 @pytest.mark.parametrize("model", ["tree", "rf", "gbt", "pbart"])
 def test_predict_matches_columns_by_name(tmp_path, data_csv, capsys, model):
     model_path = tmp_path / "model.json"
-    assert main(["fit", "--model", model, "--trees", "2", "--iters", "4", "--burn", "1",
+    assert main(["fit", "--model", model, *_model_flags(model, 2, 4, 1),
                  "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
                  "--out", str(model_path)]) == 0
     assert json.loads(model_path.read_text())["feature_names"] == ["a", "b"]
@@ -437,7 +522,7 @@ def test_model_file_without_names_predicts_by_position(tmp_path, data_csv):
                                        ("pbart", PBartChain)])
 def test_model_file_of_another_schema_is_rejected(tmp_path, data_csv, capsys, model, cls):
     model_path = tmp_path / "model.json"
-    assert main(["fit", "--model", model, "--trees", "2", "--iters", "4", "--burn", "1",
+    assert main(["fit", "--model", model, *_model_flags(model, 2, 4, 1),
                  "--sigma", "0.3", "--data", str(data_csv), "--target", "y",
                  "--out", str(model_path)]) == 0
     text = model_path.read_text()
@@ -775,7 +860,8 @@ def test_predict_names_a_kind_it_does_not_know(tmp_path, data_csv, capsys, kind)
 def test_model_equals_its_reloaded_copy_only(data_csv, model):
     d = load_csv(data_csv, "y")
     hyper = PBartHyper(m=3, it_burn=2, it_max=6) if model == "pbart" else None
-    fitted = fit_model(LearnerSpec(kind=model, n_trees=3, hyper=hyper), d,
+    fitted = fit_model(LearnerSpec(kind=model, n_trees=None if model == "tree" else 3,
+                                   hyper=hyper), d,
                        np.full(d.p, 0.3), RngSpec(4))
     obj = json.loads(fitted.to_json())
     reloaded = type(fitted).from_json(json.dumps(obj))

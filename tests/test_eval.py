@@ -240,6 +240,26 @@ def test_pbart_spec_rejects_another_tree_count_and_a_leaf_cap():
         LearnerSpec(kind="pbart", n_trees=50, rule=StoppingRule(max_leaves=4))
 
 
+@pytest.mark.parametrize("kind,knobs,named", [
+    ("tree", {"n_trees": 3}, "n_trees"),
+    ("tree", {"shrinkage": 0.1, "hyper": PBartHyper(m=1)}, "shrinkage, hyper"),
+    ("rf", {"n_trees": 3, "shrinkage": 0.5}, "shrinkage"),
+    ("rf", {"hyper": PBartHyper(m=100)}, "hyper"),
+    ("gbt", {"hyper": PBartHyper(m=50)}, "hyper"),
+    ("pbart", {"shrinkage": 0.5}, "shrinkage"),
+])
+def test_spec_rejects_a_knob_its_kind_does_not_read(kind, knobs, named):
+    # fit_model dropped them: a tree spec with n_trees=3 fitted one tree
+    with pytest.raises(ValueError, match=f"a {kind} learner does not read {named}$"):
+        LearnerSpec(kind=kind, **knobs)
+
+
+def test_spec_takes_a_knob_its_kind_does_not_read_at_its_default():
+    spec = LearnerSpec(kind="tree", n_trees=1, shrinkage=1.0, hyper=None)
+    assert spec == LearnerSpec(kind="tree")
+    assert LearnerSpec(kind="rf", n_trees=100, shrinkage=1.0) == LearnerSpec(kind="rf")
+
+
 def test_unknown_learner_kind():
     with pytest.raises(ValueError):
         LearnerSpec(kind="mystery")

@@ -6,9 +6,9 @@ from conftest import grown_tree, order_block, split_leaf
 from prtree import kernel, tree
 from prtree.data import Dataset, check_features
 from prtree.kernel import (
+    Boxes,
     build_membership,
     membership_column,
-    membership_columns,
     normal_cdf,
 )
 from prtree.pbart import SampledTree
@@ -91,9 +91,9 @@ def test_child_columns_sum_to_parent():
     d = Dataset(rng.normal(size=(30, 3)), rng.normal(size=30), ("a", "b", "c"))
     sigma = np.array([0.4, 0.0, 1.2])
     root = _Node.root(d)
-    [parent] = membership_columns(d.features, [root], sigma)
+    [parent] = Boxes([root], sigma).columns(d.features)
     children = root.split(d, 2, 0.1, sigma)
-    V2 = np.column_stack(list(membership_columns(d.features, children, sigma)))
+    V2 = np.column_stack(list(Boxes(children, sigma).columns(d.features)))
     assert V2.shape[1] == 2 and [c.upper[2] for c in children] == [0.1, np.inf]
     assert np.allclose(V2.sum(axis=1), parent, atol=1e-9)
     assert np.array_equal(V2, np.column_stack([c.col for c in children]))
@@ -112,14 +112,14 @@ def test_split_evaluates_phi_once_at_the_childrens_shared_bound(monkeypatch):
         return normal_cdf(t)
 
     monkeypatch.setattr(kernel, "normal_cdf", counting)
-    list(membership_columns(d.features, children, sigma))
+    list(Boxes(children, sigma).columns(d.features))
     assert sum(evals) == d.n
 
 
 def test_one_split_evaluates_n_values_of_phi_for_both_children(cdf_evals):
     # the children keep the parent's F pairs by reference: a split deep in the
     # tree evaluates Phi at its split value alone, and its children's columns
-    # are those membership_columns gives their regions
+    # are those `Boxes` gives their regions
     rng = np.random.default_rng(33)
     X = rng.normal(size=(70, 3))
     d = Dataset(X, rng.normal(size=70), ("a", "b", "c"))
@@ -133,7 +133,7 @@ def test_one_split_evaluates_n_values_of_phi_for_both_children(cdf_evals):
         regions = [region for _, region in grown_tree(
             (0, 0, -0.6), (2, 1, 0.5), (3, 2, -0.2), (6, 0, 0.4)).leaf_regions(3)][2:4]
         assert [tuple(r.upper) for r in regions] == [tuple(c.upper) for c in children]
-        want = list(membership_columns(X, regions, sigma))
+        want = list(Boxes(regions, sigma).columns(X))
         assert all(np.array_equal(c.col, w) for c, w in zip(children, want))
     cdf_evals[0] = 0
     _Node.root(d).split(d, 0, 0.4, np.zeros(3))
@@ -244,7 +244,8 @@ def test_membership_equals_product_over_all_coordinates():
 
 
 def test_membership_columns_equal_membership_column():
-    # one Phi per distinct bound must give every column bit for bit
+    # the columns of one `Boxes` over many regions, one Phi per distinct bound,
+    # equal bit for bit those of each region alone
     rng = np.random.default_rng(17)
     X = np.round(rng.normal(size=(400, 3)), 1)
     X[:10, 0] = 0.2  # rows exactly on a threshold shared by several regions
@@ -262,12 +263,12 @@ def test_membership_columns_equal_membership_column():
     ]
     sigmas = [np.zeros(3), np.array([0.0, 0.4, 1e-3]), np.array([0.5, 0.2, 0.3])]
     for sigma in sigmas:
-        got = np.column_stack(list(membership_columns(X, regions, sigma)))
+        got = np.column_stack(list(Boxes(regions, sigma).columns(X)))
         want = np.column_stack([membership_column(X, r, sigma) for r in regions])
         assert np.array_equal(got, want)
         assert np.array_equal(got[:, 0], np.ones(X.shape[0]))
     # a single row and a single region
-    [col] = membership_columns(X[0], [ll], sigmas[1])
+    [col] = Boxes([ll], sigmas[1]).columns(X[0])
     assert np.array_equal(col, membership_column(X[0], ll, sigmas[1]))
 
 
@@ -294,14 +295,14 @@ def test_shared_bounds_are_evaluated_once(cdf_evals):
     lrl, lrr = lr.split(0, -0.7)
     # soft finite bounds: (0, 0.1), (0, -0.7) and (2, -0.4); coordinate 1 is hard
     regions = [ll, lrl, lrr, rl, rr]
-    got = list(membership_columns(X, regions, sigma))
+    got = list(Boxes(regions, sigma).columns(X))
     assert cdf_evals[0] == 3 * X.shape[0]
     cdf_evals[0] = 0
     want = [membership_column(X, r, sigma) for r in regions]
     assert cdf_evals[0] == (1 + 3 + 3 + 1 + 1) * X.shape[0]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     cdf_evals[0] = 0
-    list(membership_columns(X, regions, np.zeros(3)))
+    list(Boxes(regions, np.zeros(3)).columns(X))
     assert cdf_evals[0] == 0
 
 

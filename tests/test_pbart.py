@@ -57,8 +57,7 @@ def test_prior_stump_one_cut():
 
 
 def test_prior_matches_recursive_oracle():
-    # the tree keeps its prior for the last (alpha, beta) asked: each call on
-    # the one tree, a repeat after another (alpha, beta) included, matches
+    # each call on the one tree, a repeat after another (alpha, beta) included, matches
     rng = np.random.default_rng(0)
     d = random_dataset(rng, 40, 2)
     nodes = grown_tree((0, 0, 0.1), (1, 1, -0.2))
@@ -69,8 +68,8 @@ def test_prior_matches_recursive_oracle():
 
 
 def test_kept_prior_equals_that_of_a_fresh_tree():
-    # after each move of a chain, the prior the current tree and the proposal
-    # keep equals, bit for bit, that of a tree refreshed afresh from their arrays
+    # after each move of a chain, the prior of the current tree and of the proposal
+    # equals, bit for bit, that of a tree refreshed afresh from their arrays
     d = random_dataset(np.random.default_rng(2), 60, 3)
     sigma = 0.3 * d.features.std(axis=0, ddof=1)
     rule = StoppingRule(min_leaf_fraction=0.05)
@@ -83,7 +82,7 @@ def test_kept_prior_equals_that_of_a_fresh_tree():
         star, log_q, _ = propose_tree(t, gen, hyper.move_probs, rule)
         accepted = mh_accept(t, star, d.target, hyper, gen, 0.5, log_q)
         for tree in (t, star):
-            if tree is not None and tree.prior is not None:
+            if tree is not None:
                 fresh = SampledTree(tree.nodes.copy(), sigma)
                 assert fresh.refresh(d, rule.min_count(d.n))
                 want = tree_log_prior(fresh, hyper.alpha, hyper.beta)
@@ -255,19 +254,6 @@ def test_proposals_respect_min_leaf_size():
     assert star is None and logq == -np.inf
 
 
-def test_project_keeps_b_of_a_read_only_residual_only():
-    # b = V^T R is kept for the read-only residual of a step, and formed
-    # anew for a writable one, which may have changed in place since
-    d = random_dataset(np.random.default_rng(3), 30, 2)
-    t = _refreshed(grown_tree((0, 0, 0.0)), d)
-    R = np.random.default_rng(4).normal(size=d.n)
-    b = t.project(R)
-    R += 1.0
-    assert np.array_equal(t.project(R), t.membership().T @ R) and not np.array_equal(b, t.project(R))
-    R.setflags(write=False)
-    assert t.project(R) is t.project(R)
-
-
 class _Scripted:
     """A generator for `propose_tree` that draws given values: random()
     returns 0.5, which falls in the one move of probability 1, and
@@ -347,6 +333,15 @@ def test_change_and_swap_moves():
         assert logq2 == 0.0
 
 
+def test_swap_pool_lists_parents_in_preorder_left_child_first():
+    # the order a swap draws its (parent, child) pair from; node indices are not preorder
+    d = random_dataset(np.random.default_rng(8), 200, 2)
+    t = _refreshed(grown_tree((0, 0, 0.0), (2, 1, 0.0), (1, 1, 0.0), (4, 0, 1.0), (5, 0, -1.0)), d)
+    assert t.internals == [0, 1, 5, 2, 4]
+    assert t.pairs() == [(0, 1), (0, 2), (1, 5), (2, 4)]
+    assert t.prunable() == [5, 4]
+
+
 def _oracle_regions(nodes, i, region):
     """(node, region) of node i and of its subtree in preorder, from Region.split alone."""
     yield i, region
@@ -370,7 +365,7 @@ def _state(t):
         asdict(t.nodes),
         [(t.at[i].lower.tolist(), t.at[i].upper.tolist()) for i in t.leaves],
         [(i, t.at[i].depth, t.at[i].rows.tolist()) for i in sorted(t.at)],
-        t.internals[:], t.leaves[:], t.pairs[:],
+        t.internals[:], t.leaves[:], t.pairs(),
         [t.n_cuts(node) for node in t.internals],
     )
 

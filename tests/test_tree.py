@@ -8,7 +8,7 @@ from conftest import (
 )
 from prtree.data import Dataset, RngSpec
 from prtree.ensemble import fit_prgbt, fit_prrf
-from prtree.kernel import build_membership, cdf, membership_columns
+from prtree.kernel import Boxes, build_membership, cdf
 from prtree.regions import Region
 from prtree import ensemble, regions, tree
 from prtree.tree import (
@@ -437,7 +437,7 @@ def test_forest_searches_each_repeated_row_once(monkeypatch):
 @pytest.mark.parametrize("kind", ["hard", "soft", "mixed"])
 def test_fit_columns_equal_membership_columns_bit_for_bit(monkeypatch, learner, kind):
     # every leaf column a fit used, a product of the F pairs its splits
-    # passed down, is the column membership_columns gives the leaf's region
+    # passed down, is the column `Boxes` gives the leaf's region
     # over the rows the fit saw (a forest's distinct bootstrap rows)
     rng = np.random.default_rng(28)
     d = random_dataset(rng, 90, 3)
@@ -467,7 +467,7 @@ def test_fit_columns_equal_membership_columns_bit_for_bit(monkeypatch, learner, 
         assert X.shape[0] < d.n if learner == "rf" else X is d.features
         cols = {(c.lower.tobytes(), c.upper.tobytes()): c.col for _, c in made}
         regions = [region for _, region in t.nodes.leaf_regions(d.p)]
-        for region, want in zip(regions, membership_columns(X, regions, sigma)):
+        for region, want in zip(regions, Boxes(regions, sigma).columns(X)):
             assert np.array_equal(cols[region.lower.tobytes(), region.upper.tobytes()], want)
 
 
